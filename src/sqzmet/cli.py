@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 validation-suite failure, 2 bad input, 3 refusal
 to run outside the small-phase regime.  Output tables are CSV with a
 manifest header sufficient to regenerate them; numbers use shortest
 round-trip notation, so identical configuration and seed give
-byte-identical files regardless of parallelism.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,25 +213,6 @@ def cmd_sweep(args) -> int:
     baseline = args.baseline or "squeezed"
     started = time.perf_counter()
     try:
-        counts = None
-        if args.jobs > 1:
-            probabilities = [
-                metrology.sweep_point_probability(n, args.bias_product / n, baseline)
-                for n in nbars
-            ]
-            tasks = [(i, k) for i in range(len(nbars)) for k in range(args.repetitions)]
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                counts = dict(
-                    pool.map(
-                        lambda t: (
-                            t,
-                            metrology.sweep_shot_count(
-                                probabilities[t[0]], shots, seed, t[0], t[1]
-                            ),
-                        ),
-                        tasks,
-                    )
-                )
         result = metrology.scaling_sweep(
             nbars,
             shots,
@@ -241,7 +221,6 @@ def cmd_sweep(args) -> int:
             bias_product=args.bias_product,
             baseline=baseline,
             force=args.force,
-            counts=counts,
         )
     except metrology.RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -320,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--bias-product", type=float, default=0.05, dest="bias_product")
     p_swp.add_argument("--baseline", choices=("squeezed", "coherent"))
     p_swp.add_argument("--force", action="store_true", help="ignore the regime refusal")
-    p_swp.add_argument("--jobs", type=int, default=1, help="parallel sampling threads")
+    p_swp.add_argument("--jobs", type=int, default=1, help="ignored; sampling is vectorised")
     p_swp.add_argument("--out", help="CSV path (default: stdout)")
     p_swp.set_defaults(func=cmd_sweep)
 

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import network
 from .gaussian import PhotonMoments, SqueezeParameter
 
 MAX_SERIES_ORDER = 8
@@ -194,6 +195,8 @@ def _check_phases(phases, modes: int) -> np.ndarray:
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (modes,):
         raise ValueError(f"expected {modes} phases, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite, got {phases}")
     return phases
 
 
@@ -292,15 +295,6 @@ def photon_moments_fock(state: FockAmplitudes) -> PhotonMoments:
 # per-sector resummation
 # ---------------------------------------------------------------------------
 
-def _check_first_column_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"weights must be a non-empty vector, got shape {w.shape}")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be non-negative and sum to 1")
-    return w
-
-
 def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> float:
     """Survival probability from per-sector resummation.
 
@@ -314,7 +308,7 @@ def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> flo
         weights: squared magnitudes of the network's first column.
         phases: one phase per mode.
     """
-    w = _check_first_column_weights(weights)
+    w = network.validate_weights(weights)
     phases = _check_phases(phases, w.size)
     probs = np.abs(np.asarray(amplitudes)) ** 2
     mixer = complex(np.sum(w * np.exp(-1j * phases)))
@@ -350,7 +344,7 @@ def generator_moments_sectors(
     """Same moments as :func:`generator_moments`, via per-sector resummation."""
     if not 0 <= max_order <= MAX_SERIES_ORDER:
         raise ValueError(f"max_order must be in [0, {MAX_SERIES_ORDER}], got {max_order}")
-    w = _check_first_column_weights(weights)
+    w = network.validate_weights(weights)
     phases = _check_phases(phases, w.size)
     probs = np.abs(np.asarray(amplitudes)) ** 2
     totals = 2.0 * np.arange(len(probs))

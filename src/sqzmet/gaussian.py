@@ -155,11 +155,14 @@ def apply_phases(state: GaussianState, phases) -> GaussianState:
     """Apply an independent phase shift to every mode.
 
     Raises:
-        ValueError: if ``phases`` does not have one entry per mode.
+        ValueError: if ``phases`` does not have one entry per mode or any
+            entry is not finite.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (state.modes,):
         raise ValueError(f"expected {state.modes} phases, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite, got {phases}")
     sympl = np.zeros((2 * state.modes, 2 * state.modes))
     cos, sin = np.cos(phases), np.sin(phases)
     sympl[0::2, 0::2] = np.diag(cos)

@@ -122,9 +122,8 @@ def simulate_shots(p: float, shots: int, seed) -> int:
     """Count of unchanged-probe outcomes over ``shots`` on-off detections.
 
     Each shot is a Bernoulli trial with success probability ``p``.  The
-    ``seed`` may be an integer or a sequence of integers; a sequence keys a
-    counter-style stream, so independently derived seeds give reproducible
-    results regardless of execution order.
+    ``seed`` may be an integer or a sequence of integers; a sequence keys
+    its own stream (:func:`run_protocol` uses ``[seed, 0, 0]``).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
@@ -293,17 +292,6 @@ def sweep_point_probability(
     raise ValueError(f"baseline must be 'squeezed' or 'coherent', got {baseline!r}")
 
 
-def sweep_shot_count(
-    p: float, shots: int, seed: int, point_index: int, repetition: int
-) -> int:
-    """One repetition's shot count, keyed by (seed, point, repetition).
-
-    The derived-seed scheme makes the result independent of execution
-    order, so serial and parallel sweeps agree bit for bit.
-    """
-    return simulate_shots(p, shots, [seed, point_index, repetition])
-
-
 def _sweep_inversion_scale(nbar: float, baseline: str) -> float:
     # leading-order model inverted by the sweep estimator: the squeezed probe
     # has generator variance 2 nbar^2 phi^2 at large nbar, the coherent
@@ -319,7 +307,6 @@ def scaling_sweep(
     bias_product: float = 0.05,
     baseline: str = "squeezed",
     force: bool = False,
-    counts: dict[tuple[int, int], int] | None = None,
 ) -> SweepResult:
     """Monte-Carlo scan of the estimation variance against the mean photon number.
 
@@ -337,14 +324,12 @@ def scaling_sweep(
         nbars: mean photon numbers to scan, all positive.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
-        seed: master seed; repetition ``k`` of point ``i`` draws from the
-            stream keyed by ``(seed, i, k)``.
+        seed: master seed; point ``i`` draws all its repetitions from the
+            stream keyed by ``(seed, i)``, so a point's result does not
+            depend on the points after it.
         bias_product: operating bias ``phi_bar * nbar``.
         baseline: ``squeezed`` or ``coherent``.
         force: allow operation outside the small-phase regime.
-        counts: optional precomputed shot counts keyed by ``(point, rep)``,
-            as produced by :func:`sweep_shot_count`; lets callers
-            parallelise the sampling without changing the result.
 
     Raises:
         RegimeError: if ``bias_product`` violates the small-phase regime and
@@ -355,6 +340,8 @@ def scaling_sweep(
         raise ValueError("nbars must not be empty")
     if any(n <= 0 for n in nbars):
         raise ValueError("all mean photon numbers must be positive")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     if repetitions < 2:
         raise ValueError(f"repetitions must be >= 2, got {repetitions}")
     if bias_product >= REGIME_THRESHOLD and not force:
@@ -367,18 +354,11 @@ def scaling_sweep(
         phi_bar = bias_product / nbar
         p = sweep_point_probability(nbar, phi_bar, baseline)
         scale = _sweep_inversion_scale(nbar, baseline)
-        estimates = np.empty(repetitions)
-        total = 0
-        for k in range(repetitions):
-            if counts is not None:
-                count = counts[(i, k)]
-            else:
-                count = sweep_shot_count(p, shots, seed, i, k)
-            total += count
-            estimates[k] = math.sqrt(max(0.0, 1.0 - count / shots) / scale)
+        counts = np.random.default_rng([seed, i]).binomial(shots, p, size=repetitions)
+        estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)
         results.append(
             EstimationResult(
-                p_hat=total / (repetitions * shots),
+                p_hat=int(counts.sum()) / (repetitions * shots),
                 phi_hat=float(estimates.mean()),
                 delta_phi_sq=float(estimates.var(ddof=1)),
                 heisenberg_bound=heisenberg_sensitivity(nbar) / shots,

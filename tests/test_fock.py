@@ -265,6 +265,17 @@ class TestGeneratorMoments:
         with pytest.raises(ValueError):
             generator_moments_sectors(amps, [1.0], [0.1], max_order=9)
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, 0.5 + 5e-11]])
+    @pytest.mark.parametrize(
+        "route", [survival_probability_sectors, generator_moments_sectors]
+    )
+    def test_sector_routes_reject_bad_weights(self, route, weights):
+        # same check as network.validate_weights: NaN and a sum off by more
+        # than 1e-12 both raise instead of returning a number
+        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
+        with pytest.raises(ValueError, match="weights must"):
+            route(amps, weights, [0.1, 0.0])
+
     def test_fock_photon_moments_match_reference(self):
         cutoff = recommend_cutoff(SQ_UNIT, 1e-13, moment_power=2)
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, cutoff)

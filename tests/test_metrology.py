@@ -26,7 +26,6 @@ from sqzmet import (
     survival_probability_large_n,
     survival_probability_quadratic,
     sweep_point_probability,
-    sweep_shot_count,
     vacuum_state,
 )
 from conftest import random_weights
@@ -273,6 +272,14 @@ class TestEngines:
         with pytest.raises(ValueError):
             exact_survival_probability([1.0], [0.1], SqueezeParameter(0.5), engine="exact")
 
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_phases(self, engine, bad):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            exact_survival_probability(
+                [0.5, 0.5], [0.1, bad], SqueezeParameter(0.5), engine=engine
+            )
+
 
 class TestExperimentConfig:
     def test_valid_roundtrip(self):
@@ -351,22 +358,41 @@ class TestScalingSweep:
             scaling_sweep([0.0, 1.0], 1000, 10, 0)
         with pytest.raises(ValueError):
             scaling_sweep([1.0], 1000, 1, 0)
+        with pytest.raises(ValueError):
+            scaling_sweep([1.0], 0, 10, 0)
 
-    def test_injected_counts_reproduce_serial(self):
-        nbars = [0.5, 1.0]
-        serial = scaling_sweep(nbars, 5000, 20, 99)
-        counts = {}
-        for i, nbar in enumerate(nbars):
+    def test_point_streams_are_keyed_by_index(self):
+        # point i draws only from the stream keyed by (seed, i), so a call
+        # repeats itself and appending points leaves earlier points unchanged
+        nbars = [0.5, 1.0, 2.0]
+        full = scaling_sweep(nbars, 5000, 20, 99)
+        assert scaling_sweep(nbars, 5000, 20, 99) == full
+        assert full.results[:2] == scaling_sweep(nbars[:2], 5000, 20, 99).results
+
+    def test_vectorised_inversion_matches_loop(self):
+        # reference: draw point i's counts from the (seed, i) stream and
+        # invert them one repetition at a time
+        nbars, shots, reps, seed = [0.5, 2.0], 5000, 30, 7
+        result = scaling_sweep(nbars, shots, reps, seed)
+        for i, (nbar, point) in enumerate(zip(nbars, result.results)):
             p = sweep_point_probability(nbar, 0.05 / nbar)
-            for k in range(20):
-                counts[(i, k)] = sweep_shot_count(p, 5000, 99, i, k)
-        injected = scaling_sweep(nbars, 5000, 20, 99, counts=counts)
-        assert injected == serial
+            counts = np.random.default_rng([seed, i]).binomial(shots, p, size=reps)
+            estimates = [
+                math.sqrt(max(0.0, 1.0 - int(c) / shots) / (2.0 * nbar ** 2))
+                for c in counts
+            ]
+            assert point.p_hat == sum(int(c) for c in counts) / (reps * shots)
+            assert point.phi_hat == pytest.approx(np.mean(estimates), rel=1e-12)
+            assert point.delta_phi_sq == pytest.approx(
+                np.var(estimates, ddof=1), rel=1e-9
+            )
 
     def test_point_variance_near_reference(self):
-        result = scaling_sweep([1.0], 10 ** 5, 100, 2024)
+        # the sample variance of 2000 repetitions has relative SD
+        # sqrt(2 / 1999) ~ 0.032, so rel=0.15 is a band of about 4.6 sigma
+        result = scaling_sweep([1.0], 10 ** 5, 2000, 2024)
         point = result.results[0]
-        assert point.delta_phi_sq * 10 ** 5 == pytest.approx(0.125, rel=0.25)
+        assert point.delta_phi_sq * 10 ** 5 == pytest.approx(0.125, rel=0.15)
         assert point.heisenberg_bound == pytest.approx(0.125 / 10 ** 5)
         assert math.isnan(result.slope)
 
