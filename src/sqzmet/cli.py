@@ -1,7 +1,8 @@
 """Command-line front end: synthesize, simulate, sweep, validate.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 bad input, 3 refusal
-to run outside the small-phase regime.  Output tables are CSV with a
+Exit codes: 0 success, 1 a self-check failed (a validation-suite check or a
+``synthesize`` residual), 2 bad input, 3 refusal to run outside the
+small-phase regime.  Output tables are CSV with a
 manifest header sufficient to regenerate them; numbers use shortest
 round-trip notation, so identical configuration and seed give
 byte-identical files.
@@ -21,12 +22,14 @@ from . import __version__, metrology, network, validate
 from .gaussian import SqueezeParameter
 
 ENV_PREFIX = "SQZMET_"
-CONFIG_KEYS = ("weights", "true_phases", "squeeze", "shots", "seed", "engine", "cutoff")
+CONFIG_KEYS = ("weights", "true_phases", "squeeze", "shots", "seed", "engine")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_REGIME = 3
+# acceptance criterion 7's mesh round-trip bound, applied to every synthesize residual
+RESIDUAL_TOL = 1e-9
 
 
 class InputError(Exception):
@@ -111,25 +114,24 @@ def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
             shots=int(values["shots"]),
             seed=args.seed if args.seed is not None else int(values["seed"]),
             engine=args.engine or values.get("engine", "gaussian"),
-            cutoff=args.cutoff if args.cutoff is not None else (
-                int(values["cutoff"]) if "cutoff" in values else None
-            ),
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return config
 
 
-def _config_manifest_entries(config: metrology.ExperimentConfig) -> list[tuple[str, str]]:
-    return [
+def _simulate_manifest_entries(
+    config: metrology.ExperimentConfig, run: metrology.ProtocolRun
+) -> tuple[tuple[str, str], ...]:
+    return (
         ("weights", _fmt_list(config.weights)),
         ("true_phases", _fmt_list(config.true_phases)),
         ("squeeze", _fmt_list([config.squeeze.r, config.squeeze.theta])),
         ("shots", str(config.shots)),
         ("seed", str(config.seed)),
         ("engine", config.engine),
-        ("cutoff", "auto" if config.cutoff is None else str(config.cutoff)),
-    ]
+        ("cutoff", "auto" if run.cutoff_used is None else str(run.cutoff_used)),
+    )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -153,6 +155,18 @@ def cmd_synthesize(args) -> int:
     column_defect = float(np.max(np.abs(unitary[:, 0] - np.sqrt(weights))))
     unitarity = network.unitarity_defect(unitary)
     roundtrip = float(np.linalg.norm(network.recompose(mesh) - unitary))
+    residuals = (
+        ("first-column residual", column_defect),
+        ("unitarity residual", unitarity),
+        ("mesh round-trip residual", roundtrip),
+    )
+    for name, value in residuals:
+        if not value <= RESIDUAL_TOL:
+            print(
+                f"error: {name} = {_fmt(value)} exceeds {RESIDUAL_TOL}; no files written",
+                file=sys.stderr,
+            )
+            return EXIT_VALIDATION
 
     manifest = RunManifest("synthesize", (("weights", _fmt_list(weights)),))
     netlist = "\n".join(manifest.header_lines()) + "\n" + network.mesh_to_netlist(mesh)
@@ -163,9 +177,8 @@ def cmd_synthesize(args) -> int:
     _write_text(f"{prefix}.netlist", netlist)
     _write_text(f"{prefix}.unitary", dump)
     print(f"modes = {weights.size}")
-    print(f"first-column residual = {_fmt(column_defect)}")
-    print(f"unitarity residual = {_fmt(unitarity)}")
-    print(f"mesh round-trip residual = {_fmt(roundtrip)}")
+    for name, value in residuals:
+        print(f"{name} = {_fmt(value)}")
     print(f"wrote {prefix}.netlist and {prefix}.unitary")
     return EXIT_OK
 
@@ -181,12 +194,7 @@ def cmd_simulate(args) -> int:
             f"small-phase expansion (threshold {metrology.REGIME_THRESHOLD})",
             file=sys.stderr,
         )
-    entries = _config_manifest_entries(config)
-    if config.engine == "fock":
-        entries = [
-            (k, v) if k != "cutoff" else (k, str(run.cutoff_used)) for k, v in entries
-        ]
-    manifest = RunManifest("simulate", tuple(entries))
+    manifest = RunManifest("simulate", _simulate_manifest_entries(config, run))
     lines = manifest.header_lines()
     lines.append("phiBar_true,p_exact,p_hat,phi_hat,regime_ratio")
     lines.append(
@@ -287,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--engine", choices=metrology.ENGINES)
-    p_sim.add_argument("--cutoff", type=int)
     p_sim.add_argument("--out", help="CSV path (default: stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -39,10 +39,6 @@ FIRST_COLUMN_TOL = 1e-12
 class TruncationError(ValueError):
     """Raised when a table's missing probability weight exceeds the allowed tail."""
 
-    def __init__(self, message: str, suggested_cutoff: int):
-        super().__init__(message)
-        self.suggested_cutoff = suggested_cutoff
-
 
 def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
     """Even-sector amplitudes of the single-mode squeezed vacuum.
@@ -140,9 +136,7 @@ class FockAmplitudes:
         return complex(self.amplitudes[hits[0]]) if hits.size else 0.0 + 0.0j
 
 
-def propagate_through_network(
-    amplitudes: np.ndarray, unitary: np.ndarray, cutoff: int | None = None
-) -> FockAmplitudes:
+def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> FockAmplitudes:
     """Distribute single-mode amplitudes over the network's output modes.
 
     Only the first column of ``unitary`` matters, because only input mode 0
@@ -154,7 +148,6 @@ def propagate_through_network(
         amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
         unitary: ``(M, M)`` network matrix; its first column must have unit
             norm within ``FIRST_COLUMN_TOL``.
-        cutoff: optional lower cutoff; defaults to the full input range.
 
     Raises:
         ValueError: on dimension problems or a non-normalised first column.
@@ -167,11 +160,7 @@ def propagate_through_network(
     if abs(norm - 1.0) > FIRST_COLUMN_TOL:
         raise ValueError(f"first column norm {norm!r} is not 1 within {FIRST_COLUMN_TOL}")
     modes = unitary.shape[0]
-    max_cutoff = 2 * (len(amplitudes) - 1)
-    if cutoff is None:
-        cutoff = max_cutoff
-    if cutoff % 2 != 0 or not 0 <= cutoff <= max_cutoff:
-        raise ValueError(f"cutoff must be even and within [0, {max_cutoff}], got {cutoff}")
+    cutoff = 2 * (len(amplitudes) - 1)
 
     lgamma = [math.lgamma(k + 1) for k in range(cutoff + 1)]
     occ_rows = []
@@ -200,18 +189,6 @@ def _check_phases(phases, modes: int) -> np.ndarray:
     return phases
 
 
-def _suggest_cutoff(state: FockAmplitudes, max_tail: float) -> int:
-    probs = state.probabilities()
-    totals = state.sector_totals()
-    top = float(probs[totals == state.cutoff].sum())
-    prev = float(probs[totals == state.cutoff - 2].sum()) if state.cutoff >= 2 else 0.0
-    if prev > 0.0 and 0.0 < top < prev:
-        ratio = top / prev
-        extra = math.log(max_tail * (1.0 - ratio) / max(state.tail, top)) / math.log(ratio)
-        return state.cutoff + 2 * max(1, math.ceil(extra))
-    return 2 * (state.cutoff + 2)
-
-
 def survival_probability(state: FockAmplitudes, phases, max_tail: float = 1e-6) -> float:
     """Probability that the probe leaves the interferometer unchanged.
 
@@ -219,15 +196,11 @@ def survival_probability(state: FockAmplitudes, phases, max_tail: float = 1e-6) 
     probability-weighted sum of ``exp(-i n . phi)`` over the table.
 
     Raises:
-        TruncationError: if the table's missing weight exceeds ``max_tail``;
-            the exception carries a suggested larger cutoff.
+        TruncationError: if the table's missing weight exceeds ``max_tail``.
     """
     phases = _check_phases(phases, state.modes)
     if state.tail > max_tail:
-        raise TruncationError(
-            f"table tail {state.tail:.3e} exceeds {max_tail:.3e}",
-            suggested_cutoff=_suggest_cutoff(state, max_tail),
-        )
+        raise TruncationError(f"table tail {state.tail:.3e} exceeds {max_tail:.3e}")
     value = abs(np.sum(state.probabilities() * np.exp(-1j * (state.occupations @ phases)))) ** 2
     return min(float(value), 1.0)
 

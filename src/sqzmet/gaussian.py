@@ -98,12 +98,6 @@ def _squeeze_block(squeeze: SqueezeParameter) -> np.ndarray:
     return _rotation(squeeze.theta / 2.0) @ scale @ _rotation(-squeeze.theta / 2.0)
 
 
-def _phase_block(phi: float) -> np.ndarray:
-    # quadrature rotation induced by exp(-i*phi*n) on one mode
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, s], [-s, c]])
-
-
 def _conjugate(state: GaussianState, sympl: np.ndarray) -> GaussianState:
     return GaussianState(sympl @ state.covariance @ sympl.T)
 
@@ -154,6 +148,9 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
 def apply_phases(state: GaussianState, phases) -> GaussianState:
     """Apply an independent phase shift to every mode.
 
+    The shift ``exp(-i phi_j n_j)`` is the diagonal passive network
+    ``diag(exp(-i phi))``.
+
     Raises:
         ValueError: if ``phases`` does not have one entry per mode or any
             entry is not finite.
@@ -163,13 +160,7 @@ def apply_phases(state: GaussianState, phases) -> GaussianState:
         raise ValueError(f"expected {state.modes} phases, got shape {phases.shape}")
     if not np.all(np.isfinite(phases)):
         raise ValueError(f"phases must be finite, got {phases}")
-    sympl = np.zeros((2 * state.modes, 2 * state.modes))
-    cos, sin = np.cos(phases), np.sin(phases)
-    sympl[0::2, 0::2] = np.diag(cos)
-    sympl[0::2, 1::2] = np.diag(sin)
-    sympl[1::2, 0::2] = np.diag(-sin)
-    sympl[1::2, 1::2] = np.diag(cos)
-    return _conjugate(state, sympl)
+    return apply_network(state, np.diag(np.exp(-1j * phases)))
 
 
 def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:

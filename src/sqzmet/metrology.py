@@ -83,11 +83,11 @@ def survival_probability_large_n(nbar: float, phi_bar: float) -> float:
     return 1.0 - 2.0 * nbar ** 2 * phi_bar ** 2
 
 
-def check_regime(phases, nbar: float, threshold: float = REGIME_THRESHOLD) -> RegimeCheck:
-    """Small-phase expansion validity: ratio ``max|phi| * nbar`` against ``threshold``."""
+def check_regime(phases, nbar: float) -> RegimeCheck:
+    """Small-phase expansion validity: ratio ``max|phi| * nbar`` against ``REGIME_THRESHOLD``."""
     phases = np.asarray(phases, dtype=float)
     ratio = float(np.max(np.abs(phases)) * nbar) if phases.size else 0.0
-    return RegimeCheck(ratio, ratio < threshold)
+    return RegimeCheck(ratio, ratio < REGIME_THRESHOLD)
 
 
 def heisenberg_sensitivity(nbar: float) -> float:
@@ -122,8 +122,10 @@ def simulate_shots(p: float, shots: int, seed) -> int:
     """Count of unchanged-probe outcomes over ``shots`` on-off detections.
 
     Each shot is a Bernoulli trial with success probability ``p``.  The
-    ``seed`` may be an integer or a sequence of integers; a sequence keys
-    its own stream (:func:`run_protocol` uses ``[seed, 0, 0]``).
+    ``seed`` may be an integer or a sequence of integers.  numpy's
+    ``SeedSequence`` ignores trailing zero words, so ``s``, ``[s, 0]`` and
+    ``[s, 0, 0]`` key one and the same stream: the ``[seed, 0, 0]`` that
+    :func:`run_protocol` passes draws from the stream of sweep point 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
@@ -161,7 +163,6 @@ class ExperimentConfig:
     shots: int
     seed: int
     engine: str = "gaussian"
-    cutoff: int | None = None
 
     def __post_init__(self):
         w = network.validate_weights(self.weights)
@@ -172,8 +173,6 @@ class ExperimentConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.cutoff is not None and (self.cutoff < 0 or self.cutoff % 2 != 0):
-            raise ValueError(f"cutoff must be even and >= 0, got {self.cutoff}")
         w.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -181,15 +180,15 @@ class ExperimentConfig:
 
 
 def exact_survival_probability(
-    weights, phases, squeeze: SqueezeParameter, engine: str = "gaussian",
-    cutoff: int | None = None,
+    weights, phases, squeeze: SqueezeParameter, engine: str = "gaussian"
 ) -> tuple[float, int | None]:
     """Exact unchanged-probe probability for the full interferometer.
 
     The ``gaussian`` engine pushes the covariance matrix through squeezer,
     network, phases, and inverse network, then takes the overlap with the
     probe state.  The ``fock`` engine resums the occupation-number
-    distribution sector by sector at a certified cutoff.
+    distribution sector by sector at the cutoff that
+    :func:`fock.recommend_cutoff` certifies for a tail below ``1e-12``.
 
     Returns:
         ``(probability, cutoff_used)``; the cutoff is None for the gaussian
@@ -205,8 +204,7 @@ def exact_survival_probability(
         state = apply_network(state, unitary.conj().T)
         return vacuum_overlap_probability(state, squeeze), None
     if engine == "fock":
-        if cutoff is None:
-            cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-12)
+        cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-12)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         return fock.survival_probability_sectors(amps, w, phases), cutoff
     raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -230,8 +228,7 @@ def run_protocol(config: ExperimentConfig) -> ProtocolRun:
     moments = phase_moments(config.weights, config.true_phases)
     nbar = config.squeeze.mean_photon_number
     p_exact, cutoff_used = exact_survival_probability(
-        config.weights, config.true_phases, config.squeeze,
-        engine=config.engine, cutoff=config.cutoff,
+        config.weights, config.true_phases, config.squeeze, engine=config.engine
     )
     count = simulate_shots(p_exact, config.shots, [config.seed, 0, 0])
     p_hat = count / config.shots

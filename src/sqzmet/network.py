@@ -11,6 +11,7 @@ as beam splitters and phase shifters.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -127,23 +128,26 @@ def _wrap_phase(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-def reck_decompose(unitary: np.ndarray, tol: float = UNITARITY_TOL) -> RotationMesh:
+def reck_decompose(unitary: np.ndarray) -> RotationMesh:
     """Factor a unitary into adjacent-pair rotations and output phases.
 
     Works column by column, zeroing the below-diagonal entries with Givens
     rotations on neighbouring rows; at most ``M (M - 1) / 2`` elements are
     produced and entries that are already exactly zero are skipped, so the
-    identity yields an empty element list.
+    identity yields an empty element list.  Each rotation angle is
+    ``atan2(|target|, |pivot|)``, which stays finite however small the
+    pivot is.
 
     Raises:
-        ValueError: if the input is not square or not unitary within ``tol``.
+        ValueError: if the input is not square or not unitary within
+            ``UNITARITY_TOL``.
     """
     work = np.array(unitary, dtype=complex)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {work.shape}")
     defect = unitarity_defect(work)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol})")
+    if defect > UNITARITY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARITY_TOL})")
     dim = work.shape[0]
     elements = []
     for col in range(dim - 1):
@@ -152,12 +156,8 @@ def reck_decompose(unitary: np.ndarray, tol: float = UNITARITY_TOL) -> RotationM
             target = work[row, col]
             if target == 0:
                 continue
-            if pivot == 0:
-                theta, phase = math.pi / 2.0, 0.0
-            else:
-                ratio = -target / pivot
-                theta = math.atan(abs(ratio))
-                phase = -math.atan2(ratio.imag, ratio.real)
+            theta = math.atan2(abs(target), abs(pivot))
+            phase = cmath.phase(pivot) - cmath.phase(-target)
             c, s = math.cos(theta), math.sin(theta)
             ph = complex(math.cos(phase), math.sin(phase))
             givens = np.array([[c, -ph * s], [s / ph, c]])

@@ -37,24 +37,24 @@ def _random_cases(seed: int, count: int, max_modes: int = 5, max_r: float = 1.2)
     return cases
 
 
-def check_cross_engine(seed: int, cases: int = 20, tol: float = 1e-6) -> CheckResult:
+def check_cross_engine(seed: int) -> CheckResult:
     """Covariance engine vs occupation-basis oracle on random configurations."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed, cases):
+    for weights, phases, squeeze in _random_cases(seed, 20):
         p_gauss, _ = metrology.exact_survival_probability(weights, phases, squeeze)
         p_fock, _ = metrology.exact_survival_probability(
             weights, phases, squeeze, engine="fock"
         )
         worst = max(worst, abs(p_gauss - p_fock))
     return CheckResult(
-        "cross-engine equality", worst <= tol, f"max |gaussian - fock| = {worst:.3e}"
+        "cross-engine equality", worst <= 1e-6, f"max |gaussian - fock| = {worst:.3e}"
     )
 
 
-def check_table_route(seed: int, cases: int = 5, tol: float = 1e-6) -> CheckResult:
+def check_table_route(seed: int) -> CheckResult:
     """Explicit amplitude table vs sector resummation at moderate cutoffs."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed + 1, cases, max_modes=3, max_r=0.8):
+    for weights, phases, squeeze in _random_cases(seed + 1, 5, max_modes=3, max_r=0.8):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-10)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         unitary = network.embed_weights_unitary(weights)
@@ -63,27 +63,27 @@ def check_table_route(seed: int, cases: int = 5, tol: float = 1e-6) -> CheckResu
         p_sector = fock.survival_probability_sectors(amps, weights, phases)
         worst = max(worst, abs(p_table - p_sector))
     return CheckResult(
-        "table vs sector route", worst <= tol, f"max route gap = {worst:.3e}"
+        "table vs sector route", worst <= 1e-6, f"max route gap = {worst:.3e}"
     )
 
 
-def check_odd_terms(seed: int, cases: int = 20, tol: float = 1e-10) -> CheckResult:
+def check_odd_terms(seed: int) -> CheckResult:
     """Odd survival-series terms must vanish identically."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed + 2, cases):
+    for weights, phases, squeeze in _random_cases(seed + 2, 20):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-13, moment_power=8)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=8)
         worst = max(worst, float(np.max(np.abs(series.terms[1::2]))))
     return CheckResult(
-        "odd series terms vanish", worst <= tol, f"max odd term = {worst:.3e}"
+        "odd series terms vanish", worst <= 1e-10, f"max odd term = {worst:.3e}"
     )
 
 
-def check_variance_identity(seed: int, cases: int = 20, tol: float = 1e-9) -> CheckResult:
+def check_variance_identity(seed: int) -> CheckResult:
     """Analytic generator variance against the oracle's second moment."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed + 3, cases):
+    for weights, phases, squeeze in _random_cases(seed + 3, 20):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-14, moment_power=2)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=2)
@@ -94,25 +94,25 @@ def check_variance_identity(seed: int, cases: int = 20, tol: float = 1e-9) -> Ch
         )
         worst = max(worst, abs(oracle - analytic))
     return CheckResult(
-        "generator variance identity", worst <= tol, f"max defect = {worst:.3e}"
+        "generator variance identity", worst <= 1e-9, f"max defect = {worst:.3e}"
     )
 
 
-def check_mz_factorization(seed: int, pairs: int = 20, tol: float = 1e-9) -> CheckResult:
+def check_mz_factorization(seed: int) -> CheckResult:
     """Composed balanced interferometer vs its mixing/global-phase factorisation."""
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(20):
         phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
         worst = max(
             worst, fock.mach_zehnder_factorization_residual(phi1, phi2, cutoff=12)
         )
     return CheckResult(
-        "mach-zehnder factorization", worst <= tol, f"max residual = {worst:.3e}"
+        "mach-zehnder factorization", worst <= 1e-9, f"max residual = {worst:.3e}"
     )
 
 
-def check_series_convergence(seed: int, min_exponent: float = 7.0) -> CheckResult:
+def check_series_convergence(seed: int) -> CheckResult:
     """Fitted order of the truncated survival series against the exact value.
 
     Scales one fixed configuration through a ladder of overall phase
@@ -136,7 +136,7 @@ def check_series_convergence(seed: int, min_exponent: float = 7.0) -> CheckResul
     exponent = float(np.polyfit(np.log(scales), np.log(residuals), 1)[0])
     return CheckResult(
         "series convergence order",
-        exponent >= min_exponent,
+        exponent >= 7.0,
         f"fitted exponent = {exponent:.2f}",
     )
 

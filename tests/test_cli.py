@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sqzmet.metrology
-from sqzmet import cli, parse_netlist
+import sqzmet.network
+from sqzmet import RotationMesh, cli, parse_netlist
 
 
 @pytest.fixture
@@ -83,6 +84,21 @@ class TestSynthesize:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.main(["synthesize", str(tmp_path / "nope.txt")]) == 2
 
+    def test_non_finite_mesh_exits_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        real = sqzmet.network.reck_decompose
+
+        def nan_mesh(unitary):
+            mesh = real(unitary)
+            return RotationMesh(mesh.elements, np.full(mesh.dim, np.nan))
+
+        monkeypatch.setattr(sqzmet.network, "reck_decompose", nan_mesh)
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.25 0.25 0.5\n")
+        prefix = tmp_path / "net"
+        assert cli.main(["synthesize", str(weights), "--out", str(prefix)]) == 1
+        assert "mesh round-trip residual = nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [weights]
+
 
 class TestSimulate:
     def test_row_values(self, tmp_path, config_file, capsys):
@@ -137,6 +153,15 @@ class TestSimulate:
         cli.main(["simulate", "--config", config_file, "--out", str(out)])
         manifest, _, _ = read_csv(out)
         assert any("shots = 500" in line for line in manifest)
+
+    def test_cutoff_is_not_a_setting(self, tmp_path, config_file, capsys):
+        cfg = tmp_path / "cut.cfg"
+        cfg.write_text(open(config_file).read() + "cutoff = 2\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--engine", "fock"]) == 2
+        assert "unknown key 'cutoff'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", "--config", config_file, "--cutoff", "2"])
+        assert info.value.code == 2
 
     def test_seed_flag_overrides_config(self, tmp_path, config_file):
         out = tmp_path / "s.csv"
@@ -239,8 +264,8 @@ class TestValidate:
         # check must fail and be named first
         real = sqzmet.metrology.exact_survival_probability
 
-        def corrupted(weights, phases, squeeze, engine="gaussian", cutoff=None):
-            p, used = real(weights, phases, squeeze, engine=engine, cutoff=cutoff)
+        def corrupted(weights, phases, squeeze, engine="gaussian"):
+            p, used = real(weights, phases, squeeze, engine=engine)
             if engine == "gaussian":
                 p = 1.0 - p
             return p, used

@@ -104,9 +104,7 @@ class TestPropagation:
     def test_sector_norms_preserved(self, rng):
         squeeze = SqueezeParameter(0.7, 2.0)
         amps = squeezed_vacuum_amplitudes(squeeze, 20)
-        table = propagate_through_network(
-            amps, embed_weights_unitary(random_weights(rng, 4)), cutoff=20
-        )
+        table = propagate_through_network(amps, embed_weights_unitary(random_weights(rng, 4)))
         totals = table.sector_totals()
         probs = table.probabilities()
         for half, amp in enumerate(amps):
@@ -122,11 +120,6 @@ class TestPropagation:
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
         with pytest.raises(ValueError, match="first column"):
             propagate_through_network(amps, 0.9 * np.eye(2))
-
-    def test_rejects_bad_cutoff(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 8)
-        with pytest.raises(ValueError):
-            propagate_through_network(amps, np.eye(2), cutoff=10)
 
 
 class TestSurvivalProbability:
@@ -156,14 +149,12 @@ class TestSurvivalProbability:
                 survival_probability_sectors(amps, weights, phases), abs=1e-12
             )
 
-    def test_truncation_error_carries_suggestion(self):
+    def test_truncation_error_raised(self):
         squeeze = SqueezeParameter(1.2)
         amps = squeezed_vacuum_amplitudes(squeeze, 10)  # tail far above 1e-6
         table = propagate_through_network(amps, np.eye(1, dtype=complex))
-        with pytest.raises(TruncationError) as info:
+        with pytest.raises(TruncationError):
             survival_probability(table, [0.1])
-        assert info.value.suggested_cutoff > 10
-        assert info.value.suggested_cutoff % 2 == 0
 
     def test_phase_length_checked(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 6)

@@ -291,15 +291,14 @@ class TestExperimentConfig:
             seed=7,
         )
         assert config.engine == "gaussian"
-        assert config.cutoff is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"shots": 0},
             {"engine": "magic"},
-            {"cutoff": 9},
             {"true_phases": np.array([0.1])},
+            {"weights": np.array([0.2, 0.3, 0.5])},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -330,6 +329,10 @@ class TestRunProtocol:
         assert abs(run.p_hat - run.p_exact) < 5e-3
         assert run.regime_ok and run.regime_ratio == pytest.approx(0.1)
         assert run_protocol(config) == run  # deterministic
+        # the stream key [seed, 0, 0] is the stream of [seed] and [seed, 0]
+        assert round(run.p_hat * config.shots) == np.random.default_rng(
+            [config.seed, 0, 0]
+        ).binomial(config.shots, run.p_exact)
 
     def test_zero_phase_run(self):
         config = ExperimentConfig(

@@ -132,6 +132,15 @@ class TestReckDecomposition:
         assert np.all(mesh.output_phases > -math.pi - 1e-12)
         assert np.all(mesh.output_phases <= math.pi + 1e-12)
 
+    @pytest.mark.parametrize("modes", [48, 64, 128])
+    def test_uniform_weights_give_finite_mesh(self, modes):
+        # a rotation ratio -target/pivot overflowed on tiny pivots here
+        unitary = embed_weights_unitary(np.full(modes, 1.0 / modes))
+        mesh = reck_decompose(unitary)
+        assert np.all(np.isfinite([v for el in mesh.elements for v in el[1:]]))
+        assert np.all(np.isfinite(mesh.output_phases))
+        assert np.linalg.norm(recompose(mesh) - unitary) <= 1e-9
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             reck_decompose(np.ones((3, 3)))
