@@ -11,7 +11,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -21,8 +20,7 @@ import numpy as np
 from . import __version__, metrology, network, validate
 from .gaussian import SqueezeParameter
 
-ENV_PREFIX = "SQZMET_"
-CONFIG_KEYS = ("weights", "true_phases", "squeeze", "shots", "seed", "engine")
+CONFIG_KEYS = ("weights", "true_phases", "squeeze", "shots", "seed")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,14 +79,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_env_overrides(values: dict[str, str]) -> dict[str, str]:
-    for key in CONFIG_KEYS:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            values[key] = env
-    return values
-
-
 def _parse_floats(text: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
@@ -97,9 +87,9 @@ def _parse_floats(text: str, key: str) -> list[float]:
 
 
 def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
-    """Assemble an ExperimentConfig from file, environment, and flags."""
-    values = _apply_env_overrides(_read_config_file(path))
-    for key in ("weights", "true_phases", "squeeze", "shots", "seed"):
+    """Assemble an ExperimentConfig from the config file; ``--seed`` overrides its seed."""
+    values = _read_config_file(path)
+    for key in CONFIG_KEYS:
         if key not in values:
             raise InputError(f"config {path} is missing required key {key!r}")
     squeeze_parts = _parse_floats(values["squeeze"], "squeeze")
@@ -113,24 +103,19 @@ def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
             squeeze=squeeze,
             shots=int(values["shots"]),
             seed=args.seed if args.seed is not None else int(values["seed"]),
-            engine=args.engine or values.get("engine", "gaussian"),
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return config
 
 
-def _simulate_manifest_entries(
-    config: metrology.ExperimentConfig, run: metrology.ProtocolRun
-) -> tuple[tuple[str, str], ...]:
+def _simulate_manifest_entries(config: metrology.ExperimentConfig) -> tuple[tuple[str, str], ...]:
     return (
         ("weights", _fmt_list(config.weights)),
         ("true_phases", _fmt_list(config.true_phases)),
         ("squeeze", _fmt_list([config.squeeze.r, config.squeeze.theta])),
         ("shots", str(config.shots)),
         ("seed", str(config.seed)),
-        ("engine", config.engine),
-        ("cutoff", "auto" if run.cutoff_used is None else str(run.cutoff_used)),
     )
 
 
@@ -194,7 +179,7 @@ def cmd_simulate(args) -> int:
             f"small-phase expansion (threshold {metrology.REGIME_THRESHOLD})",
             file=sys.stderr,
         )
-    manifest = RunManifest("simulate", _simulate_manifest_entries(config, run))
+    manifest = RunManifest("simulate", _simulate_manifest_entries(config))
     lines = manifest.header_lines()
     lines.append("phiBar_true,p_exact,p_hat,phi_hat,regime_ratio")
     lines.append(
@@ -209,7 +194,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = _apply_env_overrides(_read_config_file(args.config))
+    values = _read_config_file(args.config)
     for key in ("shots", "seed"):
         if key not in values:
             raise InputError(f"config {args.config} is missing required key {key!r}")
@@ -294,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="one protocol run as a CSV row")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--engine", choices=metrology.ENGINES)
     p_sim.add_argument("--out", help="CSV path (default: stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 

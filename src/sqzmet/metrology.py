@@ -53,12 +53,11 @@ def phase_moments(weights, phases) -> PhaseMoments:
     """Weighted first and second moments of the phase vector.
 
     Raises:
-        ValueError: if the two vectors have different lengths.
+        ValueError: if the two vectors have different lengths or a phase is
+            not finite.
     """
     w = network.validate_weights(weights)
-    phi = np.asarray(phases, dtype=float)
-    if phi.shape != w.shape:
-        raise ValueError(f"weights have shape {w.shape}, phases {phi.shape}")
+    phi = fock._check_phases(phases, w.size)
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
 
 
@@ -94,9 +93,10 @@ def heisenberg_sensitivity(nbar: float) -> float:
     """Reference squared phase error per shot, ``1 / (8 nbar^2)``.
 
     Raises:
-        ValueError: for ``nbar <= 0``, where the reference is undefined.
+        ValueError: unless ``nbar`` is finite and positive; the reference is
+            undefined elsewhere.
     """
-    if nbar <= 0:
+    if not 0 < nbar < math.inf:
         raise ValueError(f"sensitivity reference undefined for nbar = {nbar}")
     return 1.0 / (8.0 * nbar ** 2)
 
@@ -143,11 +143,12 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
     non-negative root is returned.
 
     Raises:
-        ValueError: if ``count > shots`` or ``nbar <= 0``.
+        ValueError: if ``count > shots`` or ``nbar`` is not finite and
+            positive.
     """
     if not 0 <= count <= shots:
         raise ValueError(f"count must lie in [0, {shots}], got {count}")
-    if nbar <= 0:
+    if not 0 < nbar < math.inf:
         raise ValueError(f"estimator undefined for nbar = {nbar}")
     deficit = max(0.0, 1.0 - count / shots)
     return math.sqrt(deficit / (2.0 * nbar * (nbar + 1.0)))
@@ -162,17 +163,12 @@ class ExperimentConfig:
     squeeze: SqueezeParameter
     shots: int
     seed: int
-    engine: str = "gaussian"
 
     def __post_init__(self):
         w = network.validate_weights(self.weights)
-        phi = np.asarray(self.true_phases, dtype=float)
-        if phi.shape != w.shape:
-            raise ValueError(f"weights have shape {w.shape}, phases {phi.shape}")
+        phi = fock._check_phases(self.true_phases, w.size)
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         w.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -191,7 +187,7 @@ def exact_survival_probability(
     :func:`fock.recommend_cutoff` certifies for a tail below ``1e-12``.
 
     Returns:
-        ``(probability, cutoff_used)``; the cutoff is None for the gaussian
+        ``(probability, cutoff)``; the cutoff is None for the gaussian
         engine.
     """
     w = network.validate_weights(weights)
@@ -220,16 +216,13 @@ class ProtocolRun:
     phi_hat: float
     regime_ratio: float
     regime_ok: bool
-    cutoff_used: int | None
 
 
 def run_protocol(config: ExperimentConfig) -> ProtocolRun:
     """Evaluate, sample, and invert one experiment configuration."""
     moments = phase_moments(config.weights, config.true_phases)
     nbar = config.squeeze.mean_photon_number
-    p_exact, cutoff_used = exact_survival_probability(
-        config.weights, config.true_phases, config.squeeze, engine=config.engine
-    )
+    p_exact, _ = exact_survival_probability(config.weights, config.true_phases, config.squeeze)
     count = simulate_shots(p_exact, config.shots, [config.seed, 0, 0])
     p_hat = count / config.shots
     phi_hat = estimate_phase(count, config.shots, nbar) if nbar > 0 else 0.0
@@ -241,7 +234,6 @@ def run_protocol(config: ExperimentConfig) -> ProtocolRun:
         phi_hat=phi_hat,
         regime_ratio=regime.ratio,
         regime_ok=regime.ok,
-        cutoff_used=cutoff_used,
     )
 
 
@@ -318,25 +310,31 @@ def scaling_sweep(
     ``nbar / (nbar + 1)``.
 
     Args:
-        nbars: mean photon numbers to scan, all positive.
+        nbars: mean photon numbers to scan, all finite and positive.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
         seed: master seed; point ``i`` draws all its repetitions from the
             stream keyed by ``(seed, i)``, so a point's result does not
             depend on the points after it.
-        bias_product: operating bias ``phi_bar * nbar``.
+        bias_product: operating bias ``phi_bar * nbar``, finite.
         baseline: ``squeezed`` or ``coherent``.
         force: allow operation outside the small-phase regime.
 
     Raises:
         RegimeError: if ``bias_product`` violates the small-phase regime and
             ``force`` is not set.
+        ValueError: on bad arguments, or if a point's estimates have zero
+            sample variance (every repetition saw the same count), which
+            leaves nothing to fit.
     """
     nbars = [float(n) for n in nbars]
     if not nbars:
         raise ValueError("nbars must not be empty")
-    if any(n <= 0 for n in nbars):
-        raise ValueError("all mean photon numbers must be positive")
+    for nbar in nbars:
+        if not 0 < nbar < math.inf:
+            raise ValueError(f"mean photon numbers must be finite and positive, got nbar = {nbar}")
+    if not math.isfinite(bias_product):
+        raise ValueError(f"bias_product must be finite, got {bias_product}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if repetitions < 2:
@@ -353,11 +351,17 @@ def scaling_sweep(
         scale = _sweep_inversion_scale(nbar, baseline)
         counts = np.random.default_rng([seed, i]).binomial(shots, p, size=repetitions)
         estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)
+        delta_phi_sq = float(estimates.var(ddof=1))
+        if not delta_phi_sq > 0:
+            raise ValueError(
+                f"zero sample variance at nbar = {nbar} (bias_product {bias_product}, "
+                f"shots {shots}): every repetition gave the same estimate"
+            )
         results.append(
             EstimationResult(
                 p_hat=int(counts.sum()) / (repetitions * shots),
                 phi_hat=float(estimates.mean()),
-                delta_phi_sq=float(estimates.var(ddof=1)),
+                delta_phi_sq=delta_phi_sq,
                 heisenberg_bound=heisenberg_sensitivity(nbar) / shots,
             )
         )

@@ -58,6 +58,11 @@ class TestPhaseMoments:
         with pytest.raises(ValueError):
             phase_moments([0.5, 0.5], [0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_phases(self, bad):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            phase_moments([0.5, 0.5], [0.1, bad])
+
 
 class TestAnalyticFormulas:
     def test_generator_variance_reference_case(self):
@@ -150,6 +155,11 @@ class TestRegimeAndSensitivity:
         with pytest.raises(ValueError):
             heisenberg_sensitivity(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_heisenberg_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="nbar"):
+            heisenberg_sensitivity(bad)
+
     def test_error_propagation_reproduces_reference(self):
         # quadratic model at nbar=1, phi=0.1: p=0.98, slope -0.4
         value = error_propagation_sensitivity(0.98, -0.4)
@@ -221,6 +231,11 @@ class TestEstimatePhase:
         with pytest.raises(ValueError):
             estimate_phase(5, 10, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_nbar(self, bad):
+        with pytest.raises(ValueError, match="nbar"):
+            estimate_phase(5, 10, bad)
+
     def test_consistency_at_equal_phases(self):
         # estimator converges to the true average when all phases are equal
         # and the bias point is deep in the quadratic regime
@@ -272,6 +287,20 @@ class TestEngines:
         with pytest.raises(ValueError):
             exact_survival_probability([1.0], [0.1], SqueezeParameter(0.5), engine="exact")
 
+    @pytest.mark.parametrize("modes", [2, 8, 32, 128])
+    def test_covariance_engine_matches_closed_form(self, modes):
+        # P = 1 / |1 + nbar (1 - m^2)|, m = sum_j w_j exp(-i phi_j), at the
+        # protocol sizes, squeezings and phases up to pi
+        rng = np.random.default_rng(modes)
+        for _ in range(15):
+            weights = random_weights(rng, modes)
+            phases = rng.uniform(-math.pi, math.pi, size=modes) * rng.uniform(0.0, 1.0)
+            squeeze = SqueezeParameter(rng.uniform(0.1, 2.5), rng.uniform(0.0, 2 * math.pi))
+            m = np.sum(weights * np.exp(-1j * phases))
+            closed = 1.0 / abs(1.0 + squeeze.mean_photon_number * (1.0 - m * m))
+            p, _ = exact_survival_probability(weights, phases, squeeze)
+            assert abs(p - closed) <= 1e-9
+
     @pytest.mark.parametrize("engine", ["gaussian", "fock"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_phases(self, engine, bad):
@@ -290,15 +319,17 @@ class TestExperimentConfig:
             shots=100,
             seed=7,
         )
-        assert config.engine == "gaussian"
+        assert config.shots == 100 and config.seed == 7
+        assert not config.weights.flags.writeable
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"shots": 0},
-            {"engine": "magic"},
+            {"true_phases": np.array([0.1, np.nan])},
             {"true_phases": np.array([0.1])},
             {"weights": np.array([0.2, 0.3, 0.5])},
+            {"true_phases": np.array([np.inf, 0.1])},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -363,6 +394,23 @@ class TestScalingSweep:
             scaling_sweep([1.0], 1000, 1, 0)
         with pytest.raises(ValueError):
             scaling_sweep([1.0], 0, 10, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_nbar(self, bad):
+        with pytest.raises(ValueError, match=f"nbar = {bad}"):
+            scaling_sweep([1.0, bad], 1000, 10, 0)
+
+    def test_rejects_non_finite_bias_product(self):
+        with pytest.raises(ValueError, match="bias_product must be finite"):
+            scaling_sweep([1.0, 2.0], 1000, 10, 0, bias_product=math.nan)
+
+    @pytest.mark.parametrize("bias_product, shots", [(0.0, 1000), (1e-9, 20000)])
+    def test_refuses_zero_variance(self, bias_product, shots):
+        # every repetition sees full survival, so there is no spread to fit
+        with pytest.raises(ValueError, match=r"zero sample variance at nbar = 0\.5") as info:
+            scaling_sweep([0.5, 1.0], shots, 20, 0, bias_product=bias_product)
+        assert f"bias_product {bias_product}" in str(info.value)
+        assert f"shots {shots}" in str(info.value)
 
     def test_point_streams_are_keyed_by_index(self):
         # point i draws only from the stream keyed by (seed, i), so a call
