@@ -1,10 +1,10 @@
 """Command-line front end: synthesize, simulate, sweep, validate.
 
 Exit codes: 0 success, 1 a self-check failed (a validation-suite check or a
-``synthesize`` residual), 2 bad input, 3 refusal to run outside the
-small-phase regime.  Output tables are CSV with a
-manifest header sufficient to regenerate them; numbers use shortest
-round-trip notation, so identical configuration and seed give
+``synthesize`` residual), 2 bad input or a file that cannot be read or
+written, 3 refusal to run outside the small-phase regime.  Output tables
+are CSV with a manifest header sufficient to regenerate them; numbers use
+shortest round-trip notation, so identical configuration and seed give
 byte-identical files.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +29,6 @@ EXIT_REGIME = 3
 RESIDUAL_TOL = 1e-9
 
 
-class InputError(Exception):
-    """Bad configuration or command-line input (exit code 2)."""
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -42,39 +37,27 @@ def _fmt_list(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance header embedded in every output file.
-
-    Wall-clock timing is reported on stderr only; keeping it out of the
-    file preserves byte-level reproducibility.
-    """
-
-    command: str
-    entries: tuple[tuple[str, str], ...]
-
-    def header_lines(self) -> list[str]:
-        lines = [f"# sqzmet = {__version__}", f"# command = {self.command}"]
-        lines += [f"# {key} = {value}" for key, value in self.entries]
-        return lines
+def _manifest_lines(command: str, entries) -> list[str]:
+    # provenance header of every output file; wall-clock timing goes to
+    # stderr only, so the file stays byte-reproducible
+    lines = [f"# sqzmet = {__version__}", f"# command = {command}"]
+    lines += [f"# {key} = {value}" for key, value in entries]
+    return lines
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
@@ -83,7 +66,7 @@ def _parse_floats(text: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise InputError(f"bad value for {key}: {text!r}") from exc
+        raise ValueError(f"bad value for {key}: {text!r}") from exc
 
 
 def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
@@ -91,31 +74,16 @@ def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
     values = _read_config_file(path)
     for key in CONFIG_KEYS:
         if key not in values:
-            raise InputError(f"config {path} is missing required key {key!r}")
+            raise ValueError(f"config {path} is missing required key {key!r}")
     squeeze_parts = _parse_floats(values["squeeze"], "squeeze")
     if len(squeeze_parts) not in (1, 2):
-        raise InputError("squeeze takes one or two comma-separated numbers (r[,theta])")
-    try:
-        squeeze = SqueezeParameter(*squeeze_parts)
-        config = metrology.ExperimentConfig(
-            weights=np.array(_parse_floats(values["weights"], "weights")),
-            true_phases=np.array(_parse_floats(values["true_phases"], "true_phases")),
-            squeeze=squeeze,
-            shots=int(values["shots"]),
-            seed=args.seed if args.seed is not None else int(values["seed"]),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return config
-
-
-def _simulate_manifest_entries(config: metrology.ExperimentConfig) -> tuple[tuple[str, str], ...]:
-    return (
-        ("weights", _fmt_list(config.weights)),
-        ("true_phases", _fmt_list(config.true_phases)),
-        ("squeeze", _fmt_list([config.squeeze.r, config.squeeze.theta])),
-        ("shots", str(config.shots)),
-        ("seed", str(config.seed)),
+        raise ValueError("squeeze takes one or two comma-separated numbers (r[,theta])")
+    return metrology.ExperimentConfig(
+        weights=np.array(_parse_floats(values["weights"], "weights")),
+        true_phases=np.array(_parse_floats(values["true_phases"], "true_phases")),
+        squeeze=SqueezeParameter(*squeeze_parts),
+        shots=int(values["shots"]),
+        seed=args.seed if args.seed is not None else int(values["seed"]),
     )
 
 
@@ -128,13 +96,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        with open(args.weights_file, "r", encoding="utf-8") as handle:
-            tokens = handle.read().replace(",", " ").split()
-        weights = network.validate_weights([float(tok) for tok in tokens])
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with open(args.weights_file, "r", encoding="utf-8") as handle:
+        tokens = handle.read().replace(",", " ").split()
+    weights = network.validate_weights([float(tok) for tok in tokens])
     unitary = network.embed_weights_unitary(weights)
     mesh = network.reck_decompose(unitary)
     column_defect = float(np.max(np.abs(unitary[:, 0] - np.sqrt(weights))))
@@ -153,10 +117,10 @@ def cmd_synthesize(args) -> int:
             )
             return EXIT_VALIDATION
 
-    manifest = RunManifest("synthesize", (("weights", _fmt_list(weights)),))
-    netlist = "\n".join(manifest.header_lines()) + "\n" + network.mesh_to_netlist(mesh)
+    header = _manifest_lines("synthesize", [("weights", _fmt_list(weights))])
+    netlist = "\n".join(header) + "\n" + network.mesh_to_netlist(mesh)
     rows = [" ".join(repr(complex(z)) for z in row) for row in unitary]
-    dump = "\n".join(manifest.header_lines() + rows) + "\n"
+    dump = "\n".join(header + rows) + "\n"
 
     prefix = args.out or "network"
     _write_text(f"{prefix}.netlist", netlist)
@@ -179,8 +143,16 @@ def cmd_simulate(args) -> int:
             f"small-phase expansion (threshold {metrology.REGIME_THRESHOLD})",
             file=sys.stderr,
         )
-    manifest = RunManifest("simulate", _simulate_manifest_entries(config))
-    lines = manifest.header_lines()
+    lines = _manifest_lines(
+        "simulate",
+        [
+            ("weights", _fmt_list(config.weights)),
+            ("true_phases", _fmt_list(config.true_phases)),
+            ("squeeze", _fmt_list([config.squeeze.r, config.squeeze.theta])),
+            ("shots", str(config.shots)),
+            ("seed", str(config.seed)),
+        ],
+    )
     lines.append("phiBar_true,p_exact,p_hat,phi_hat,regime_ratio")
     lines.append(
         ",".join(
@@ -197,40 +169,33 @@ def cmd_sweep(args) -> int:
     values = _read_config_file(args.config)
     for key in ("shots", "seed"):
         if key not in values:
-            raise InputError(f"config {args.config} is missing required key {key!r}")
+            raise ValueError(f"config {args.config} is missing required key {key!r}")
     shots = int(values["shots"])
     seed = args.seed if args.seed is not None else int(values["seed"])
     nbars = _parse_floats(args.nbars, "--nbars") if args.nbars is not None else [0.5, 1.0, 2.0, 4.0]
-    if not nbars:
-        raise InputError("--nbars must list at least one mean photon number")
     baseline = args.baseline or "squeezed"
     started = time.perf_counter()
-    try:
-        result = metrology.scaling_sweep(
-            nbars,
-            shots,
-            args.repetitions,
-            seed,
-            bias_product=args.bias_product,
-            baseline=baseline,
-            force=args.force,
-        )
-    except metrology.RegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
+    result = metrology.scaling_sweep(
+        nbars,
+        shots,
+        args.repetitions,
+        seed,
+        bias_product=args.bias_product,
+        baseline=baseline,
+        force=args.force,
+    )
     elapsed = time.perf_counter() - started
-    manifest = RunManifest(
+    lines = _manifest_lines(
         "sweep",
-        (
+        [
             ("nbars", _fmt_list(nbars)),
             ("shots", str(shots)),
             ("repetitions", str(args.repetitions)),
             ("bias_product", _fmt(args.bias_product)),
             ("baseline", baseline),
             ("seed", str(seed)),
-        ),
+        ],
     )
-    lines = manifest.header_lines()
     lines.append("nbar,nu,delta_phi_sq_empirical,heisenberg_prediction,ratio")
     for nbar, point in zip(result.nbars, result.results):
         lines.append(
@@ -306,11 +271,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except metrology.RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        # covers validation and truncation errors raised by the library
+        return EXIT_REGIME
+    except (ValueError, OSError) as exc:
+        # bad input: the library's validation and truncation errors, and
+        # files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -33,7 +33,6 @@ from . import network
 from .gaussian import PhotonMoments, SqueezeParameter
 
 MAX_SERIES_ORDER = 8
-FIRST_COLUMN_TOL = 1e-12
 
 
 class TruncationError(ValueError):
@@ -94,7 +93,10 @@ def recommend_cutoff(
         if ratio_bound < 1.0 and nxt_weighted / (1.0 - ratio_bound) < tail_bound:
             return 2 * n
         prob = nxt
-    raise ValueError(f"no cutoff below 400000 photons certifies tail {tail_bound}")
+    raise ValueError(
+        f"no cutoff below 400000 photons certifies tail {tail_bound} at "
+        f"r = {squeeze.r} (nbar = {squeeze.mean_photon_number:.4g})"
+    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
     Args:
         amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
         unitary: ``(M, M)`` network matrix; its first column must have unit
-            norm within ``FIRST_COLUMN_TOL``.
+            norm within ``network.WEIGHT_SUM_TOL`` (its squared moduli are
+            the weights).
 
     Raises:
         ValueError: on dimension problems or a non-normalised first column.
@@ -157,8 +160,8 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
         raise ValueError(f"network must be square, got shape {unitary.shape}")
     column = unitary[:, 0]
     norm = float(np.sum(np.abs(column) ** 2))
-    if abs(norm - 1.0) > FIRST_COLUMN_TOL:
-        raise ValueError(f"first column norm {norm!r} is not 1 within {FIRST_COLUMN_TOL}")
+    if abs(norm - 1.0) > network.WEIGHT_SUM_TOL:
+        raise ValueError(f"first column norm {norm!r} is not 1 within {network.WEIGHT_SUM_TOL}")
     modes = unitary.shape[0]
     cutoff = 2 * (len(amplitudes) - 1)
 
@@ -180,15 +183,6 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
     return FockAmplitudes(modes, cutoff, occupations, amps, tail)
 
 
-def _check_phases(phases, modes: int) -> np.ndarray:
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (modes,):
-        raise ValueError(f"expected {modes} phases, got shape {phases.shape}")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(f"phases must be finite, got {phases}")
-    return phases
-
-
 def survival_probability(state: FockAmplitudes, phases, max_tail: float = 1e-6) -> float:
     """Probability that the probe leaves the interferometer unchanged.
 
@@ -198,7 +192,7 @@ def survival_probability(state: FockAmplitudes, phases, max_tail: float = 1e-6) 
     Raises:
         TruncationError: if the table's missing weight exceeds ``max_tail``.
     """
-    phases = _check_phases(phases, state.modes)
+    phases = network.validate_phases(phases, state.modes)
     if state.tail > max_tail:
         raise TruncationError(f"table tail {state.tail:.3e} exceeds {max_tail:.3e}")
     value = abs(np.sum(state.probabilities() * np.exp(-1j * (state.occupations @ phases)))) ** 2
@@ -246,7 +240,7 @@ def generator_moments(state: FockAmplitudes, phases, max_order: int = 6) -> Surv
     """
     if not 0 <= max_order <= MAX_SERIES_ORDER:
         raise ValueError(f"max_order must be in [0, {MAX_SERIES_ORDER}], got {max_order}")
-    phases = _check_phases(phases, state.modes)
+    phases = network.validate_phases(phases, state.modes)
     weighted = state.occupations @ phases
     probs = state.probabilities()
     moments = np.array(
@@ -282,7 +276,7 @@ def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> flo
         phases: one phase per mode.
     """
     w = network.validate_weights(weights)
-    phases = _check_phases(phases, w.size)
+    phases = network.validate_phases(phases, w.size)
     probs = np.abs(np.asarray(amplitudes)) ** 2
     mixer = complex(np.sum(w * np.exp(-1j * phases)))
     value = abs(np.sum(probs * mixer ** (2 * np.arange(len(probs))))) ** 2
@@ -318,7 +312,7 @@ def generator_moments_sectors(
     if not 0 <= max_order <= MAX_SERIES_ORDER:
         raise ValueError(f"max_order must be in [0, {MAX_SERIES_ORDER}], got {max_order}")
     w = network.validate_weights(weights)
-    phases = _check_phases(phases, w.size)
+    phases = network.validate_phases(phases, w.size)
     probs = np.abs(np.asarray(amplitudes)) ** 2
     totals = 2.0 * np.arange(len(probs))
     per_sector = _multinomial_weighted_moments(w, phases, totals, max_order)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PURITY_TOL = 1e-9
+from .network import validate_phases
+
 OVERLAP_PURITY_TOL = 1e-6
 
 
@@ -155,11 +156,7 @@ def apply_phases(state: GaussianState, phases) -> GaussianState:
         ValueError: if ``phases`` does not have one entry per mode or any
             entry is not finite.
     """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (state.modes,):
-        raise ValueError(f"expected {state.modes} phases, got shape {phases.shape}")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(f"phases must be finite, got {phases}")
+    phases = validate_phases(phases, state.modes)
     return apply_network(state, np.diag(np.exp(-1j * phases)))
 
 
@@ -175,11 +172,6 @@ def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
     alpha = 0.5 * (vxx + vpp - np.eye(m)) + 0.5j * (vxp - vpx)
     beta = 0.5 * (vxx - vpp) + 0.5j * (vxp + vpx)
     return alpha, beta
-
-
-def mean_photon_number(state: GaussianState) -> float:
-    """Expectation of the total photon number; zero on vacuum."""
-    return float((np.trace(state.covariance) - state.modes) / 2.0)
 
 
 def photon_moments(state: GaussianState) -> PhotonMoments:

@@ -57,7 +57,7 @@ def phase_moments(weights, phases) -> PhaseMoments:
             not finite.
     """
     w = network.validate_weights(weights)
-    phi = fock._check_phases(phases, w.size)
+    phi = network.validate_phases(phases, w.size)
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
 
 
@@ -70,16 +70,6 @@ def generator_variance(moments: PhaseMoments, photon: PhotonMoments) -> float:
     """
     spread = moments.mean_sq - moments.mean ** 2
     return moments.mean ** 2 * photon.var_n + spread * photon.mean_n
-
-
-def survival_probability_quadratic(variance: float) -> float:
-    """Second-order survival probability, ``1 - variance`` of the generator."""
-    return 1.0 - variance
-
-
-def survival_probability_large_n(nbar: float, phi_bar: float) -> float:
-    """Large-photon-number limit, ``1 - 2 nbar^2 phi_bar^2``."""
-    return 1.0 - 2.0 * nbar ** 2 * phi_bar ** 2
 
 
 def check_regime(phases, nbar: float) -> RegimeCheck:
@@ -99,23 +89,6 @@ def heisenberg_sensitivity(nbar: float) -> float:
     if not 0 < nbar < math.inf:
         raise ValueError(f"sensitivity reference undefined for nbar = {nbar}")
     return 1.0 / (8.0 * nbar ** 2)
-
-
-def error_propagation_sensitivity(p: float, dp_dphi: float) -> float:
-    """Squared phase error from the projector statistics, ``p (1 - p) / slope^2``.
-
-    The survival observable is a projector, so its variance is exactly
-    ``p (1 - p)``.
-
-    Raises:
-        ValueError: if ``p`` is outside ``[0, 1]`` or the slope vanishes
-            (singular bias point).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if dp_dphi == 0.0:
-        raise ValueError("zero response slope: singular bias point")
-    return p * (1.0 - p) / dp_dphi ** 2
 
 
 def simulate_shots(p: float, shots: int, seed) -> int:
@@ -165,8 +138,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        w = network.validate_weights(self.weights)
-        phi = fock._check_phases(self.true_phases, w.size)
+        # copies, so freezing them leaves the caller's arrays writable
+        w = network.validate_weights(self.weights).copy()
+        phi = network.validate_phases(self.true_phases, w.size).copy()
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         w.flags.writeable = False
@@ -257,9 +231,6 @@ class SweepResult:
     results: tuple[EstimationResult, ...] = field(repr=False)
     slope: float = math.nan
 
-    def delta_phi_sq(self) -> np.ndarray:
-        return np.array([r.delta_phi_sq for r in self.results])
-
 
 def sweep_point_probability(
     nbar: float, phi_bar: float, baseline: str = "squeezed"
@@ -275,9 +246,9 @@ def sweep_point_probability(
         p, _ = exact_survival_probability([1.0], [phi_bar], squeeze)
         return p
     if baseline == "coherent":
-        moments = PhaseMoments(phi_bar, phi_bar ** 2)
-        poissonian = PhotonMoments(nbar, nbar ** 2 + nbar, nbar)
-        return survival_probability_quadratic(generator_variance(moments, poissonian))
+        # quadratic expansion 1 - v, with the generator variance v of equal
+        # phases under Poissonian statistics: phi_bar^2 * var_n = phi_bar^2 * nbar
+        return 1.0 - phi_bar ** 2 * nbar
     raise ValueError(f"baseline must be 'squeezed' or 'coherent', got {baseline!r}")
 
 

@@ -43,6 +43,20 @@ def validate_weights(weights) -> np.ndarray:
     return w
 
 
+def validate_phases(phases, modes: int) -> np.ndarray:
+    """Return ``phases`` as a float array of one finite phase per mode.
+
+    Raises:
+        ValueError: if the shape is not ``(modes,)`` or an entry is not finite.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (modes,):
+        raise ValueError(f"expected {modes} phases, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite, got {phases}")
+    return phases
+
+
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Frobenius norm of ``U^dag U - I``."""
     matrix = np.asarray(matrix, dtype=complex)

@@ -293,6 +293,26 @@ class TestValidate:
         assert "cross-engine equality" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{config}"],
+        ["sweep", "--config", "{config}", "--repetitions", "10"],
+        ["synthesize", "{weights}"],
+    ],
+    ids=["simulate", "sweep", "synthesize"],
+)
+def test_unwritable_out_exits_two(tmp_path, config_file, capsys, argv):
+    weights = tmp_path / "w.txt"
+    weights.write_text("0.5 0.5\n")
+    argv = [arg.format(config=config_file, weights=weights) for arg in argv]
+    out = tmp_path / "missing" / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "missing" in err
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

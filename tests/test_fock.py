@@ -75,6 +75,10 @@ class TestAmplitudes:
                 shorter = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff - 2)) ** 2
                 assert 1.0 - shorter.sum() >= 1e-10 * 0.3  # not wildly conservative
 
+    def test_uncertifiable_cutoff_names_the_squeezing(self):
+        with pytest.raises(ValueError, match=r"r = 5\.5 \(nbar = 1\.497e\+04\)"):
+            recommend_cutoff(SqueezeParameter(5.5), 1e-12)
+
     def test_photon_moment_reconstruction(self):
         # mean 1 and mean square 5 for the unit-photon squeezer
         cutoff = recommend_cutoff(SQ_UNIT, 1e-12, moment_power=2)

@@ -9,7 +9,6 @@ from sqzmet import (
     apply_phases,
     apply_squeeze,
     mach_zehnder_unitary,
-    mean_photon_number,
     photon_moments,
     purity_defect,
     vacuum_overlap_probability,
@@ -85,14 +84,14 @@ class TestNetworkAndPhases:
             dim = int(rng.integers(1, 6))
             r = float(rng.uniform(0.0, 2.0))
             state = apply_squeeze(vacuum_state(dim), 0, SqueezeParameter(r))
-            before = mean_photon_number(state)
-            after = mean_photon_number(apply_network(state, random_unitary(rng, dim)))
+            before = photon_moments(state).mean_n
+            after = photon_moments(apply_network(state, random_unitary(rng, dim))).mean_n
             assert abs(before - after) <= 1e-12 * max(1.0, before)
 
     def test_balanced_splitter_preserves_unit_photon(self):
         state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(R_UNIT))
         after = apply_network(state, mach_zehnder_unitary(0.5))
-        assert mean_photon_number(after) == pytest.approx(1.0, abs=1e-12)
+        assert photon_moments(after).mean_n == pytest.approx(1.0, abs=1e-12)
 
     def test_network_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ class TestPhotonMoments:
 
     def test_unit_photon_squeezer(self):
         state = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(R_UNIT))
-        assert mean_photon_number(state) == pytest.approx(1.0, abs=1e-12)
+        assert photon_moments(state).mean_n == pytest.approx(1.0, abs=1e-12)
         moments = photon_moments(state)
         assert moments.var_n == pytest.approx(4.0, abs=1e-9)
         assert moments.mean_n_sq == pytest.approx(5.0, abs=1e-9)
