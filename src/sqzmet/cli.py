@@ -99,36 +99,30 @@ def cmd_synthesize(args) -> int:
     with open(args.weights_file, "r", encoding="utf-8") as handle:
         tokens = handle.read().replace(",", " ").split()
     weights = network.validate_weights([float(tok) for tok in tokens])
-    unitary = network.embed_weights_unitary(weights)
-    mesh = network.reck_decompose(unitary)
-    column_defect = float(np.max(np.abs(unitary[:, 0] - np.sqrt(weights))))
-    unitarity = network.unitarity_defect(unitary)
-    roundtrip = float(np.linalg.norm(network.recompose(mesh) - unitary))
+    header = _manifest_lines("synthesize", [("weights", _fmt_list(weights))])
+    netlist = "\n".join(header) + "\n" + network.mesh_to_netlist(network.weight_chain(weights))
+    # every residual is measured on the network the written file describes
+    built = network.recompose(network.parse_netlist(netlist))
+    embedded = network.embed_weights_unitary(weights)
     residuals = (
-        ("first-column residual", column_defect),
-        ("unitarity residual", unitarity),
-        ("mesh round-trip residual", roundtrip),
+        ("first-column residual", float(np.max(np.abs(built[:, 0] - np.sqrt(weights))))),
+        ("unitarity residual", network.unitarity_defect(built)),
+        ("mesh round-trip residual", float(np.linalg.norm(built - embedded))),
     )
     for name, value in residuals:
         if not value <= RESIDUAL_TOL:
             print(
-                f"error: {name} = {_fmt(value)} exceeds {RESIDUAL_TOL}; no files written",
+                f"error: {name} = {_fmt(value)} exceeds {RESIDUAL_TOL}; no file written",
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
 
-    header = _manifest_lines("synthesize", [("weights", _fmt_list(weights))])
-    netlist = "\n".join(header) + "\n" + network.mesh_to_netlist(mesh)
-    rows = [" ".join(repr(complex(z)) for z in row) for row in unitary]
-    dump = "\n".join(header + rows) + "\n"
-
     prefix = args.out or "network"
     _write_text(f"{prefix}.netlist", netlist)
-    _write_text(f"{prefix}.unitary", dump)
     print(f"modes = {weights.size}")
     for name, value in residuals:
         print(f"{name} = {_fmt(value)}")
-    print(f"wrote {prefix}.netlist and {prefix}.unitary")
+    print(f"wrote {prefix}.netlist")
     return EXIT_OK
 
 

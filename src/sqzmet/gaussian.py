@@ -22,6 +22,8 @@ import numpy as np
 from .network import validate_phases
 
 OVERLAP_PURITY_TOL = 1e-6
+# exp(x) and expm1(x) are finite floats only up to this x
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,10 @@ class SqueezeParameter:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeezing magnitude must be finite and >= 0, got {self.r}")
+        if not 0.0 <= 2.0 * self.r <= _LOG_FLOAT_MAX:  # exp(2r) must be a finite float
+            raise ValueError(f"squeezing magnitude r = {self.r} outside [0, {_LOG_FLOAT_MAX / 2}]")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"squeezing phase must be finite, got {self.theta}")
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
@@ -189,9 +193,9 @@ def photon_moments(state: GaussianState) -> PhotonMoments:
 
 
 def purity_defect(state: GaussianState) -> float:
-    """``|det(2V) - 1|``; zero for pure states."""
+    """``|det(2V) - 1|``; zero for pure states, ``inf`` where it is not a finite float."""
     sign, logdet = np.linalg.slogdet(2.0 * state.covariance)
-    if sign <= 0:
+    if sign <= 0 or logdet > _LOG_FLOAT_MAX:
         return math.inf
     return abs(math.expm1(logdet))
 

@@ -83,11 +83,11 @@ def heisenberg_sensitivity(nbar: float) -> float:
     """Reference squared phase error per shot, ``1 / (8 nbar^2)``.
 
     Raises:
-        ValueError: unless ``nbar`` is finite and positive; the reference is
-            undefined elsewhere.
+        ValueError: unless ``nbar > 0`` and ``8 nbar^2`` is finite and
+            non-zero; the reference is undefined elsewhere.
     """
-    if not 0 < nbar < math.inf:
-        raise ValueError(f"sensitivity reference undefined for nbar = {nbar}")
+    if not (nbar > 0 and 0 < 8.0 * nbar * nbar < math.inf):
+        raise ValueError(f"sensitivity reference 1/(8 nbar^2) undefined for nbar = {nbar}")
     return 1.0 / (8.0 * nbar ** 2)
 
 
@@ -281,7 +281,7 @@ def scaling_sweep(
     ``nbar / (nbar + 1)``.
 
     Args:
-        nbars: mean photon numbers to scan, all finite and positive.
+        nbars: mean photon numbers to scan, as :func:`heisenberg_sensitivity` accepts.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
         seed: master seed; point ``i`` draws all its repetitions from the
@@ -301,9 +301,7 @@ def scaling_sweep(
     nbars = [float(n) for n in nbars]
     if not nbars:
         raise ValueError("nbars must not be empty")
-    for nbar in nbars:
-        if not 0 < nbar < math.inf:
-            raise ValueError(f"mean photon numbers must be finite and positive, got nbar = {nbar}")
+    references = [heisenberg_sensitivity(nbar) for nbar in nbars]
     if not math.isfinite(bias_product):
         raise ValueError(f"bias_product must be finite, got {bias_product}")
     if shots < 1:
@@ -316,7 +314,7 @@ def scaling_sweep(
             f"(threshold {REGIME_THRESHOLD}); pass force=True to override"
         )
     results = []
-    for i, nbar in enumerate(nbars):
+    for i, (nbar, reference) in enumerate(zip(nbars, references)):
         phi_bar = bias_product / nbar
         p = sweep_point_probability(nbar, phi_bar, baseline)
         scale = _sweep_inversion_scale(nbar, baseline)
@@ -333,7 +331,7 @@ def scaling_sweep(
                 p_hat=int(counts.sum()) / (repetitions * shots),
                 phi_hat=float(estimates.mean()),
                 delta_phi_sq=delta_phi_sq,
-                heisenberg_bound=heisenberg_sensitivity(nbar) / shots,
+                heisenberg_bound=reference / shots,
             )
         )
     slope = float(

@@ -2,11 +2,11 @@
 
 The protocol needs an ``(M, M)`` unitary whose first column is the
 elementwise square root of the probability weights; every other column is
-free.  ``embed_weights_unitary`` completes the basis with a fixed
-Householder reflection so the construction is deterministic, and
-``reck_decompose`` factors any unitary into a triangular mesh of rotations
-acting on adjacent mode pairs, which is how the matrix would be laid out
-as beam splitters and phase shifters.
+free.  ``weight_chain`` builds it from ``M - 1`` real rotations on adjacent
+mode pairs (the first-column pass of Reck et al., PRL 73, 58, 1994) and
+``embed_weights_unitary`` returns that chain's matrix.  A general unitary
+factors into a triangular mesh of such rotations, which is how it would be
+laid out as beam splitters and phase shifters.
 """
 
 from __future__ import annotations
@@ -63,29 +63,30 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
 
 
-def embed_weights_unitary(weights) -> np.ndarray:
-    """Deterministic unitary whose first column is ``sqrt(weights)``.
-
-    The matrix is the Householder reflection exchanging ``e_1`` with the
-    target column, so it is real, symmetric and orthogonal.  For
-    ``weights = (1, 0, ..., 0)`` it is exactly the identity; for all weight
-    on channel ``k`` it is the signed reflection swapping channels 1 and
-    ``k`` (the mirror-sign convention at those corners is part of the API).
-
-    Returns:
-        Complex ``(M, M)`` array with ``U[j, 0] == sqrt(weights[j])``.
-    """
+def _chain_angles(weights) -> np.ndarray:
+    # theta_k of weight_chain for k = 0..M-2, tail sums from one reversed cumsum
     w = validate_weights(weights)
-    column = np.sqrt(w)
-    rest = float(w[1:].sum())
-    if rest == 0.0:
-        return np.eye(w.size, dtype=complex)
-    # u = e_1 - column, with u[0] computed as rest/(1 + sqrt(w_1)) to avoid
-    # cancellation when most of the weight sits on the first channel
-    u = -column
-    u[0] = rest / (1.0 + column[0])
-    norm_sq = u[0] ** 2 + rest
-    return np.eye(w.size, dtype=complex) - (2.0 / norm_sq) * np.outer(u, u)
+    return np.arctan2(np.sqrt(np.cumsum(w[::-1])[::-1][1:]), np.sqrt(w[:-1]))
+
+
+def embed_weights_unitary(weights) -> np.ndarray:
+    """Matrix of :func:`weight_chain` as a complex ``(M, M)`` array; first column ``sqrt(weights)``.
+
+    With ``c_k, s_k = cos, sin(theta_k)`` and ``c_{-1} = c_{M-1} = 1`` it is real,
+    orthogonal and lower Hessenberg: ``U[i, j] = c_{j-1} s_j ... s_{i-1} c_i`` for
+    ``i >= j`` and ``U[j-1, j] = -s_{j-1}``; ``(1, 0, ..., 0)`` gives exactly the identity.
+    """
+    thetas = _chain_angles(weights)
+    dim = thetas.size + 1
+    s, c = np.ones(dim), np.ones(dim)
+    s[1:], c[:-1] = np.sin(thetas), np.cos(thetas)  # s_{i-1} on row i; c_{M-1} = 1
+    # the column-wise cumprod of s_{i-1} below the diagonal is s_j ... s_{i-1}
+    below = np.tri(dim, k=-1, dtype=bool)
+    unitary = np.cumprod(np.where(below, s[:, None], 1.0), axis=0) * c[:, None]
+    unitary[:, 1:] *= c[:-1]
+    unitary[below.T] = 0.0
+    unitary.flat[1::dim + 1] = -s[1:]
+    return unitary.astype(complex)
 
 
 def mach_zehnder_unitary(w1: float) -> np.ndarray:
@@ -131,6 +132,19 @@ class RotationMesh:
         return self.output_phases.size
 
 
+def weight_chain(weights) -> RotationMesh:
+    """The weight network: ``M - 1`` real rotations whose first column is ``sqrt(weights)``.
+
+    Element ``k`` rotates modes ``(k, k + 1)`` by ``theta_k = atan2(sqrt(sum_{j>k} w_j),
+    sqrt(w_k))``; all phases are 0.  Elements run from ``k = M - 2`` down to 0, so
+    :func:`recompose` applies pair (0, 1) first.  An element whose tail sum is 0
+    has ``theta_k == 0`` and is skipped: ``(1, 0, ..., 0)`` gives an empty mesh.
+    """
+    thetas = _chain_angles(weights)
+    elements = [MeshElement(int(k), float(thetas[k]), 0.0) for k in np.flatnonzero(thetas)[::-1]]
+    return RotationMesh(elements, np.zeros(thetas.size + 1))
+
+
 def _element_block(element: MeshElement) -> np.ndarray:
     c, s = math.cos(element.theta), math.sin(element.theta)
     ph = complex(math.cos(element.phase), math.sin(element.phase))
@@ -172,9 +186,7 @@ def reck_decompose(unitary: np.ndarray) -> RotationMesh:
                 continue
             theta = math.atan2(abs(target), abs(pivot))
             phase = cmath.phase(pivot) - cmath.phase(-target)
-            c, s = math.cos(theta), math.sin(theta)
-            ph = complex(math.cos(phase), math.sin(phase))
-            givens = np.array([[c, -ph * s], [s / ph, c]])
+            givens = _element_block(MeshElement(row - 1, theta, phase))
             work[row - 1:row + 1, :] = givens @ work[row - 1:row + 1, :]
             work[row, col] = 0.0
             # the stored element is the inverse rotation, same family with

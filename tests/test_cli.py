@@ -6,7 +6,7 @@ import pytest
 
 import sqzmet.metrology
 import sqzmet.network
-from sqzmet import RotationMesh, cli, parse_netlist
+from sqzmet import MeshElement, RotationMesh, cli, parse_netlist, recompose
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def read_csv(path):
 
 
 class TestSynthesize:
-    def test_writes_netlist_and_unitary(self, tmp_path, capsys):
+    def test_writes_netlist(self, tmp_path, capsys):
         weights = tmp_path / "w.txt"
         weights.write_text("0.5, 0.5\n")
         prefix = tmp_path / "net"
@@ -50,15 +50,13 @@ class TestSynthesize:
         )
         assert float(printed["first-column residual"]) <= 1e-12
         assert float(printed["unitarity residual"]) <= 1e-12
-        netlist = (tmp_path / "net.netlist").read_text()
-        body = "\n".join(l for l in netlist.splitlines() if not l.startswith("#"))
-        mesh = parse_netlist(body)
-        assert len(mesh.elements) == 1
-        assert abs(mesh.elements[0].theta) == pytest.approx(math.pi / 4, abs=1e-12)
-        dump = (tmp_path / "net.unitary").read_text()
-        rows = [l for l in dump.splitlines() if not l.startswith("#")]
-        matrix = np.array([[complex(tok) for tok in row.split()] for row in rows])
-        assert np.allclose(matrix, [[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -(2 ** -0.5)]])
+        assert float(printed["mesh round-trip residual"]) <= 1e-12
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.netlist", "w.txt"]
+        mesh = parse_netlist((tmp_path / "net.netlist").read_text())
+        assert mesh.elements == (MeshElement(0, pytest.approx(math.pi / 4, abs=1e-12), 0.0),)
+        assert np.array_equal(mesh.output_phases, [0.0, 0.0])
+        half = 2 ** -0.5
+        assert np.allclose(recompose(mesh), [[half, -half], [half, half]], atol=1e-15)
 
     def test_identity_weights_empty_mesh(self, tmp_path, capsys):
         weights = tmp_path / "w.txt"
@@ -86,19 +84,50 @@ class TestSynthesize:
         assert cli.main(["synthesize", str(tmp_path / "nope.txt")]) == 2
 
     def test_non_finite_mesh_exits_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        real = sqzmet.network.reck_decompose
+        real = sqzmet.network.weight_chain
 
-        def nan_mesh(unitary):
-            mesh = real(unitary)
+        def nan_mesh(weights):
+            mesh = real(weights)
             return RotationMesh(mesh.elements, np.full(mesh.dim, np.nan))
 
-        monkeypatch.setattr(sqzmet.network, "reck_decompose", nan_mesh)
+        monkeypatch.setattr(sqzmet.network, "weight_chain", nan_mesh)
         weights = tmp_path / "w.txt"
         weights.write_text("0.25 0.25 0.5\n")
         prefix = tmp_path / "net"
         assert cli.main(["synthesize", str(weights), "--out", str(prefix)]) == 1
-        assert "mesh round-trip residual = nan" in capsys.readouterr().err
+        assert "first-column residual = nan" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [weights]
+
+    def test_netlist_has_at_most_m_minus_one_elements(self, tmp_path, capsys):
+        weights = tmp_path / "w.txt"
+        weights.write_text(" ".join([repr(1 / 128)] * 128) + "\n")
+        prefix = tmp_path / "net"
+        assert cli.main(["synthesize", str(weights), "--out", str(prefix)]) == 0
+        lines = (tmp_path / "net.netlist").read_text().splitlines()
+        assert 0 < sum(line.startswith("pair ") for line in lines) <= 127
+
+    def test_one_ulp_moves_no_angle(self, tmp_path, capsys):
+        # a mesh whose rotations act on rounding noise would amplify a
+        # last-bit change of one weight into an O(1) change of its angles
+        rng = np.random.default_rng(6)
+
+        def angles(weights, name):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(" ".join(repr(float(w)) for w in weights) + "\n")
+            assert cli.main(["synthesize", str(path), "--out", str(tmp_path / name)]) == 0
+            mesh = parse_netlist((tmp_path / f"{name}.netlist").read_text())
+            return [el.mode for el in mesh.elements], np.array([el.theta for el in mesh.elements])
+
+        for _ in range(100):
+            dim = int(rng.integers(3, 17))
+            weights = rng.dirichlet(np.ones(dim))
+            moved = weights.copy()
+            k = int(rng.integers(dim))
+            moved[k] = np.nextafter(moved[k], 1.0)
+            modes, thetas = angles(weights, "base")
+            moved_modes, moved_thetas = angles(moved, "moved")
+            assert moved_modes == modes
+            assert np.max(np.abs(moved_thetas - thetas)) <= 1e-12
 
 
 class TestSimulate:
@@ -173,6 +202,25 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg)]) == 0
         assert "regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "squeeze, message",
+        [
+            ("800", "r = 800.0 outside [0, 354.8913"),
+            ("300", "purity defect inf"),
+            ("1, nan", "squeezing phase must be finite"),
+        ],
+    )
+    def test_unrepresentable_squeezing_exits_two(self, tmp_path, capsys, squeeze, message):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            f"weights=1.0\ntrue_phases=0.01\nsqueeze={squeeze}\nshots=100\nseed=1\n"
+        )
+        out = tmp_path / "row.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_config_exits_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("weights=0.5,0.6\ntrue_phases=0,0\nsqueeze=1\nshots=10\nseed=1\n")
@@ -242,6 +290,8 @@ class TestSweep:
             (["--bias-product", "nan"], "bias_product must be finite"),
             (["--nbars", "nan,1"], "nbar = nan"),
             (["--nbars", "1,inf", "--baseline", "coherent"], "nbar = inf"),
+            (["--nbars", "1e200,1e201"], "nbar = 1e+200"),
+            (["--nbars", "1e-300,1e-299"], "nbar = 1e-300"),
         ],
     )
     def test_unfittable_sweep_exits_two_and_writes_nothing(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestStatePreparation:
             SqueezeParameter(-0.1)
         assert SqueezeParameter(0.3, -1.0).theta == pytest.approx(2 * math.pi - 1.0)
         assert SqueezeParameter(R_UNIT).mean_photon_number == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("r", [354.9, 800.0, math.nan, -0.5])
+    def test_squeeze_parameter_names_the_r_it_rejects(self, r):
+        with pytest.raises(ValueError, match=re.escape(f"r = {r} outside [0, 354.8913")):
+            SqueezeParameter(r)
+        assert math.isfinite(SqueezeParameter(354.89).mean_photon_number)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_squeeze_parameter_rejects_non_finite_phase(self, theta):
+        with pytest.raises(ValueError, match="squeezing phase must be finite"):
+            SqueezeParameter(1.0, theta)
 
 
 class TestNetworkAndPhases:
@@ -219,3 +231,12 @@ class TestVacuumOverlap:
         thermal = GaussianState(np.eye(2))  # det(2V) = 4, far from pure
         with pytest.raises(ValueError, match="not pure"):
             vacuum_overlap_probability(thermal, SqueezeParameter(0.5))
+
+    def test_overflowing_purity_defect_is_inf(self):
+        from sqzmet import GaussianState
+
+        # det(2V) = 4e600 is not a float, so expm1 of its log would overflow
+        assert purity_defect(GaussianState(np.diag([1e300, 1e300]))) == math.inf
+        state = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(300.0))
+        with pytest.raises(ValueError, match="purity defect inf"):
+            vacuum_overlap_probability(apply_phases(state, [0.01]), SqueezeParameter(300.0))

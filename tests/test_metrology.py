@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,12 @@ class TestRegimeAndSensitivity:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_heisenberg_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="nbar"):
+            heisenberg_sensitivity(bad)
+
+    @pytest.mark.parametrize("bad", [1e200, 1e-300])
+    def test_heisenberg_rejects_unrepresentable_square(self, bad):
+        # 8 nbar^2 overflows to inf or underflows to 0
+        with pytest.raises(ValueError, match=re.escape(f"nbar = {bad}")):
             heisenberg_sensitivity(bad)
 
     @staticmethod
@@ -390,9 +397,10 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep([1.0], 0, 10, 0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e200, 1e-300])
     def test_rejects_bad_nbar(self, bad):
-        with pytest.raises(ValueError, match=f"nbar = {bad}"):
+        # the last two overflow or underflow 8 nbar^2
+        with pytest.raises(ValueError, match=re.escape(f"nbar = {bad}")):
             scaling_sweep([1.0, bad], 1000, 10, 0)
 
     def test_rejects_non_finite_bias_product(self):

@@ -14,6 +14,7 @@ from sqzmet import (
     recompose,
     unitarity_defect,
     validate_weights,
+    weight_chain,
 )
 from conftest import random_unitary, random_weights
 
@@ -38,7 +39,7 @@ class TestEmbedWeights:
         assert np.array_equal(embed_weights_unitary([1.0, 0.0, 0.0]), np.eye(3))
 
     def test_balanced_two_mode(self):
-        expected = np.array([[HALF, HALF], [HALF, -HALF]])
+        expected = np.array([[HALF, -HALF], [HALF, HALF]])
         assert np.allclose(embed_weights_unitary([0.5, 0.5]), expected, atol=1e-15)
 
     def test_quarter_weight_first_column(self):
@@ -48,8 +49,9 @@ class TestEmbedWeights:
         assert unitarity_defect(unitary) <= 1e-12
 
     def test_all_weight_on_last_channel_swaps(self):
+        # the chain routes channel 1 down to channel 3 and shifts the rest up
         unitary = embed_weights_unitary([0.0, 0.0, 1.0])
-        expected = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float)
+        expected = np.array([[0, -1, 0], [0, 0, -1], [1, 0, 0]], dtype=float)
         assert np.allclose(unitary, expected, atol=1e-15)
 
     def test_zero_weight_channels_are_safe(self):
@@ -72,6 +74,44 @@ class TestEmbedWeights:
             assert unitarity_defect(unitary) <= 1e-10
 
 
+class TestWeightChain:
+    @staticmethod
+    def _check(weights):
+        mesh = weight_chain(weights)
+        dim = len(weights)
+        assert len(mesh.elements) <= dim - 1
+        assert all(0 <= el.mode < dim - 1 and el.phase == 0.0 for el in mesh.elements)
+        assert np.array_equal(mesh.output_phases, np.zeros(dim))
+        assert np.linalg.norm(recompose(mesh) - embed_weights_unitary(weights)) <= 1e-12
+
+    @pytest.mark.parametrize("concentration", [0.05, 1.0, 5.0])
+    def test_matches_embedding(self, rng, concentration):
+        for dim in range(1, 17):
+            for _ in range(5):
+                w = rng.dirichlet(np.full(dim, concentration))
+                self._check(w / w.sum())
+
+    def test_zero_weight_channels(self):
+        for w in ([0.3, 0.0, 0.7, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0]):
+            self._check(w)
+        assert weight_chain([0.3, 0.0, 0.7, 0.0]).elements[0].mode == 1
+
+    @pytest.mark.parametrize("modes", [64, 128])
+    def test_uniform_weights(self, modes):
+        self._check(np.full(modes, 1.0 / modes))
+        assert len(weight_chain(np.full(modes, 1.0 / modes)).elements) == modes - 1
+
+    def test_unit_weight_gives_empty_chain(self):
+        assert weight_chain([1.0]).elements == ()
+        assert weight_chain([1.0, 0.0, 0.0]).elements == ()
+
+    def test_applies_pair_zero_first(self):
+        mesh = weight_chain([0.25, 0.25, 0.5])
+        assert [el.mode for el in mesh.elements] == [1, 0]
+        assert mesh.elements[1].theta == pytest.approx(math.atan2(math.sqrt(0.75), 0.5))
+        assert mesh.elements[0].theta == pytest.approx(math.atan2(math.sqrt(0.5), 0.5))
+
+
 class TestMachZehnder:
     def test_limiting_mirror(self):
         assert np.array_equal(mach_zehnder_unitary(1.0), np.diag([1.0, -1.0]))
@@ -88,7 +128,7 @@ class TestMachZehnder:
         for w1 in rng.uniform(0, 1, size=10):
             assert np.allclose(
                 mach_zehnder_unitary(w1),
-                embed_weights_unitary([w1, 1 - w1]),
+                embed_weights_unitary([w1, 1 - w1]) @ np.diag([1.0, -1.0]),
                 atol=1e-12,
             )
 
