@@ -15,9 +15,9 @@ import numpy as np
 from sqzmet import (
     SqueezeParameter,
     apply_network,
-    apply_phases,
     apply_squeeze,
     embed_weights_unitary,
+    exact_survival_probability,
     recommend_cutoff,
     squeezed_vacuum_amplitudes,
     survival_probability_sectors,
@@ -34,13 +34,13 @@ print("phases       :", phases)
 print(f"mean photons : {squeeze.mean_photon_number:.3f}")
 print()
 
-# Route 1: covariance matrices.
+# Route 1: covariance matrices.  The phases are a diagonal passive network.
 unitary = embed_weights_unitary(weights)
-state = apply_squeeze(vacuum_state(3), 0, squeeze)
-state = apply_network(state, unitary)
-state = apply_phases(state, phases)
+probe = apply_squeeze(vacuum_state(3), 0, squeeze)
+state = apply_network(probe, unitary)
+state = apply_network(state, np.diag(np.exp(-1j * phases)))
 state = apply_network(state, unitary.conj().T)
-p_gaussian = vacuum_overlap_probability(state, squeeze)
+p_gaussian = vacuum_overlap_probability(state, probe)
 
 # Route 2: occupation-number sectors at a certified cutoff.
 cutoff = recommend_cutoff(squeeze, tail_bound=1e-12)
@@ -57,13 +57,9 @@ print()
 # weighted phase spread scaled by the photon number.
 from sqzmet import generator_variance, phase_moments, photon_moments
 
-probe_stats = photon_moments(apply_squeeze(vacuum_state(3), 0, squeeze))
+probe_stats = photon_moments(probe)
 print("scale   1 - survival   generator variance")
 for scale in (0.25, 0.5, 1.0, 2.0):
-    state = apply_squeeze(vacuum_state(3), 0, squeeze)
-    state = apply_network(state, unitary)
-    state = apply_phases(state, phases * scale)
-    state = apply_network(state, unitary.conj().T)
-    p = vacuum_overlap_probability(state, squeeze)
+    p, _ = exact_survival_probability(weights, phases * scale, squeeze)
     variance = generator_variance(phase_moments(weights, phases * scale), probe_stats)
     print(f"{scale:5.2f}   {1 - p:12.6e}   {variance:12.6e}")

@@ -45,7 +45,7 @@ def _manifest_lines(command: str, entries) -> list[str]:
     return lines
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, required: tuple[str, ...]) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     values: dict[str, str] = {}
@@ -58,7 +58,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
+    for key in required:
+        if key not in values:
+            raise ValueError(f"config {path} is missing required key {key!r}")
     return values
 
 
@@ -69,12 +74,16 @@ def _parse_floats(text: str, key: str) -> list[float]:
         raise ValueError(f"bad value for {key}: {text!r}") from exc
 
 
+def _parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key}: {text!r}") from exc
+
+
 def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
     """Assemble an ExperimentConfig from the config file; ``--seed`` overrides its seed."""
-    values = _read_config_file(path)
-    for key in CONFIG_KEYS:
-        if key not in values:
-            raise ValueError(f"config {path} is missing required key {key!r}")
+    values = _read_config_file(path, CONFIG_KEYS)
     squeeze_parts = _parse_floats(values["squeeze"], "squeeze")
     if len(squeeze_parts) not in (1, 2):
         raise ValueError("squeeze takes one or two comma-separated numbers (r[,theta])")
@@ -82,8 +91,8 @@ def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
         weights=np.array(_parse_floats(values["weights"], "weights")),
         true_phases=np.array(_parse_floats(values["true_phases"], "true_phases")),
         squeeze=SqueezeParameter(*squeeze_parts),
-        shots=int(values["shots"]),
-        seed=args.seed if args.seed is not None else int(values["seed"]),
+        shots=_parse_int(values["shots"], "shots"),
+        seed=args.seed if args.seed is not None else _parse_int(values["seed"], "seed"),
     )
 
 
@@ -160,14 +169,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = _read_config_file(args.config)
-    for key in ("shots", "seed"):
-        if key not in values:
-            raise ValueError(f"config {args.config} is missing required key {key!r}")
-    shots = int(values["shots"])
-    seed = args.seed if args.seed is not None else int(values["seed"])
+    values = _read_config_file(args.config, ("shots", "seed"))
+    shots = _parse_int(values["shots"], "shots")
+    seed = args.seed if args.seed is not None else _parse_int(values["seed"], "seed")
     nbars = _parse_floats(args.nbars, "--nbars") if args.nbars is not None else [0.5, 1.0, 2.0, 4.0]
-    baseline = args.baseline or "squeezed"
     started = time.perf_counter()
     result = metrology.scaling_sweep(
         nbars,
@@ -175,7 +180,7 @@ def cmd_sweep(args) -> int:
         args.repetitions,
         seed,
         bias_product=args.bias_product,
-        baseline=baseline,
+        baseline=args.baseline,
         force=args.force,
     )
     elapsed = time.perf_counter() - started
@@ -186,7 +191,7 @@ def cmd_sweep(args) -> int:
             ("shots", str(shots)),
             ("repetitions", str(args.repetitions)),
             ("bias_product", _fmt(args.bias_product)),
-            ("baseline", baseline),
+            ("baseline", args.baseline),
             ("seed", str(seed)),
         ],
     )
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--nbars", help="comma-separated mean photon numbers")
     p_swp.add_argument("--repetitions", type=int, default=200)
     p_swp.add_argument("--bias-product", type=float, default=0.05, dest="bias_product")
-    p_swp.add_argument("--baseline", choices=("squeezed", "coherent"))
+    p_swp.add_argument("--baseline", choices=("squeezed", "coherent"), default="squeezed")
     p_swp.add_argument("--force", action="store_true", help="ignore the regime refusal")
     p_swp.add_argument("--jobs", type=int, default=1, help="ignored; sampling is vectorised")
     p_swp.add_argument("--out", help="CSV path (default: stdout)")

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import validate_phases
-
 OVERLAP_PURITY_TOL = 1e-6
 # exp(x) and expm1(x) are finite floats only up to this x
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -150,20 +148,6 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
     return _conjugate(state, sympl)
 
 
-def apply_phases(state: GaussianState, phases) -> GaussianState:
-    """Apply an independent phase shift to every mode.
-
-    The shift ``exp(-i phi_j n_j)`` is the diagonal passive network
-    ``diag(exp(-i phi))``.
-
-    Raises:
-        ValueError: if ``phases`` does not have one entry per mode or any
-            entry is not finite.
-    """
-    phases = validate_phases(phases, state.modes)
-    return apply_network(state, np.diag(np.exp(-1j * phases)))
-
-
 def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
     # second moments in ladder-operator form: alpha[j,k] = <adag_j a_k>,
     # beta[j,k] = <a_j a_k>, both derived from the symmetric covariance
@@ -200,26 +184,25 @@ def purity_defect(state: GaussianState) -> float:
     return abs(math.expm1(logdet))
 
 
-def vacuum_overlap_probability(state: GaussianState, squeeze: SqueezeParameter) -> float:
+def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> float:
     """Probability that ``state`` passes the unsqueeze-then-vacuum check.
 
-    The detection stage undoes the input squeezer on mode 0 and projects
-    onto the all-mode vacuum; equivalently it is the squared overlap of
-    ``state`` with the squeezed-vacuum reference prepared by ``squeeze``.
-    The caller must hand in the same parameter that prepared the probe.
+    The detection stage undoes the squeezer that prepared ``probe`` and
+    projects onto the all-mode vacuum; equivalently it is the squared
+    overlap of ``state`` with ``probe``.
 
     Returns:
         Probability in ``[0, 1]``, computed as ``1/sqrt(det(V1 + V2))``
         via a Cholesky factorisation.
 
     Raises:
-        ValueError: if the state is not pure within ``OVERLAP_PURITY_TOL``.
+        ValueError: if either state is not pure within ``OVERLAP_PURITY_TOL``.
     """
-    defect = purity_defect(state)
-    if defect > OVERLAP_PURITY_TOL:
-        raise ValueError(f"state is not pure (purity defect {defect:.3e})")
-    reference = apply_squeeze(vacuum_state(state.modes), 0, squeeze)
-    chol = np.linalg.cholesky(reference.covariance + state.covariance)
+    for candidate in (state, probe):
+        defect = purity_defect(candidate)
+        if defect > OVERLAP_PURITY_TOL:
+            raise ValueError(f"state is not pure (purity defect {defect:.3e})")
+    chol = np.linalg.cholesky(probe.covariance + state.covariance)
     overlap = math.exp(-float(np.sum(np.log(np.diag(chol)))))
     if overlap > 1.0 + 1e-12:
         raise ValueError(f"overlap {overlap} exceeds 1 beyond tolerance")

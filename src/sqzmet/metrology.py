@@ -21,7 +21,6 @@ from .gaussian import (
     PhotonMoments,
     SqueezeParameter,
     apply_network,
-    apply_phases,
     apply_squeeze,
     vacuum_overlap_probability,
     vacuum_state,
@@ -59,6 +58,12 @@ def phase_moments(weights, phases) -> PhaseMoments:
     w = network.validate_weights(weights)
     phi = network.validate_phases(phases, w.size)
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
+
+
+def validate_seed(seed: int) -> None:
+    """Raise ValueError on a negative seed, which keys no numpy random stream."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def generator_variance(moments: PhaseMoments, photon: PhotonMoments) -> float:
@@ -143,6 +148,7 @@ class ExperimentConfig:
         phi = network.validate_phases(self.true_phases, w.size).copy()
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        validate_seed(self.seed)
         w.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -154,25 +160,24 @@ def exact_survival_probability(
 ) -> tuple[float, int | None]:
     """Exact unchanged-probe probability for the full interferometer.
 
-    The ``gaussian`` engine pushes the covariance matrix through squeezer,
-    network, phases, and inverse network, then takes the overlap with the
-    probe state.  The ``fock`` engine resums the occupation-number
-    distribution sector by sector at the cutoff that
-    :func:`fock.recommend_cutoff` certifies for a tail below ``1e-12``.
+    The ``gaussian`` engine sends the probe through the one passive network
+    ``V = U^dag diag(exp(-i phi)) U`` (weight network, phases, inverse
+    network) and takes the overlap with the probe.  The ``fock`` engine
+    resums the occupation-number distribution sector by sector at the
+    cutoff that :func:`fock.recommend_cutoff` certifies for a tail below
+    ``1e-12``.
 
     Returns:
         ``(probability, cutoff)``; the cutoff is None for the gaussian
         engine.
     """
     w = network.validate_weights(weights)
-    phases = np.asarray(phases, dtype=float)
     if engine == "gaussian":
+        phases = network.validate_phases(phases, w.size)
         unitary = network.embed_weights_unitary(w)
-        state = apply_squeeze(vacuum_state(w.size), 0, squeeze)
-        state = apply_network(state, unitary)
-        state = apply_phases(state, phases)
-        state = apply_network(state, unitary.conj().T)
-        return vacuum_overlap_probability(state, squeeze), None
+        passive = unitary.conj().T @ (np.exp(-1j * phases)[:, None] * unitary)
+        probe = apply_squeeze(vacuum_state(w.size), 0, squeeze)
+        return vacuum_overlap_probability(apply_network(probe, passive), probe), None
     if engine == "fock":
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-12)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
@@ -284,9 +289,9 @@ def scaling_sweep(
         nbars: mean photon numbers to scan, as :func:`heisenberg_sensitivity` accepts.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
-        seed: master seed; point ``i`` draws all its repetitions from the
-            stream keyed by ``(seed, i)``, so a point's result does not
-            depend on the points after it.
+        seed: master seed, >= 0; point ``i`` draws all its repetitions
+            from the stream keyed by ``(seed, i)``, so a point's result does
+            not depend on the points after it.
         bias_product: operating bias ``phi_bar * nbar``, finite.
         baseline: ``squeezed`` or ``coherent``.
         force: allow operation outside the small-phase regime.
@@ -308,6 +313,7 @@ def scaling_sweep(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if repetitions < 2:
         raise ValueError(f"repetitions must be >= 2, got {repetitions}")
+    validate_seed(seed)
     if bias_product >= REGIME_THRESHOLD and not force:
         raise RegimeError(
             f"bias product {bias_product} is outside the small-phase regime "

@@ -142,6 +142,7 @@ def check_series_convergence(seed: int) -> CheckResult:
 
 
 def quick_suite(seed: int = 0) -> list[CheckResult]:
+    metrology.validate_seed(seed)
     return [
         check_cross_engine(seed),
         check_table_route(seed),

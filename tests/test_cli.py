@@ -363,7 +363,76 @@ def test_unwritable_out_exits_two(tmp_path, config_file, capsys, argv):
     assert "missing" in err
 
 
+class TestConfigFile:
+    COMMANDS = {
+        "simulate": ["simulate", "--config", "{config}"],
+        "sweep": ["sweep", "--config", "{config}", "--repetitions", "10"],
+    }
+
+    def run(self, command, cfg, capsys):
+        argv = [arg.format(config=cfg) for arg in self.COMMANDS[command]]
+        code = cli.main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_duplicate_key_names_key_and_line(self, tmp_path, config_file, capsys, command):
+        # the fixture's sixth line sets seed = 42; a second value used to win silently
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(Path(config_file).read_text() + "seed = 7\n")
+        code, err = self.run(command, cfg, capsys)
+        assert code == 2
+        assert f"{cfg}:7: duplicate key 'seed'" in err
+
+    @pytest.mark.parametrize(
+        "command, key", [("simulate", "weights"), ("simulate", "seed"), ("sweep", "shots")]
+    )
+    def test_missing_key_is_named(self, tmp_path, config_file, capsys, command, key):
+        cfg = tmp_path / "short.cfg"
+        lines = Path(config_file).read_text().splitlines()
+        cfg.write_text("\n".join(l for l in lines if not l.startswith(key)) + "\n")
+        code, err = self.run(command, cfg, capsys)
+        assert code == 2
+        assert f"missing required key {key!r}" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [("shots = 1.5", "bad value for shots: '1.5'"), ("seed = x", "bad value for seed: 'x'")],
+    )
+    def test_integer_keys_name_themselves(
+        self, tmp_path, config_file, capsys, command, line, message
+    ):
+        key = line.split()[0]
+        cfg = tmp_path / "int.cfg"
+        lines = Path(config_file).read_text().splitlines()
+        cfg.write_text("\n".join([l for l in lines if not l.startswith(key)] + [line]) + "\n")
+        code, err = self.run(command, cfg, capsys)
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{negative}"],
+            ["sweep", "--config", "{config}", "--seed", "-2"],
+            ["validate", "quick", "--seed", "-1"],
+        ],
+        ids=["simulate-config", "sweep-flag", "validate-flag"],
+    )
+    def test_negative_seed_is_refused_by_name(self, tmp_path, config_file, capsys, argv):
+        negative = tmp_path / "negative.cfg"
+        negative.write_text(Path(config_file).read_text().replace("seed = 42", "seed = -3"))
+        argv = [arg.format(config=config_file, negative=negative) for arg in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+
+
 class TestParser:
+    def test_sweep_baseline_defaults_to_squeezed(self):
+        args = cli.build_parser().parse_args(["sweep", "--config", "run.cfg"])
+        assert args.baseline == "squeezed"
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["explode"])

@@ -7,8 +7,8 @@ import pytest
 from sqzmet import (
     SqueezeParameter,
     apply_network,
-    apply_phases,
     apply_squeeze,
+    exact_survival_probability,
     mach_zehnder_unitary,
     photon_moments,
     purity_defect,
@@ -18,6 +18,11 @@ from sqzmet import (
 from conftest import random_unitary
 
 R_UNIT = math.asinh(1.0)  # one mean photon
+
+
+def phase_shift(state, phases):
+    """Independent phase shifts ``exp(-i phi_j n_j)``: the diagonal passive network."""
+    return apply_network(state, np.diag(np.exp(-1j * np.asarray(phases, dtype=float))))
 
 
 def brute_force_survival(r, phi, terms=200):
@@ -111,29 +116,30 @@ class TestNetworkAndPhases:
 
     def test_zero_phases_identity(self):
         state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(0.6))
-        after = apply_phases(state, [0.0, 0.0])
+        after = phase_shift(state, [0.0, 0.0])
         assert np.allclose(after.covariance, state.covariance, atol=1e-15)
 
     def test_full_turn_phases_identity(self):
         state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(0.6))
-        after = apply_phases(state, [2 * math.pi, 2 * math.pi])
+        after = phase_shift(state, [2 * math.pi, 2 * math.pi])
         assert np.allclose(after.covariance, state.covariance, atol=1e-12)
 
     def test_quarter_turn_swaps_squeezing_axes(self):
         # rotating the quadratures by pi/2 turns the squeezer phase by pi
         squeezed = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.7, 0.0))
-        rotated = apply_phases(squeezed, [math.pi / 2])
+        rotated = phase_shift(squeezed, [math.pi / 2])
         flipped = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.7, math.pi))
         assert np.allclose(rotated.covariance, flipped.covariance, atol=1e-12)
 
     def test_phases_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_phases(vacuum_state(2), [0.1])
+        # the covariance route checks the phases before it builds the network
+        with pytest.raises(ValueError, match=re.escape("expected 2 phases, got shape (1,)")):
+            exact_survival_probability([0.5, 0.5], [0.1], SqueezeParameter(0.5))
 
     def test_purity_preserved_through_pipeline(self, rng):
         state = apply_squeeze(vacuum_state(4), 0, SqueezeParameter(1.4, 2.2))
         state = apply_network(state, random_unitary(rng, 4))
-        state = apply_phases(state, rng.uniform(-1, 1, size=4))
+        state = phase_shift(state, rng.uniform(-1, 1, size=4))
         state = apply_network(state, random_unitary(rng, 4))
         assert purity_defect(state) <= 1e-9
 
@@ -164,44 +170,41 @@ class TestVacuumOverlap:
     def test_zero_phases_give_unity(self, rng):
         for dim in (1, 3):
             squeeze = SqueezeParameter(float(rng.uniform(0.1, 1.2)))
-            state = apply_squeeze(vacuum_state(dim), 0, squeeze)
+            probe = apply_squeeze(vacuum_state(dim), 0, squeeze)
             unitary = random_unitary(rng, dim)
-            state = apply_network(state, unitary)
-            state = apply_phases(state, np.zeros(dim))
+            state = apply_network(probe, unitary)
+            state = phase_shift(state, np.zeros(dim))
             state = apply_network(state, unitary.conj().T)
-            assert vacuum_overlap_probability(state, squeeze) == pytest.approx(1.0, abs=1e-12)
+            assert vacuum_overlap_probability(state, probe) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsqueezed_probe_always_survives(self):
-        squeeze = SqueezeParameter(0.0)
-        state = apply_phases(vacuum_state(2), [0.4, -0.2])
-        assert vacuum_overlap_probability(state, squeeze) == pytest.approx(1.0, abs=1e-12)
+        probe = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(0.0))
+        state = phase_shift(probe, [0.4, -0.2])
+        assert vacuum_overlap_probability(state, probe) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_generating_function_oracle(self):
         # frozen from brute_force_survival(asinh(1), 0.1): 0.962369108664265
-        squeeze = SqueezeParameter(R_UNIT)
-        state = apply_phases(apply_squeeze(vacuum_state(1), 0, squeeze), [0.1])
-        value = vacuum_overlap_probability(state, squeeze)
+        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(R_UNIT))
+        value = vacuum_overlap_probability(phase_shift(probe, [0.1]), probe)
         assert value == pytest.approx(0.962369108664265, abs=1e-12)
         assert value == pytest.approx(brute_force_survival(R_UNIT, 0.1), abs=1e-12)
 
     def test_equal_phases_match_single_mode(self):
         # the phase-spread term vanishes when every channel has the same phase
-        squeeze = SqueezeParameter(R_UNIT)
         unitary = mach_zehnder_unitary(0.5)
-        state = apply_squeeze(vacuum_state(2), 0, squeeze)
-        state = apply_network(state, unitary)
-        state = apply_phases(state, [0.1, 0.1])
+        probe = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(R_UNIT))
+        state = apply_network(probe, unitary)
+        state = phase_shift(state, [0.1, 0.1])
         state = apply_network(state, unitary.conj().T)
-        assert vacuum_overlap_probability(state, squeeze) == pytest.approx(
+        assert vacuum_overlap_probability(state, probe) == pytest.approx(
             0.962369108664265, abs=1e-10
         )
 
     def test_even_in_phase_and_decreasing(self):
-        squeeze = SqueezeParameter(0.9)
-        base = apply_squeeze(vacuum_state(1), 0, squeeze)
+        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.9))
 
         def prob(phi):
-            return vacuum_overlap_probability(apply_phases(base, [phi]), squeeze)
+            return vacuum_overlap_probability(phase_shift(probe, [phi]), probe)
 
         grid = np.linspace(0.05, math.pi / 2, 25)
         values = np.array([prob(phi) for phi in grid])
@@ -211,17 +214,16 @@ class TestVacuumOverlap:
 
     def test_gauge_invariance_of_trailing_columns(self, rng):
         # only the first network column matters; rephasing the others is invisible
-        squeeze = SqueezeParameter(0.8, 1.1)
+        probe = apply_squeeze(vacuum_state(4), 0, SqueezeParameter(0.8, 1.1))
         unitary = random_unitary(rng, 4)
         phases = rng.uniform(-0.6, 0.6, size=4)
         gauge = np.diag(np.exp(1j * np.concatenate([[0.0], rng.uniform(0, 6, size=3)])))
 
         def run(u):
-            state = apply_squeeze(vacuum_state(4), 0, squeeze)
-            state = apply_network(state, u)
-            state = apply_phases(state, phases)
+            state = apply_network(probe, u)
+            state = phase_shift(state, phases)
             state = apply_network(state, u.conj().T)
-            return vacuum_overlap_probability(state, squeeze)
+            return vacuum_overlap_probability(state, probe)
 
         assert abs(run(unitary) - run(unitary @ gauge)) <= 1e-12
 
@@ -229,14 +231,23 @@ class TestVacuumOverlap:
         from sqzmet import GaussianState
 
         thermal = GaussianState(np.eye(2))  # det(2V) = 4, far from pure
+        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.5))
         with pytest.raises(ValueError, match="not pure"):
-            vacuum_overlap_probability(thermal, SqueezeParameter(0.5))
+            vacuum_overlap_probability(thermal, probe)
+
+    def test_rejects_impure_probe(self):
+        from sqzmet import GaussianState
+
+        # the probe is caller input too, so it gets the same purity check
+        thermal = GaussianState(np.eye(2))
+        with pytest.raises(ValueError, match=re.escape("not pure (purity defect 3.000e+00)")):
+            vacuum_overlap_probability(vacuum_state(1), thermal)
 
     def test_overflowing_purity_defect_is_inf(self):
         from sqzmet import GaussianState
 
         # det(2V) = 4e600 is not a float, so expm1 of its log would overflow
         assert purity_defect(GaussianState(np.diag([1e300, 1e300]))) == math.inf
-        state = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(300.0))
+        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(300.0))
         with pytest.raises(ValueError, match="purity defect inf"):
-            vacuum_overlap_probability(apply_phases(state, [0.01]), SqueezeParameter(300.0))
+            vacuum_overlap_probability(phase_shift(probe, [0.01]), probe)

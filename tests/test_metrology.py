@@ -26,6 +26,7 @@ from sqzmet import (
     sweep_point_probability,
     vacuum_state,
 )
+from sqzmet.validate import quick_suite
 from conftest import random_weights
 
 R_UNIT = math.asinh(1.0)
@@ -347,6 +348,19 @@ class TestExperimentConfig:
             ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("entry", ["config", "sweep", "validate"])
+def test_negative_seed_is_refused_by_name(entry):
+    calls = {
+        "config": lambda: ExperimentConfig(
+            np.array([1.0]), np.array([0.1]), SqueezeParameter(0.5), 100, -1
+        ),
+        "sweep": lambda: scaling_sweep([1.0, 2.0], 1000, 10, -1),
+        "validate": lambda: quick_suite(-1),
+    }
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        calls[entry]()
+
+
 class TestRunProtocol:
     def test_single_run_row(self):
         config = ExperimentConfig(
@@ -449,6 +463,22 @@ class TestScalingSweep:
         assert point.delta_phi_sq * 10 ** 5 == pytest.approx(0.125, rel=0.15)
         assert point.heisenberg_bound == pytest.approx(0.125 / 10 ** 5)
         assert math.isnan(result.slope)
+
+    def test_default_points_reach_the_heisenberg_bound(self):
+        # On-off detection has Fisher information F = (dP/dphi)^2 / (P (1 - P))
+        # per shot.  With P = (1 + 4 nbar (nbar + 1) sin^2 phi)^(-1/2), F tends
+        # to 8 nbar (nbar + 1) at small phi (Braunstein and Caves, PRL 72, 3439).
+        # The sweep inverts with 2 nbar^2 instead of 2 nbar (nbar + 1), which
+        # scales its estimates by sqrt((nbar + 1) / nbar), so their variance
+        # should be (nbar + 1) / nbar / (F shots) = 1 / (8 nbar^2 shots): the
+        # ratio column is the efficiency against the Cramer-Rao bound.  The
+        # sample variance of R repetitions has relative SD sqrt(2 / (R - 1)),
+        # and the band is 5 of those.
+        reps = 2000
+        result = scaling_sweep([0.5, 1.0, 2.0, 4.0], 10 ** 5, reps, 20260808)
+        band = 5.0 * math.sqrt(2.0 / (reps - 1))
+        for point in result.results:
+            assert abs(point.delta_phi_sq / point.heisenberg_bound - 1.0) <= band
 
     def test_slope_and_baseline_contrast(self):
         nbars = [0.5, 1.0, 2.0, 4.0]
