@@ -6,9 +6,10 @@ to sums over the photon-number distribution after the network.  This module
 provides two interchangeable evaluation routes:
 
 * an explicit truncated amplitude table (`FockAmplitudes`), built by
-  propagating the single-mode amplitudes through the network one
-  occupation tuple at a time, used for moderate cutoffs and as the ground
-  truth for the per-sector bookkeeping; and
+  propagating the single-mode amplitudes through the network as whole
+  arrays (every occupation tuple of every even sector at once), used for
+  moderate cutoffs and as the ground truth for the per-sector
+  bookkeeping; and
 * per-sector resummation (`survival_probability_sectors`,
   `generator_moments_sectors`), which evaluates the same diagonal sums by
   collapsing each fixed-photon-number sector with exact combinatorics.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -138,13 +139,35 @@ class FockAmplitudes:
         return complex(self.amplitudes[hits[0]]) if hits.size else 0.0 + 0.0j
 
 
+def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
+    """Every occupation tuple of each total, sector after sector.
+
+    Within a sector the rows come in ``itertools.combinations_with_replacement``
+    order (descending first-mode count, then descending second, ...): each
+    pass splits every row's remaining photons over the next mode, largest
+    share first, and the last mode takes what is left.
+    """
+    occupations = np.zeros((len(totals), 0), dtype=np.int64)
+    left = np.asarray(totals, dtype=np.int64)
+    for _ in range(modes - 1):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        kept = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        occupations = np.column_stack([occupations[parent], left[parent] - kept])
+        left = kept
+    return np.column_stack([occupations, left])
+
+
 def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> FockAmplitudes:
     """Distribute single-mode amplitudes over the network's output modes.
 
     Only the first column of ``unitary`` matters, because only input mode 0
     is populated: the ``2n``-photon component maps onto every occupation
     tuple of total ``2n`` with the multinomial square-root weight times the
-    product of first-column entries raised to the occupations.
+    product of first-column entries raised to the occupations.  The table
+    is built as whole arrays: one ``(K, M)`` occupation array holding every
+    even sector in turn, then the root-multinomials from a log-factorial
+    table and the column products row by row.
 
     Args:
         amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
@@ -165,20 +188,15 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
     modes = unitary.shape[0]
     cutoff = 2 * (len(amplitudes) - 1)
 
-    lgamma = [math.lgamma(k + 1) for k in range(cutoff + 1)]
-    occ_rows = []
-    amp_rows = []
-    for half in range(cutoff // 2 + 1):
-        total = 2 * half
-        for combo in combinations_with_replacement(range(modes), total):
-            occ = np.bincount(combo, minlength=modes)
-            root_multinomial = math.exp(
-                0.5 * (lgamma[total] - sum(lgamma[k] for k in occ))
-            )
-            occ_rows.append(occ)
-            amp_rows.append(amplitudes[half] * root_multinomial * np.prod(column ** occ))
-    occupations = np.array(occ_rows, dtype=np.int64)
-    amps = np.array(amp_rows, dtype=complex)
+    lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
+    occupations = _occupation_rows(modes, np.arange(0, cutoff + 1, 2))
+    totals = occupations.sum(axis=1)
+    root_multinomial = np.exp(0.5 * (lgamma[totals] - lgamma[occupations].sum(axis=1)))
+    amps = (
+        np.asarray(amplitudes, dtype=complex)[totals // 2]
+        * root_multinomial
+        * np.prod(column ** occupations, axis=1)
+    )
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     return FockAmplitudes(modes, cutoff, occupations, amps, tail)
 
@@ -349,10 +367,20 @@ def two_mode_sector_operators(total: int) -> TwoModeSectorOperators:
     return TwoModeSectorOperators(total, jx, jy, k.astype(float))
 
 
-def _expi_hermitian(matrix: np.ndarray, scale: float) -> np.ndarray:
-    """``exp(1j * scale * H)`` for Hermitian ``H`` via eigendecomposition."""
-    values, vectors = np.linalg.eigh(matrix)
-    return (vectors * np.exp(1j * scale * values)) @ vectors.conj().T
+@lru_cache(maxsize=64)
+def _mach_zehnder_sector(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phase-free parts of one sector: the 50:50 splitter and the eigensystem of ``Jy``.
+
+    Cached by ``total`` and returned read-only, so no caller can alter a
+    later residual.
+    """
+    ops = two_mode_sector_operators(total)
+    values, vectors = np.linalg.eigh(ops.jx)
+    splitter = (vectors * np.exp(-0.5j * math.pi * values)) @ vectors.conj().T
+    jy_values, jy_vectors = np.linalg.eigh(ops.jy)
+    for array in (splitter, jy_values, jy_vectors):
+        array.flags.writeable = False
+    return splitter, jy_values, jy_vectors
 
 
 def mach_zehnder_factorization_residual(
@@ -366,6 +394,10 @@ def mach_zehnder_factorization_residual(
     generated by the total photon number:
     ``exp(i (phi1 - phi2) Jy) . exp(-i (phi1 + phi2) N / 2)``.
     Both sides are built sector by sector, so the residual is pure rounding.
+    The splitter and the eigensystem of ``Jy`` depend only on the sector
+    total and are computed once per total; the sector gaps, zero-padded to
+    one size (which leaves their singular values unchanged), go through one
+    batched singular-value decomposition.
 
     Args:
         phi1, phi2: arm phases.
@@ -375,15 +407,16 @@ def mach_zehnder_factorization_residual(
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    if max_total is not None and max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
     top = cutoff if max_total is None else min(max_total, cutoff)
-    worst = 0.0
+    gaps = np.zeros((top + 1, top + 1, top + 1), dtype=complex)
     for total in range(top + 1):
-        ops = two_mode_sector_operators(total)
-        splitter = _expi_hermitian(ops.jx, -math.pi / 2.0)
-        diag_phase = np.exp(-1j * (phi1 * ops.n_first + phi2 * (total - ops.n_first)))
+        splitter, jy_values, jy_vectors = _mach_zehnder_sector(total)
+        n_first = np.arange(total + 1.0)
+        diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (total - n_first)))
         composed = (splitter * diag_phase[None, :]) @ splitter.conj().T
-        factorised = _expi_hermitian(ops.jy, phi1 - phi2) * np.exp(
-            -0.5j * (phi1 + phi2) * total
-        )
-        worst = max(worst, float(np.linalg.norm(composed - factorised, 2)))
-    return worst
+        mixing = (jy_vectors * np.exp(1j * (phi1 - phi2) * jy_values)) @ jy_vectors.conj().T
+        factorised = mixing * np.exp(-0.5j * (phi1 + phi2) * total)
+        gaps[total, : total + 1, : total + 1] = composed - factorised
+    return float(np.linalg.svd(gaps, compute_uv=False).max())

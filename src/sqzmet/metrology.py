@@ -60,9 +60,13 @@ def phase_moments(weights, phases) -> PhaseMoments:
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
 
 
-def validate_seed(seed: int) -> None:
-    """Raise ValueError on a negative seed, which keys no numpy random stream."""
-    if seed < 0:
+def validate_seed(seed) -> None:
+    """Raise ValueError on a negative seed, which keys no numpy random stream.
+
+    ``seed`` is an integer or a sequence of integers (one ``SeedSequence``
+    entropy word each); every word must be >= 0.
+    """
+    if np.any(np.asarray(seed) < 0):
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
@@ -109,6 +113,7 @@ def simulate_shots(p: float, shots: int, seed) -> int:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    validate_seed(seed)
     return int(np.random.default_rng(seed).binomial(shots, p))
 
 

@@ -24,8 +24,13 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _random_cases(seed: int, count: int, max_modes: int = 5, max_r: float = 1.2):
-    rng = np.random.default_rng(seed)
+def _stream(seed: int, offset: int) -> np.random.Generator:
+    """A check's own random stream, ``seed + offset``; refuses a negative ``seed``."""
+    metrology.validate_seed(seed)
+    return np.random.default_rng(seed + offset)
+
+
+def _random_cases(rng: np.random.Generator, count: int, max_modes: int = 5, max_r: float = 1.2):
     cases = []
     for _ in range(count):
         modes = int(rng.integers(1, max_modes + 1))
@@ -40,7 +45,7 @@ def _random_cases(seed: int, count: int, max_modes: int = 5, max_r: float = 1.2)
 def check_cross_engine(seed: int) -> CheckResult:
     """Covariance engine vs occupation-basis oracle on random configurations."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed, 20):
+    for weights, phases, squeeze in _random_cases(_stream(seed, 0), 20):
         p_gauss, _ = metrology.exact_survival_probability(weights, phases, squeeze)
         p_fock, _ = metrology.exact_survival_probability(
             weights, phases, squeeze, engine="fock"
@@ -54,7 +59,7 @@ def check_cross_engine(seed: int) -> CheckResult:
 def check_table_route(seed: int) -> CheckResult:
     """Explicit amplitude table vs sector resummation at moderate cutoffs."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed + 1, 5, max_modes=3, max_r=0.8):
+    for weights, phases, squeeze in _random_cases(_stream(seed, 1), 5, max_modes=3, max_r=0.8):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-10)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         unitary = network.embed_weights_unitary(weights)
@@ -70,7 +75,7 @@ def check_table_route(seed: int) -> CheckResult:
 def check_odd_terms(seed: int) -> CheckResult:
     """Odd survival-series terms must vanish identically."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed + 2, 20):
+    for weights, phases, squeeze in _random_cases(_stream(seed, 2), 20):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-13, moment_power=8)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=8)
@@ -83,7 +88,7 @@ def check_odd_terms(seed: int) -> CheckResult:
 def check_variance_identity(seed: int) -> CheckResult:
     """Analytic generator variance against the oracle's second moment."""
     worst = 0.0
-    for weights, phases, squeeze in _random_cases(seed + 3, 20):
+    for weights, phases, squeeze in _random_cases(_stream(seed, 3), 20):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-14, moment_power=2)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=2)
@@ -100,7 +105,7 @@ def check_variance_identity(seed: int) -> CheckResult:
 
 def check_mz_factorization(seed: int) -> CheckResult:
     """Composed balanced interferometer vs its mixing/global-phase factorisation."""
-    rng = np.random.default_rng(seed + 4)
+    rng = _stream(seed, 4)
     worst = 0.0
     for _ in range(20):
         phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
@@ -119,7 +124,7 @@ def check_series_convergence(seed: int) -> CheckResult:
     magnitudes and fits the log residual of the series through the
     sixth-order term; the remainder must fall off with exponent >= 7.
     """
-    rng = np.random.default_rng(seed + 5)
+    rng = _stream(seed, 5)
     weights = rng.dirichlet(np.ones(3))
     weights = weights / weights.sum()
     base = rng.uniform(0.5, 1.0, size=3) * np.sign(rng.uniform(-1, 1, size=3))
@@ -142,7 +147,6 @@ def check_series_convergence(seed: int) -> CheckResult:
 
 
 def quick_suite(seed: int = 0) -> list[CheckResult]:
-    metrology.validate_seed(seed)
     return [
         check_cross_engine(seed),
         check_table_route(seed),

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -39,6 +40,39 @@ def multinomial_moment_brute_force(weights, phases, total, order):
             prob *= w ** k / math.factorial(k)
         acc += prob * float(occ @ phases) ** order
     return acc
+
+
+def propagate_by_enumeration(amplitudes, unitary):
+    """One occupation tuple at a time, as ``itertools`` enumerates them; the slow oracle."""
+    column = np.asarray(unitary, dtype=complex)[:, 0]
+    modes = column.size
+    lgamma = [math.lgamma(k + 1) for k in range(2 * len(amplitudes) - 1)]
+    occ_rows, amp_rows = [], []
+    for half, amp in enumerate(amplitudes):
+        for combo in combinations_with_replacement(range(modes), 2 * half):
+            occ = np.bincount(combo, minlength=modes)
+            root = math.exp(0.5 * (lgamma[2 * half] - sum(lgamma[k] for k in occ)))
+            occ_rows.append(occ)
+            amp_rows.append(amp * root * np.prod(column ** occ))
+    return np.array(occ_rows, dtype=np.int64), np.array(amp_rows, dtype=complex)
+
+
+def mz_residual_by_sector(phi1, phi2, cutoff, max_total=None):
+    """Per-sector 2-norm loop with fresh eigendecompositions; the slow oracle."""
+    def expi(matrix, scale):
+        values, vectors = np.linalg.eigh(matrix)
+        return (vectors * np.exp(1j * scale * values)) @ vectors.conj().T
+
+    top = cutoff if max_total is None else min(max_total, cutoff)
+    worst = 0.0
+    for total in range(top + 1):
+        ops = two_mode_sector_operators(total)
+        splitter = expi(ops.jx, -math.pi / 2.0)
+        diag_phase = np.exp(-1j * (phi1 * ops.n_first + phi2 * (total - ops.n_first)))
+        composed = (splitter * diag_phase[None, :]) @ splitter.conj().T
+        factorised = expi(ops.jy, phi1 - phi2) * np.exp(-0.5j * (phi1 + phi2) * total)
+        worst = max(worst, float(np.linalg.norm(composed - factorised, 2)))
+    return worst
 
 
 class TestAmplitudes:
@@ -119,6 +153,21 @@ class TestPropagation:
         amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.5), 12)
         table = propagate_through_network(amps, embed_weights_unitary([0.5, 0.5]))
         assert np.all(table.sector_totals() % 2 == 0)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_table_matches_tuple_enumeration(self, rng, modes):
+        squeeze = SqueezeParameter(0.6, 1.1)
+        phased = embed_weights_unitary(random_weights(rng, modes)) * np.exp(
+            1j * rng.uniform(-math.pi, math.pi, size=modes)
+        )[:, None]
+        for unitary in (np.eye(modes, dtype=complex), phased):
+            for cutoff in range(0, 21, 2):
+                amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
+                table = propagate_through_network(amps, unitary)
+                occupations, amplitudes = propagate_by_enumeration(amps, unitary)
+                assert table.occupations.dtype == np.int64
+                np.testing.assert_array_equal(table.occupations, occupations)
+                np.testing.assert_allclose(table.amplitudes, amplitudes, rtol=0, atol=1e-15)
 
     def test_rejects_unnormalized_first_column(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
@@ -299,6 +348,27 @@ class TestMachZehnderFactorization:
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             mach_zehnder_factorization_residual(0.1, 0.2, 1)
+
+    def test_rejects_negative_max_total(self):
+        with pytest.raises(ValueError, match=re.escape("max_total must be >= 0, got -1")):
+            mach_zehnder_factorization_residual(0.1, 0.2, 12, max_total=-1)
+
+    @pytest.mark.parametrize("max_total", [None, 0, 5, 30])
+    def test_batched_residual_matches_sector_loop(self, rng, max_total):
+        for _ in range(5):
+            phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
+            batched = mach_zehnder_factorization_residual(phi1, phi2, 12, max_total=max_total)
+            looped = mz_residual_by_sector(phi1, phi2, 12, max_total=max_total)
+            assert batched == pytest.approx(looped, rel=0, abs=1e-15)
+
+    def test_returned_operators_cannot_change_a_later_residual(self):
+        before = mach_zehnder_factorization_residual(0.4, -1.3, 8)
+        for total in range(9):
+            ops = two_mode_sector_operators(total)
+            for array in (ops.jx, ops.jy, ops.n_first):
+                if array.flags.writeable:
+                    array[...] = 7.0
+        assert mach_zehnder_factorization_residual(0.4, -1.3, 8) == before
 
     def test_sector_operators_hermitian(self):
         for total in (1, 4, 9):

@@ -26,6 +26,7 @@ from sqzmet import (
     sweep_point_probability,
     vacuum_state,
 )
+from sqzmet import validate
 from sqzmet.validate import quick_suite
 from conftest import random_weights
 
@@ -348,7 +349,17 @@ class TestExperimentConfig:
             ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize("entry", ["config", "sweep", "validate"])
+CHECKS = [
+    "check_cross_engine",
+    "check_table_route",
+    "check_odd_terms",
+    "check_variance_identity",
+    "check_mz_factorization",
+    "check_series_convergence",
+]
+
+
+@pytest.mark.parametrize("entry", ["config", "sweep", "validate", "shots", *CHECKS])
 def test_negative_seed_is_refused_by_name(entry):
     calls = {
         "config": lambda: ExperimentConfig(
@@ -356,9 +367,17 @@ def test_negative_seed_is_refused_by_name(entry):
         ),
         "sweep": lambda: scaling_sweep([1.0, 2.0], 1000, 10, -1),
         "validate": lambda: quick_suite(-1),
+        "shots": lambda: simulate_shots(0.5, 10, -1),
+        **{name: (lambda name=name: getattr(validate, name)(-1)) for name in CHECKS},
     }
     with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
         calls[entry]()
+
+
+@pytest.mark.parametrize("seed", [[-1, 0, 0], [3, -2]])
+def test_shot_seed_words_must_be_non_negative(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be >= 0, got {seed}")):
+        simulate_shots(0.5, 10, seed)
 
 
 class TestRunProtocol:
