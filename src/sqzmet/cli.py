@@ -68,10 +68,13 @@ def _read_config_file(path: str, required: tuple[str, ...]) -> dict[str, str]:
 
 
 def _parse_floats(text: str, key: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ValueError(f"bad value for {key}: {text!r}") from exc
+    values = []
+    for tok in text.replace(",", " ").split():
+        try:
+            values.append(float(tok))
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {tok!r}") from exc
+    return values
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -106,8 +109,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_synthesize(args) -> int:
     with open(args.weights_file, "r", encoding="utf-8") as handle:
-        tokens = handle.read().replace(",", " ").split()
-    weights = network.validate_weights([float(tok) for tok in tokens])
+        text = handle.read()
+    weights = network.validate_weights(_parse_floats(text, args.weights_file))
     header = _manifest_lines("synthesize", [("weights", _fmt_list(weights))])
     netlist = "\n".join(header) + "\n" + network.mesh_to_netlist(network.weight_chain(weights))
     # every residual is measured on the network the written file describes

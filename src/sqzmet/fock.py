@@ -383,9 +383,7 @@ def _mach_zehnder_sector(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return splitter, jy_values, jy_vectors
 
 
-def mach_zehnder_factorization_residual(
-    phi1: float, phi2: float, cutoff: int, max_total: int | None = None
-) -> float:
+def mach_zehnder_factorization_residual(phi1: float, phi2: float, cutoff: int) -> float:
     """Operator-norm gap between the composed and the factorised balanced interferometer.
 
     The composed side is beamsplitter, per-arm phases, inverse beamsplitter,
@@ -402,16 +400,11 @@ def mach_zehnder_factorization_residual(
     Args:
         phi1, phi2: arm phases.
         cutoff: largest total photon number considered.
-        max_total: optionally restrict the residual to sectors up to this
-            total (defaults to ``cutoff``).
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    if max_total is not None and max_total < 0:
-        raise ValueError(f"max_total must be >= 0, got {max_total}")
-    top = cutoff if max_total is None else min(max_total, cutoff)
-    gaps = np.zeros((top + 1, top + 1, top + 1), dtype=complex)
-    for total in range(top + 1):
+    gaps = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1), dtype=complex)
+    for total in range(cutoff + 1):
         splitter, jy_values, jy_vectors = _mach_zehnder_sector(total)
         n_first = np.arange(total + 1.0)
         diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (total - n_first)))

@@ -247,14 +247,15 @@ def sweep_point_probability(
 ) -> float:
     """Survival probability at one equal-phase operating point.
 
-    ``squeezed`` uses the exact covariance engine.  ``coherent`` substitutes
-    Poissonian photon-number statistics (variance equal to the mean) into
-    the quadratic expansion, which is the shot-noise-limited reference.
+    ``squeezed`` is the one-mode closed form of the squeezed probe,
+    ``P = (1 + 4 nbar (nbar + 1) sin^2 phi_bar)^(-1/2)``, which the
+    engines of :func:`exact_survival_probability` reproduce.
+    ``coherent`` substitutes Poissonian photon-number statistics (variance
+    equal to the mean) into the quadratic expansion, which is the
+    shot-noise-limited reference.
     """
     if baseline == "squeezed":
-        squeeze = SqueezeParameter(math.asinh(math.sqrt(nbar)))
-        p, _ = exact_survival_probability([1.0], [phi_bar], squeeze)
-        return p
+        return 1.0 / math.sqrt(1.0 + 4.0 * nbar * (nbar + 1.0) * math.sin(phi_bar) ** 2)
     if baseline == "coherent":
         # quadratic expansion 1 - v, with the generator variance v of equal
         # phases under Poissonian statistics: phi_bar^2 * var_n = phi_bar^2 * nbar
@@ -281,37 +282,44 @@ def scaling_sweep(
     """Monte-Carlo scan of the estimation variance against the mean photon number.
 
     Every point operates at the same bias ``phi_bar * nbar = bias_product``
-    with all phases equal, so the regime ratio is ``bias_product``
-    everywhere.  Per repetition the shot fraction is inverted through the
-    leading-order model (survival deficit ``2 nbar^2 phi^2`` for the
-    squeezed probe, ``nbar phi^2`` for the coherent baseline); the reported
-    ``delta_phi_sq`` is the sample variance of those estimates, which is
-    directly comparable to the ``1 / (8 nbar^2 shots)`` reference.  The
-    finite-``nbar`` inversion of :func:`estimate_phase` would rescale it by
-    ``nbar / (nbar + 1)``.
+    with all phases equal, so :func:`check_regime`'s ratio
+    ``max|phi| * nbar`` is ``|bias_product|`` everywhere.  A point's survival
+    probability is :func:`sweep_point_probability`.  Per repetition the shot
+    fraction is inverted through the leading-order model (survival deficit
+    ``2 nbar^2 phi^2`` for the squeezed probe, ``nbar phi^2`` for the
+    coherent baseline); the reported ``delta_phi_sq`` is the sample variance
+    of those estimates, which is directly comparable to the
+    ``1 / (8 nbar^2 shots)`` reference.  The finite-``nbar`` inversion of
+    :func:`estimate_phase` would rescale it by ``nbar / (nbar + 1)``.
 
     Args:
-        nbars: mean photon numbers to scan, as :func:`heisenberg_sensitivity` accepts.
+        nbars: mean photon numbers to scan, as :func:`heisenberg_sensitivity`
+            accepts; two or more must not all share one ``log(nbar)``.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
         seed: master seed, >= 0; point ``i`` draws all its repetitions
             from the stream keyed by ``(seed, i)``, so a point's result does
             not depend on the points after it.
-        bias_product: operating bias ``phi_bar * nbar``, finite.
+        bias_product: operating bias ``phi_bar * nbar``, finite; its sign
+            does not change the result.
         baseline: ``squeezed`` or ``coherent``.
         force: allow operation outside the small-phase regime.
 
     Raises:
-        RegimeError: if ``bias_product`` violates the small-phase regime and
-            ``force`` is not set.
-        ValueError: on bad arguments, or if a point's estimates have zero
-            sample variance (every repetition saw the same count), which
-            leaves nothing to fit.
+        RegimeError: if ``|bias_product|`` violates the small-phase regime
+            and ``force`` is not set.
+        ValueError: on bad arguments; before any draw, if the nbars leave
+            no spread to fit or a point's probability lies outside [0, 1]
+            (the coherent model at a forced large bias); or if a point's
+            estimates have zero sample variance (every repetition saw the
+            same count), which leaves nothing to fit.
     """
     nbars = [float(n) for n in nbars]
     if not nbars:
         raise ValueError("nbars must not be empty")
     references = [heisenberg_sensitivity(nbar) for nbar in nbars]
+    if len(nbars) > 1 and np.ptp(np.log(nbars)) == 0:
+        raise ValueError(f"nbars {nbars} have no spread in log(nbar): no slope can be fitted")
     if not math.isfinite(bias_product):
         raise ValueError(f"bias_product must be finite, got {bias_product}")
     if shots < 1:
@@ -319,15 +327,25 @@ def scaling_sweep(
     if repetitions < 2:
         raise ValueError(f"repetitions must be >= 2, got {repetitions}")
     validate_seed(seed)
-    if bias_product >= REGIME_THRESHOLD and not force:
+    # every point's phases all equal bias_product / nbar; the ratio is
+    # taken at nbar = 1, where it is |bias_product| without rounding
+    regime = check_regime([bias_product], 1.0)
+    if not regime.ok and not force:
         raise RegimeError(
             f"bias product {bias_product} is outside the small-phase regime "
-            f"(threshold {REGIME_THRESHOLD}); pass force=True to override"
+            f"(ratio {regime.ratio}, threshold {REGIME_THRESHOLD}); pass force=True to override"
         )
+    probabilities = [
+        sweep_point_probability(nbar, bias_product / nbar, baseline) for nbar in nbars
+    ]
+    for nbar, p in zip(nbars, probabilities):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(
+                f"{baseline} model gives p = {p} outside [0, 1] at nbar = {nbar} "
+                f"(bias_product {bias_product})"
+            )
     results = []
-    for i, (nbar, reference) in enumerate(zip(nbars, references)):
-        phi_bar = bias_product / nbar
-        p = sweep_point_probability(nbar, phi_bar, baseline)
+    for i, (nbar, reference, p) in enumerate(zip(nbars, references, probabilities)):
         scale = _sweep_inversion_scale(nbar, baseline)
         counts = np.random.default_rng([seed, i]).binomial(shots, p, size=repetitions)
         estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)

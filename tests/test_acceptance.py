@@ -263,9 +263,7 @@ def test_criterion_8_mach_zehnder_factorization():
         phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
         worst = max(
             worst,
-            mach_zehnder_factorization_residual(
-                phi1, phi2, cutoff, max_total=cutoff - 2
-            ),
+            mach_zehnder_factorization_residual(phi1, phi2, cutoff - 2),
         )
     assert worst <= 1e-9
     _report(8, f"mach-zehnder factorization: residual {worst:.1e}")

@@ -83,6 +83,13 @@ class TestSynthesize:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.main(["synthesize", str(tmp_path / "nope.txt")]) == 2
 
+    def test_bad_token_names_the_file(self, tmp_path, capsys):
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.5, abc\n")
+        assert cli.main(["synthesize", str(weights), "--out", str(tmp_path / "net")]) == 2
+        assert f"bad value for {weights}: 'abc'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [weights]
+
     def test_non_finite_mesh_exits_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         real = sqzmet.network.weight_chain
 
@@ -283,6 +290,44 @@ class TestSweep:
         out = tmp_path / "forced.csv"
         assert cli.main(args + ["--force", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("bias_product", ["-0.5", "-0.3", "0.3"])
+    def test_negative_bias_outside_regime_exits_three(
+        self, config_file, tmp_path, capsys, bias_product
+    ):
+        out = tmp_path / "sweep.csv"
+        args = [
+            "sweep", "--config", config_file, "--nbars", "1,2",
+            "--repetitions", "10", "--bias-product", bias_product, "--out", str(out),
+        ]
+        assert cli.main(args) == 3
+        assert f"ratio {abs(float(bias_product))}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
+    def test_sign_of_the_bias_leaves_the_rows(self, tmp_path, config_file, baseline):
+        base = [
+            "sweep", "--config", config_file, "--nbars", "0.5,1,2",
+            "--repetitions", "40", "--baseline", baseline,
+        ]
+        paths = {}
+        for bias in ("0.05", "-0.05"):
+            paths[bias] = tmp_path / f"{bias}.csv"
+            assert cli.main(base + ["--bias-product", bias, "--out", str(paths[bias])]) == 0
+        _, header, rows = read_csv(paths["0.05"])
+        assert read_csv(paths["-0.05"])[1:] == (header, rows)
+
+    def test_bad_nbars_token_is_named(self, config_file, capsys):
+        assert cli.main(["sweep", "--config", config_file, "--nbars", "1,x,2"]) == 2
+        assert "bad value for --nbars: 'x'" in capsys.readouterr().err
+
+    def test_single_nbar_writes_nan_slope(self, tmp_path, config_file):
+        out = tmp_path / "one.csv"
+        argv = ["sweep", "--config", config_file, "--nbars", "1", "--repetitions", "20"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        rows = read_csv(out)[2]
+        assert len(rows) == 2
+        assert rows[-1] == "slope=nan"
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -292,6 +337,11 @@ class TestSweep:
             (["--nbars", "1,inf", "--baseline", "coherent"], "nbar = inf"),
             (["--nbars", "1e200,1e201"], "nbar = 1e+200"),
             (["--nbars", "1e-300,1e-299"], "nbar = 1e-300"),
+            (["--nbars", "1,1"], "nbars [1.0, 1.0] have no spread"),
+            (
+                ["--baseline", "coherent", "--force", "--bias-product", "2"],
+                "at nbar = 0.5 (bias_product 2.0)",
+            ),
         ],
     )
     def test_unfittable_sweep_exits_two_and_writes_nothing(

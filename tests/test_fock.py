@@ -1,5 +1,4 @@
 import math
-import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -57,15 +56,14 @@ def propagate_by_enumeration(amplitudes, unitary):
     return np.array(occ_rows, dtype=np.int64), np.array(amp_rows, dtype=complex)
 
 
-def mz_residual_by_sector(phi1, phi2, cutoff, max_total=None):
+def mz_residual_by_sector(phi1, phi2, cutoff):
     """Per-sector 2-norm loop with fresh eigendecompositions; the slow oracle."""
     def expi(matrix, scale):
         values, vectors = np.linalg.eigh(matrix)
         return (vectors * np.exp(1j * scale * values)) @ vectors.conj().T
 
-    top = cutoff if max_total is None else min(max_total, cutoff)
     worst = 0.0
-    for total in range(top + 1):
+    for total in range(cutoff + 1):
         ops = two_mode_sector_operators(total)
         splitter = expi(ops.jx, -math.pi / 2.0)
         diag_phase = np.exp(-1j * (phi1 * ops.n_first + phi2 * (total - ops.n_first)))
@@ -340,25 +338,18 @@ class TestMachZehnderFactorization:
     def test_random_pairs(self, rng):
         for _ in range(10):
             phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
-            assert (
-                mach_zehnder_factorization_residual(phi1, phi2, 12, max_total=10)
-                <= 1e-9
-            )
+            assert mach_zehnder_factorization_residual(phi1, phi2, 10) <= 1e-9
 
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             mach_zehnder_factorization_residual(0.1, 0.2, 1)
 
-    def test_rejects_negative_max_total(self):
-        with pytest.raises(ValueError, match=re.escape("max_total must be >= 0, got -1")):
-            mach_zehnder_factorization_residual(0.1, 0.2, 12, max_total=-1)
-
-    @pytest.mark.parametrize("max_total", [None, 0, 5, 30])
-    def test_batched_residual_matches_sector_loop(self, rng, max_total):
+    @pytest.mark.parametrize("cutoff", [2, 5, 12, 30])
+    def test_batched_residual_matches_sector_loop(self, rng, cutoff):
         for _ in range(5):
             phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
-            batched = mach_zehnder_factorization_residual(phi1, phi2, 12, max_total=max_total)
-            looped = mz_residual_by_sector(phi1, phi2, 12, max_total=max_total)
+            batched = mach_zehnder_factorization_residual(phi1, phi2, cutoff)
+            looped = mz_residual_by_sector(phi1, phi2, cutoff)
             assert batched == pytest.approx(looped, rel=0, abs=1e-15)
 
     def test_returned_operators_cannot_change_a_later_residual(self):

@@ -26,6 +26,9 @@ from sqzmet import (
     sweep_point_probability,
     vacuum_state,
 )
+import sqzmet.gaussian
+import sqzmet.metrology
+import sqzmet.network
 from sqzmet import validate
 from sqzmet.validate import quick_suite
 from conftest import random_weights
@@ -505,6 +508,63 @@ class TestScalingSweep:
         coherent = scaling_sweep(nbars, 10 ** 4, 100, 314, baseline="coherent")
         assert -2.3 < squeezed.slope < -1.7
         assert -1.3 < coherent.slope < -0.7
+
+    def test_squeezed_point_is_the_engine_probability(self):
+        # the sweep's one-mode closed form against the covariance engine
+        # over the photon numbers and operating biases a sweep can reach
+        for nbar in np.geomspace(1e-3, 1e4, 15):
+            squeeze = SqueezeParameter(math.asinh(math.sqrt(nbar)))
+            for bias in (1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0):
+                for signed in (bias, -bias):
+                    phi_bar = signed / nbar
+                    engine, _ = exact_survival_probability([1.0], [phi_bar], squeeze)
+                    closed = sweep_point_probability(nbar, phi_bar)
+                    assert closed == pytest.approx(engine, rel=0, abs=1e-12)
+
+    def test_squeezed_sweep_runs_no_engine(self, monkeypatch):
+        expected = scaling_sweep([0.5, 1.0, 2.0], 5000, 20, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep called an engine")
+
+        monkeypatch.setattr(sqzmet.metrology, "exact_survival_probability", refuse)
+        monkeypatch.setattr(sqzmet.metrology, "apply_squeeze", refuse)
+        monkeypatch.setattr(sqzmet.gaussian, "apply_squeeze", refuse)
+        monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", refuse)
+        assert scaling_sweep([0.5, 1.0, 2.0], 5000, 20, 3) == expected
+
+    @pytest.mark.parametrize("bias_product", [-0.5, -0.3, 0.3])
+    def test_regime_rule_is_the_magnitude_of_the_bias(self, bias_product):
+        # check_regime's ratio max|phi| nbar is |bias_product| at every point
+        with pytest.raises(RegimeError, match=re.escape(f"ratio {abs(bias_product)}")):
+            scaling_sweep([1.0, 2.0], 1000, 10, 0, bias_product=bias_product)
+
+    @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
+    def test_sign_of_the_bias_changes_nothing(self, baseline):
+        nbars = [0.5, 1.0, 2.0]
+        positive = scaling_sweep(nbars, 5000, 20, 11, bias_product=0.05, baseline=baseline)
+        negative = scaling_sweep(nbars, 5000, 20, 11, bias_product=-0.05, baseline=baseline)
+        assert negative == positive
+
+    @pytest.mark.parametrize("nbars", [[1.0, 1.0], [2.0, 2.0, 2.0], [1e15, 1e15 + 0.125]])
+    def test_rejects_nbars_without_log_spread(self, nbars, monkeypatch):
+        # the last pair are distinct floats with one and the same log
+        def no_draw(*args, **kwargs):
+            raise AssertionError("refusal came after a draw")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(f"nbars {nbars} have no spread")):
+            scaling_sweep(nbars, 1000, 10, 0)
+
+    def test_coherent_model_outside_unit_interval_is_refused(self):
+        # 1 - bias^2 / nbar = -7 at nbar 0.5 and a forced bias of 2
+        with pytest.raises(
+            ValueError,
+            match=re.escape("p = -7.0 outside [0, 1] at nbar = 0.5 (bias_product 2.0)"),
+        ):
+            scaling_sweep(
+                [0.5, 1.0], 1000, 10, 0, bias_product=2.0, baseline="coherent", force=True
+            )
 
     def test_coherent_point_probability(self):
         # Poissonian statistics in the quadratic model: 1 - nbar * phi^2
