@@ -15,14 +15,13 @@ import numpy as np
 from sqzmet import (
     SqueezeParameter,
     apply_network,
-    apply_squeeze,
     embed_weights_unitary,
     exact_survival_probability,
     recommend_cutoff,
+    squeezed_probe,
     squeezed_vacuum_amplitudes,
     survival_probability_sectors,
     vacuum_overlap_probability,
-    vacuum_state,
 )
 
 weights = np.array([0.5, 0.3, 0.2])
@@ -36,7 +35,7 @@ print()
 
 # Route 1: covariance matrices.  The phases are a diagonal passive network.
 unitary = embed_weights_unitary(weights)
-probe = apply_squeeze(vacuum_state(3), 0, squeeze)
+probe = squeezed_probe(3, squeeze)
 state = apply_network(probe, unitary)
 state = apply_network(state, np.diag(np.exp(-1j * phases)))
 state = apply_network(state, unitary.conj().T)

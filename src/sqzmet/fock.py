@@ -31,9 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network
-from .gaussian import PhotonMoments, SqueezeParameter
+from .gaussian import SqueezeParameter
 
 MAX_SERIES_ORDER = 8
+# largest missing weight a table may have for :func:`survival_probability`
+MAX_TABLE_TAIL = 1e-6
 
 
 class TruncationError(ValueError):
@@ -106,14 +108,12 @@ class FockAmplitudes:
 
     Attributes:
         modes: number of optical modes.
-        cutoff: largest total photon number materialised.
         occupations: ``(N, modes)`` integer array of occupation tuples.
         amplitudes: ``(N,)`` complex amplitudes, same row order.
         tail: probability weight missing above the cutoff.
     """
 
     modes: int
-    cutoff: int
     occupations: np.ndarray
     amplitudes: np.ndarray
     tail: float
@@ -128,15 +128,6 @@ class FockAmplitudes:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def sector_totals(self) -> np.ndarray:
-        return self.occupations.sum(axis=1)
-
-    def amplitude(self, occupation) -> complex:
-        """Amplitude of one occupation tuple (0 if absent from the table)."""
-        occupation = np.asarray(occupation, dtype=int)
-        hits = np.nonzero((self.occupations == occupation).all(axis=1))[0]
-        return complex(self.amplitudes[hits[0]]) if hits.size else 0.0 + 0.0j
 
 
 def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
@@ -198,21 +189,21 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
         * np.prod(column ** occupations, axis=1)
     )
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    return FockAmplitudes(modes, cutoff, occupations, amps, tail)
+    return FockAmplitudes(modes, occupations, amps, tail)
 
 
-def survival_probability(state: FockAmplitudes, phases, max_tail: float = 1e-6) -> float:
+def survival_probability(state: FockAmplitudes, phases) -> float:
     """Probability that the probe leaves the interferometer unchanged.
 
     Phase shifts are diagonal here, so this is the squared modulus of the
     probability-weighted sum of ``exp(-i n . phi)`` over the table.
 
     Raises:
-        TruncationError: if the table's missing weight exceeds ``max_tail``.
+        TruncationError: if the table's missing weight exceeds ``MAX_TABLE_TAIL``.
     """
     phases = network.validate_phases(phases, state.modes)
-    if state.tail > max_tail:
-        raise TruncationError(f"table tail {state.tail:.3e} exceeds {max_tail:.3e}")
+    if state.tail > MAX_TABLE_TAIL:
+        raise TruncationError(f"table tail {state.tail:.3e} exceeds {MAX_TABLE_TAIL:.3e}")
     value = abs(np.sum(state.probabilities() * np.exp(-1j * (state.occupations @ phases)))) ** 2
     return min(float(value), 1.0)
 
@@ -265,15 +256,6 @@ def generator_moments(state: FockAmplitudes, phases, max_order: int = 6) -> Surv
         [float(np.sum(probs * weighted ** k)) for k in range(max_order + 1)]
     )
     return SurvivalSeries(moments, _series_terms(moments))
-
-
-def photon_moments_fock(state: FockAmplitudes) -> PhotonMoments:
-    """Total-photon-number moments summed over the table (truncation included)."""
-    totals = state.sector_totals().astype(float)
-    probs = state.probabilities()
-    mean_n = float(np.sum(probs * totals))
-    mean_sq = float(np.sum(probs * totals ** 2))
-    return PhotonMoments(mean_n, mean_sq, max(mean_sq - mean_n ** 2, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ fully describes them.  Conventions, fixed once for the whole package:
 
 * quadrature ordering is interleaved, ``(x_1, p_1, x_2, p_2, ...)``;
 * the vacuum covariance is ``(1/2) * identity`` (hbar = 1);
-* ``apply_squeeze`` with phase ``theta = 0`` stretches the x quadrature,
-  i.e. the squeezed vacuum has ``V = diag(exp(2r)/2, exp(-2r)/2)``.
+* the protocol's one probe, :func:`squeezed_probe`, is the vacuum with mode
+  0 squeezed; phase ``theta = 0`` stretches the x quadrature, i.e. that
+  mode has ``V = diag(exp(2r)/2, exp(-2r)/2)``.
 
 With this normalisation the overlap of two pure states is
 ``1 / sqrt(det(V1 + V2))``, without any extra prefactor.
@@ -83,13 +84,6 @@ class PhotonMoments:
     var_n: float
 
 
-def vacuum_state(modes: int) -> GaussianState:
-    """Vacuum of ``modes`` modes, covariance ``(1/2) * identity``."""
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    return GaussianState(0.5 * np.eye(2 * modes))
-
-
 def _rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -105,25 +99,21 @@ def _conjugate(state: GaussianState, sympl: np.ndarray) -> GaussianState:
     return GaussianState(sympl @ state.covariance @ sympl.T)
 
 
-def apply_squeeze(state: GaussianState, mode: int, squeeze: SqueezeParameter) -> GaussianState:
-    """Squeeze a single mode of ``state``.
+def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
+    """The protocol's probe: ``modes``-mode vacuum with mode 0 squeezed by ``squeeze``.
 
-    Args:
-        state: input pure state.
-        mode: zero-based mode index.
-        squeeze: magnitude and phase of the squeezer.
-
-    Returns:
-        New state with the squeezing symplectic applied to ``mode``.
+    Every other mode keeps the vacuum covariance ``(1/2) * identity``; at
+    ``r = 0`` the probe is the vacuum.
 
     Raises:
-        IndexError: if ``mode`` is out of range.
+        ValueError: if ``modes < 1``.
     """
-    if not 0 <= mode < state.modes:
-        raise IndexError(f"mode {mode} out of range for {state.modes} modes")
-    sympl = np.eye(2 * state.modes)
-    sympl[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = _squeeze_block(squeeze)
-    return _conjugate(state, sympl)
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    cov = 0.5 * np.eye(2 * modes)
+    block = _squeeze_block(squeeze)
+    cov[:2, :2] = 0.5 * (block @ block.T)
+    return GaussianState(cov)
 
 
 def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:

@@ -3,7 +3,7 @@
 The protocol estimates the weighted average of the unknown phases from the
 probability that the probe survives the interferometer unchanged.  This
 module holds the small-phase expansion of that probability, the binomial
-shot simulator, the quadratic phase estimator, and the Monte-Carlo sweep
+shot simulator, the exact equal-phase estimator, and the Monte-Carlo sweep
 that measures how the estimation variance scales with the probe's mean
 photon number.
 """
@@ -21,13 +21,14 @@ from .gaussian import (
     PhotonMoments,
     SqueezeParameter,
     apply_network,
-    apply_squeeze,
+    squeezed_probe,
     vacuum_overlap_probability,
-    vacuum_state,
 )
 
 REGIME_THRESHOLD = 0.3
 ENGINES = ("gaussian", "fock")
+# numpy's binomial sampler takes the number of trials as an int64
+MAX_SHOTS = 2 ** 63 - 1
 
 
 class RegimeError(ValueError):
@@ -68,6 +69,12 @@ def validate_seed(seed) -> None:
     """
     if np.any(np.asarray(seed) < 0):
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def validate_shots(shots: int) -> None:
+    """Raise ValueError unless ``1 <= shots <= MAX_SHOTS``, the counts the sampler can draw."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
 
 
 def generator_variance(moments: PhaseMoments, photon: PhotonMoments) -> float:
@@ -111,8 +118,7 @@ def simulate_shots(p: float, shots: int, seed) -> int:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    validate_shots(shots)
     validate_seed(seed)
     return int(np.random.default_rng(seed).binomial(shots, p))
 
@@ -120,10 +126,18 @@ def simulate_shots(p: float, shots: int, seed) -> int:
 def estimate_phase(count: int, shots: int, nbar: float) -> float:
     """Invert the observed survival fraction into a phase-average magnitude.
 
-    Uses the finite-photon-number prefactor ``2 nbar (nbar + 1)``, which
-    removes the leading small-``nbar`` bias.  The survival probability is
-    even in the phase average, so only the magnitude is identifiable and the
-    non-negative root is returned.
+    Solves the equal-phase survival probability
+    ``P = (1 + 4 nbar (nbar + 1) sin^2 phi)^(-1/2)`` exactly at
+    ``P = count / shots``:
+    ``phi = asin(sqrt(min(1, (P^-2 - 1) / (4 nbar (nbar + 1)))))``, and
+    ``pi/2`` at ``count = 0``.  With equal phases and exact ``P`` this
+    returns the phase to rounding.  For unequal phases ``P`` also carries
+    the weighted phase spread (the ``nbar`` term of
+    :func:`generator_variance`), which one number cannot separate from the
+    mean, so the estimate keeps a bias of that size: it is physics, not
+    numerics.  The survival probability is even in the phase average, so
+    only the magnitude is identifiable and the non-negative root is
+    returned.
 
     Raises:
         ValueError: if ``count > shots`` or ``nbar`` is not finite and
@@ -133,8 +147,10 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
         raise ValueError(f"count must lie in [0, {shots}], got {count}")
     if not 0 < nbar < math.inf:
         raise ValueError(f"estimator undefined for nbar = {nbar}")
-    deficit = max(0.0, 1.0 - count / shots)
-    return math.sqrt(deficit / (2.0 * nbar * (nbar + 1.0)))
+    if count == 0:
+        return math.pi / 2.0
+    sin_sq = ((count / shots) ** -2 - 1.0) / (4.0 * nbar * (nbar + 1.0))
+    return math.asin(math.sqrt(min(1.0, sin_sq)))
 
 
 @dataclass(frozen=True)
@@ -151,8 +167,7 @@ class ExperimentConfig:
         # copies, so freezing them leaves the caller's arrays writable
         w = network.validate_weights(self.weights).copy()
         phi = network.validate_phases(self.true_phases, w.size).copy()
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        validate_shots(self.shots)
         validate_seed(self.seed)
         w.flags.writeable = False
         phi.flags.writeable = False
@@ -181,7 +196,7 @@ def exact_survival_probability(
         phases = network.validate_phases(phases, w.size)
         unitary = network.embed_weights_unitary(w)
         passive = unitary.conj().T @ (np.exp(-1j * phases)[:, None] * unitary)
-        probe = apply_squeeze(vacuum_state(w.size), 0, squeeze)
+        probe = squeezed_probe(w.size, squeeze)
         return vacuum_overlap_probability(apply_network(probe, passive), probe), None
     if engine == "fock":
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-12)
@@ -289,8 +304,9 @@ def scaling_sweep(
     ``2 nbar^2 phi^2`` for the squeezed probe, ``nbar phi^2`` for the
     coherent baseline); the reported ``delta_phi_sq`` is the sample variance
     of those estimates, which is directly comparable to the
-    ``1 / (8 nbar^2 shots)`` reference.  The finite-``nbar`` inversion of
-    :func:`estimate_phase` would rescale it by ``nbar / (nbar + 1)``.
+    ``1 / (8 nbar^2 shots)`` reference.  The exact inversion of
+    :func:`estimate_phase` would rescale it by ``nbar / (nbar + 1)`` to
+    leading order in the phase.
 
     Args:
         nbars: mean photon numbers to scan, as :func:`heisenberg_sensitivity`
@@ -322,8 +338,7 @@ def scaling_sweep(
         raise ValueError(f"nbars {nbars} have no spread in log(nbar): no slope can be fitted")
     if not math.isfinite(bias_product):
         raise ValueError(f"bias_product must be finite, got {bias_product}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    validate_shots(shots)
     if repetitions < 2:
         raise ValueError(f"repetitions must be >= 2, got {repetitions}")
     validate_seed(seed)
@@ -333,7 +348,8 @@ def scaling_sweep(
     if not regime.ok and not force:
         raise RegimeError(
             f"bias product {bias_product} is outside the small-phase regime "
-            f"(ratio {regime.ratio}, threshold {REGIME_THRESHOLD}); pass force=True to override"
+            f"(ratio {regime.ratio}, threshold {REGIME_THRESHOLD}); pass force=True "
+            "(sqzmet sweep --force) to override"
         )
     probabilities = [
         sweep_point_probability(nbar, bias_product / nbar, baseline) for nbar in nbars
@@ -357,7 +373,8 @@ def scaling_sweep(
             )
         results.append(
             EstimationResult(
-                p_hat=int(counts.sum()) / (repetitions * shots),
+                # Python ints: an int64 sum wraps once shots near MAX_SHOTS
+                p_hat=sum(counts.tolist()) / (repetitions * shots),
                 phi_hat=float(estimates.mean()),
                 delta_phi_sq=delta_phi_sq,
                 heisenberg_bound=reference / shots,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock, metrology, network
-from .gaussian import SqueezeParameter, photon_moments, vacuum_state, apply_squeeze
+from .gaussian import SqueezeParameter, photon_moments, squeezed_probe
 
 
 class CheckResult(NamedTuple):
@@ -93,7 +93,7 @@ def check_variance_identity(seed: int) -> CheckResult:
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=2)
         oracle = series.moments[2] - series.moments[1] ** 2
-        probe = apply_squeeze(vacuum_state(weights.size), 0, squeeze)
+        probe = squeezed_probe(weights.size, squeeze)
         analytic = metrology.generator_variance(
             metrology.phase_moments(weights, phases), photon_moments(probe)
         )

@@ -12,7 +12,6 @@ import pytest
 
 from sqzmet import (
     SqueezeParameter,
-    apply_squeeze,
     cli,
     embed_weights_unitary,
     generator_moments_sectors,
@@ -27,11 +26,11 @@ from sqzmet import (
     recompose,
     scaling_sweep,
     series_partial_sum,
+    squeezed_probe,
     squeezed_vacuum_amplitudes,
     survival_probability,
     survival_probability_sectors,
     unitarity_defect,
-    vacuum_state,
 )
 from sqzmet.metrology import exact_survival_probability
 from conftest import random_unitary
@@ -91,7 +90,7 @@ def test_criterion_3_exact_moment_identities():
         oracle_var = series.moments[2] - series.moments[1] ** 2
         analytic_var = generator_variance(
             moments,
-            photon_moments(apply_squeeze(vacuum_state(weights.size), 0, squeeze)),
+            photon_moments(squeezed_probe(weights.size, squeeze)),
         )
         worst_var = max(worst_var, abs(oracle_var - analytic_var))
 
@@ -165,7 +164,7 @@ def test_criterion_5_cross_engine_equality():
         amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
         table = propagate_through_network(amps, embed_weights_unitary(weights))
         assert table.tail < 1e-10
-        p_table = survival_probability(table, phases, max_tail=1e-10)
+        p_table = survival_probability(table, phases)
         p_gauss, _ = exact_survival_probability(weights, phases, squeeze)
         worst_table = max(worst_table, abs(p_gauss - p_table))
     assert worst_table <= 1e-6
@@ -198,7 +197,7 @@ def test_criterion_6_quadratic_approximation_quality():
         exact, _ = exact_survival_probability(weights, phases, squeeze)
         variance = generator_variance(
             phase_moments(weights, phases),
-            photon_moments(apply_squeeze(vacuum_state(modes), 0, squeeze)),
+            photon_moments(squeezed_probe(modes, squeeze)),
         )
         residual = abs(exact - (1.0 - variance))
         bound = 2.0 * ratio ** 4

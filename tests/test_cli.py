@@ -290,6 +290,11 @@ class TestSweep:
         out = tmp_path / "forced.csv"
         assert cli.main(args + ["--force", "--out", str(out)]) == 0
 
+    def test_regime_refusal_names_the_force_flag(self, config_file, capsys):
+        args = ["sweep", "--config", config_file, "--bias-product", "0.5"]
+        assert cli.main(args) == 3
+        assert "sqzmet sweep --force" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bias_product", ["-0.5", "-0.3", "0.3"])
     def test_negative_bias_outside_regime_exits_three(
         self, config_file, tmp_path, capsys, bias_product
@@ -459,6 +464,21 @@ class TestConfigFile:
         code, err = self.run(command, cfg, capsys)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_shots_beyond_int64_exit_two(self, tmp_path, config_file, capsys, command):
+        # 2^63 trials overflow numpy's binomial sampler; 2^63 - 1 is drawn
+        cfg = tmp_path / "huge.cfg"
+        text = Path(config_file).read_text()
+        out = tmp_path / "out.csv"
+        argv = [arg.format(config=cfg) for arg in self.COMMANDS[command]]
+        cfg.write_text(text.replace("shots = 10000", f"shots = {2 ** 63}"))
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"got {2 ** 63}" in err and "Traceback" not in err
+        assert not out.exists()
+        cfg.write_text(text.replace("shots = 10000", f"shots = {2 ** 63 - 1}"))
+        assert cli.main(argv + ["--out", str(out)]) == 0
 
     @pytest.mark.parametrize(
         "argv",

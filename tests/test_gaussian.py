@@ -7,14 +7,14 @@ import pytest
 from sqzmet import (
     SqueezeParameter,
     apply_network,
-    apply_squeeze,
     exact_survival_probability,
     mach_zehnder_unitary,
     photon_moments,
     purity_defect,
+    squeezed_probe,
     vacuum_overlap_probability,
-    vacuum_state,
 )
+from sqzmet.gaussian import _squeeze_block
 from conftest import random_unitary
 
 R_UNIT = math.asinh(1.0)  # one mean photon
@@ -39,33 +39,48 @@ def brute_force_survival(r, phi, terms=200):
 
 class TestStatePreparation:
     def test_vacuum_covariance(self):
-        assert np.array_equal(vacuum_state(1).covariance, 0.5 * np.eye(2))
-        assert np.array_equal(vacuum_state(3).covariance, 0.5 * np.eye(6))
+        for modes in (1, 3):
+            vacuum = squeezed_probe(modes, SqueezeParameter(0.0))
+            assert np.array_equal(vacuum.covariance, 0.5 * np.eye(2 * modes))
 
     def test_vacuum_rejects_zero_modes(self):
         with pytest.raises(ValueError):
-            vacuum_state(0)
+            squeezed_probe(0, SqueezeParameter(0.0))
 
     def test_squeeze_covariance_diagonal(self):
-        state = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(R_UNIT))
+        state = squeezed_probe(1, SqueezeParameter(R_UNIT))
         expected = np.diag([math.exp(2 * R_UNIT) / 2, math.exp(-2 * R_UNIT) / 2])
         assert np.allclose(state.covariance, expected, atol=1e-12)
         assert np.allclose(np.diag(state.covariance), [2.914214, 0.085786], atol=1e-6)
         assert purity_defect(state) < 1e-12
 
     def test_zero_squeeze_is_identity(self):
-        state = apply_squeeze(vacuum_state(2), 1, SqueezeParameter(0.0, 1.3))
+        state = squeezed_probe(2, SqueezeParameter(0.0, 1.3))
         assert np.allclose(state.covariance, 0.5 * np.eye(4), atol=1e-15)
 
     def test_squeeze_then_opposite_phase_restores_vacuum(self):
+        # the squeezer at theta + pi inverts the one at theta
         for theta in (0.0, 0.7, 4.0):
-            state = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.9, theta))
-            state = apply_squeeze(state, 0, SqueezeParameter(0.9, theta + math.pi))
-            assert np.allclose(state.covariance, 0.5 * np.eye(2), atol=1e-12)
+            forward = _squeeze_block(SqueezeParameter(0.9, theta))
+            back = _squeeze_block(SqueezeParameter(0.9, theta + math.pi))
+            assert np.allclose(back @ forward, np.eye(2), atol=1e-12)
 
-    def test_squeeze_mode_out_of_range(self):
-        with pytest.raises(IndexError):
-            apply_squeeze(vacuum_state(2), 2, SqueezeParameter(0.5))
+    @pytest.mark.parametrize("modes", [*range(1, 17), 128])
+    def test_probe_is_the_dense_squeezer_on_vacuum(self, rng, modes):
+        # reference: the full 2M symplectic with the squeezer on mode 0,
+        # applied to the vacuum as S (I/2) S^T.  Each entry is a sum of two
+        # products; BLAS kernels differ in whether they fuse that multiply-add,
+        # so the dense product may round it once less than the 2 x 2 block does
+        for r in np.linspace(0.0, 2.5, 6):
+            squeeze = SqueezeParameter(r, rng.uniform(0.0, 2 * math.pi))
+            sympl = np.eye(2 * modes)
+            sympl[:2, :2] = _squeeze_block(squeeze)
+            reference = sympl @ (0.5 * np.eye(2 * modes)) @ sympl.T
+            probe = squeezed_probe(modes, squeeze).covariance
+            gap = np.max(np.abs(probe - reference))
+            assert gap <= 2 * np.finfo(float).eps * np.max(np.abs(reference))
+            assert np.array_equal(probe[2:, :], 0.5 * np.eye(2 * modes)[2:, :])
+            assert np.array_equal(probe[:, 2:], 0.5 * np.eye(2 * modes)[:, 2:])
 
     def test_squeeze_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -87,48 +102,49 @@ class TestStatePreparation:
 
 class TestNetworkAndPhases:
     def test_identity_network_fixes_state(self, rng):
-        state = apply_squeeze(vacuum_state(3), 0, SqueezeParameter(0.8))
+        state = squeezed_probe(3, SqueezeParameter(0.8))
         after = apply_network(state, np.eye(3))
         assert np.allclose(after.covariance, state.covariance, atol=1e-14)
 
     def test_any_network_fixes_vacuum(self, rng):
         for dim in (2, 4):
-            after = apply_network(vacuum_state(dim), random_unitary(rng, dim))
+            vacuum = squeezed_probe(dim, SqueezeParameter(0.0))
+            after = apply_network(vacuum, random_unitary(rng, dim))
             assert np.allclose(after.covariance, 0.5 * np.eye(2 * dim), atol=1e-13)
 
     def test_network_preserves_photon_number(self, rng):
         for _ in range(100):
             dim = int(rng.integers(1, 6))
             r = float(rng.uniform(0.0, 2.0))
-            state = apply_squeeze(vacuum_state(dim), 0, SqueezeParameter(r))
+            state = squeezed_probe(dim, SqueezeParameter(r))
             before = photon_moments(state).mean_n
             after = photon_moments(apply_network(state, random_unitary(rng, dim))).mean_n
             assert abs(before - after) <= 1e-12 * max(1.0, before)
 
     def test_balanced_splitter_preserves_unit_photon(self):
-        state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(R_UNIT))
+        state = squeezed_probe(2, SqueezeParameter(R_UNIT))
         after = apply_network(state, mach_zehnder_unitary(0.5))
         assert photon_moments(after).mean_n == pytest.approx(1.0, abs=1e-12)
 
     def test_network_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_network(vacuum_state(2), np.eye(3))
+            apply_network(squeezed_probe(2, SqueezeParameter(0.0)), np.eye(3))
 
     def test_zero_phases_identity(self):
-        state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(0.6))
+        state = squeezed_probe(2, SqueezeParameter(0.6))
         after = phase_shift(state, [0.0, 0.0])
         assert np.allclose(after.covariance, state.covariance, atol=1e-15)
 
     def test_full_turn_phases_identity(self):
-        state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(0.6))
+        state = squeezed_probe(2, SqueezeParameter(0.6))
         after = phase_shift(state, [2 * math.pi, 2 * math.pi])
         assert np.allclose(after.covariance, state.covariance, atol=1e-12)
 
     def test_quarter_turn_swaps_squeezing_axes(self):
         # rotating the quadratures by pi/2 turns the squeezer phase by pi
-        squeezed = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.7, 0.0))
+        squeezed = squeezed_probe(1, SqueezeParameter(0.7, 0.0))
         rotated = phase_shift(squeezed, [math.pi / 2])
-        flipped = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.7, math.pi))
+        flipped = squeezed_probe(1, SqueezeParameter(0.7, math.pi))
         assert np.allclose(rotated.covariance, flipped.covariance, atol=1e-12)
 
     def test_phases_length_mismatch(self):
@@ -137,7 +153,7 @@ class TestNetworkAndPhases:
             exact_survival_probability([0.5, 0.5], [0.1], SqueezeParameter(0.5))
 
     def test_purity_preserved_through_pipeline(self, rng):
-        state = apply_squeeze(vacuum_state(4), 0, SqueezeParameter(1.4, 2.2))
+        state = squeezed_probe(4, SqueezeParameter(1.4, 2.2))
         state = apply_network(state, random_unitary(rng, 4))
         state = phase_shift(state, rng.uniform(-1, 1, size=4))
         state = apply_network(state, random_unitary(rng, 4))
@@ -146,11 +162,11 @@ class TestNetworkAndPhases:
 
 class TestPhotonMoments:
     def test_vacuum_moments_are_zero(self):
-        moments = photon_moments(vacuum_state(3))
+        moments = photon_moments(squeezed_probe(3, SqueezeParameter(0.0)))
         assert (moments.mean_n, moments.mean_n_sq, moments.var_n) == (0.0, 0.0, 0.0)
 
     def test_unit_photon_squeezer(self):
-        state = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(R_UNIT))
+        state = squeezed_probe(1, SqueezeParameter(R_UNIT))
         assert photon_moments(state).mean_n == pytest.approx(1.0, abs=1e-12)
         moments = photon_moments(state)
         assert moments.var_n == pytest.approx(4.0, abs=1e-9)
@@ -159,7 +175,7 @@ class TestPhotonMoments:
     def test_variance_is_super_poissonian(self, rng):
         for _ in range(20):
             r = float(rng.uniform(0.05, 2.0))
-            state = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(r, rng.uniform(0, 6)))
+            state = squeezed_probe(2, SqueezeParameter(r, rng.uniform(0, 6)))
             moments = photon_moments(state)
             nbar = math.sinh(r) ** 2
             assert moments.mean_n == pytest.approx(nbar, abs=1e-9)
@@ -170,7 +186,7 @@ class TestVacuumOverlap:
     def test_zero_phases_give_unity(self, rng):
         for dim in (1, 3):
             squeeze = SqueezeParameter(float(rng.uniform(0.1, 1.2)))
-            probe = apply_squeeze(vacuum_state(dim), 0, squeeze)
+            probe = squeezed_probe(dim, squeeze)
             unitary = random_unitary(rng, dim)
             state = apply_network(probe, unitary)
             state = phase_shift(state, np.zeros(dim))
@@ -178,13 +194,13 @@ class TestVacuumOverlap:
             assert vacuum_overlap_probability(state, probe) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsqueezed_probe_always_survives(self):
-        probe = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(0.0))
+        probe = squeezed_probe(2, SqueezeParameter(0.0))
         state = phase_shift(probe, [0.4, -0.2])
         assert vacuum_overlap_probability(state, probe) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_generating_function_oracle(self):
         # frozen from brute_force_survival(asinh(1), 0.1): 0.962369108664265
-        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(R_UNIT))
+        probe = squeezed_probe(1, SqueezeParameter(R_UNIT))
         value = vacuum_overlap_probability(phase_shift(probe, [0.1]), probe)
         assert value == pytest.approx(0.962369108664265, abs=1e-12)
         assert value == pytest.approx(brute_force_survival(R_UNIT, 0.1), abs=1e-12)
@@ -192,7 +208,7 @@ class TestVacuumOverlap:
     def test_equal_phases_match_single_mode(self):
         # the phase-spread term vanishes when every channel has the same phase
         unitary = mach_zehnder_unitary(0.5)
-        probe = apply_squeeze(vacuum_state(2), 0, SqueezeParameter(R_UNIT))
+        probe = squeezed_probe(2, SqueezeParameter(R_UNIT))
         state = apply_network(probe, unitary)
         state = phase_shift(state, [0.1, 0.1])
         state = apply_network(state, unitary.conj().T)
@@ -201,7 +217,7 @@ class TestVacuumOverlap:
         )
 
     def test_even_in_phase_and_decreasing(self):
-        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.9))
+        probe = squeezed_probe(1, SqueezeParameter(0.9))
 
         def prob(phi):
             return vacuum_overlap_probability(phase_shift(probe, [phi]), probe)
@@ -214,7 +230,7 @@ class TestVacuumOverlap:
 
     def test_gauge_invariance_of_trailing_columns(self, rng):
         # only the first network column matters; rephasing the others is invisible
-        probe = apply_squeeze(vacuum_state(4), 0, SqueezeParameter(0.8, 1.1))
+        probe = squeezed_probe(4, SqueezeParameter(0.8, 1.1))
         unitary = random_unitary(rng, 4)
         phases = rng.uniform(-0.6, 0.6, size=4)
         gauge = np.diag(np.exp(1j * np.concatenate([[0.0], rng.uniform(0, 6, size=3)])))
@@ -231,7 +247,7 @@ class TestVacuumOverlap:
         from sqzmet import GaussianState
 
         thermal = GaussianState(np.eye(2))  # det(2V) = 4, far from pure
-        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(0.5))
+        probe = squeezed_probe(1, SqueezeParameter(0.5))
         with pytest.raises(ValueError, match="not pure"):
             vacuum_overlap_probability(thermal, probe)
 
@@ -241,13 +257,13 @@ class TestVacuumOverlap:
         # the probe is caller input too, so it gets the same purity check
         thermal = GaussianState(np.eye(2))
         with pytest.raises(ValueError, match=re.escape("not pure (purity defect 3.000e+00)")):
-            vacuum_overlap_probability(vacuum_state(1), thermal)
+            vacuum_overlap_probability(squeezed_probe(1, SqueezeParameter(0.0)), thermal)
 
     def test_overflowing_purity_defect_is_inf(self):
         from sqzmet import GaussianState
 
         # det(2V) = 4e600 is not a float, so expm1 of its log would overflow
         assert purity_defect(GaussianState(np.diag([1e300, 1e300]))) == math.inf
-        probe = apply_squeeze(vacuum_state(1), 0, SqueezeParameter(300.0))
+        probe = squeezed_probe(1, SqueezeParameter(300.0))
         with pytest.raises(ValueError, match="purity defect inf"):
             vacuum_overlap_probability(phase_shift(probe, [0.01]), probe)

@@ -9,7 +9,6 @@ from sqzmet import (
     PhotonMoments,
     RegimeError,
     SqueezeParameter,
-    apply_squeeze,
     check_regime,
     estimate_phase,
     exact_survival_probability,
@@ -22,9 +21,9 @@ from sqzmet import (
     run_protocol,
     scaling_sweep,
     simulate_shots,
+    squeezed_probe,
     squeezed_vacuum_amplitudes,
     sweep_point_probability,
-    vacuum_state,
 )
 import sqzmet.gaussian
 import sqzmet.metrology
@@ -86,7 +85,7 @@ class TestAnalyticFormulas:
             weights = random_weights(rng, modes)
             phases = rng.uniform(-1.0, 1.0, size=modes)
             squeeze = SqueezeParameter(rng.uniform(0.05, 1.2), rng.uniform(0, 6))
-            probe = apply_squeeze(vacuum_state(modes), 0, squeeze)
+            probe = squeezed_probe(modes, squeeze)
             analytic = generator_variance(
                 phase_moments(weights, phases), photon_moments(probe)
             )
@@ -104,7 +103,7 @@ class TestAnalyticFormulas:
         # weighted moments are suppressed by the small-phase regime
         squeeze = SqueezeParameter(R_UNIT)
         weights = [0.25, 0.75]
-        probe_moments = photon_moments(apply_squeeze(vacuum_state(2), 0, squeeze))
+        probe_moments = photon_moments(squeezed_probe(2, squeeze))
         scale = 0.05  # the survival gap shrinks as the fourth power of this
         first = np.array([0.2, 0.0]) * scale
         second = np.array([-0.1, 0.1]) * scale
@@ -218,7 +217,23 @@ class TestEstimatePhase:
         assert estimate_phase(1000, 1000, 1.0) == 0.0
 
     def test_reference_inversion(self):
-        assert estimate_phase(9600, 10000, 1.0) == pytest.approx(0.1, abs=1e-12)
+        # sin^2 phi = (0.96^-2 - 1) / (4 nbar (nbar + 1)) at nbar = 1
+        assert estimate_phase(9600, 10000, 1.0) == pytest.approx(
+            0.10330337608029334, rel=1e-14
+        )
+
+    def test_no_survival_gives_a_quarter_turn(self):
+        assert estimate_phase(0, 10, 1.0) == math.pi / 2
+
+    @pytest.mark.parametrize("nbar", [0.25, 1.0, 4.0, 16.0])
+    def test_inverts_the_equal_phase_closed_form(self, nbar):
+        # an exact fraction count / shots at equal phases, up to just
+        # below the regime threshold, comes back as the phase
+        shots = 10 ** 15
+        for ratio in (1e-3, 0.01, 0.05, 0.1, 0.2, 0.29):
+            phi = ratio / nbar
+            count = round(sweep_point_probability(nbar, phi) * shots)
+            assert estimate_phase(count, shots, nbar) == pytest.approx(phi, rel=0, abs=1e-12)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -247,11 +262,11 @@ class TestEstimatePhase:
 
     def test_unequal_phase_bias_is_measured(self):
         # the phase-spread term is not invertible from one number; the
-        # resulting bias should match its first-order prediction
+        # estimates converge to the equal-phase inverse of the exact P
         squeeze = SqueezeParameter(R_UNIT)
         weights, phases = [0.25, 0.75], [0.2, 0.0]
         p, _ = exact_survival_probability(weights, phases, squeeze)
-        predicted = math.sqrt((1 - p) / 4.0)  # what the estimator converges to
+        predicted = math.asin(math.sqrt((p ** -2 - 1) / 8.0))
         shots = 10 ** 5
         mean_est = np.mean(
             [
@@ -261,7 +276,7 @@ class TestEstimatePhase:
         )
         assert abs(mean_est - predicted) < 5e-4
         bias = mean_est - 0.05
-        assert bias == pytest.approx(0.01506, abs=1e-3)
+        assert bias == pytest.approx(0.01595, abs=1e-3)
 
 
 class TestEngines:
@@ -377,6 +392,24 @@ def test_negative_seed_is_refused_by_name(entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("shots", [0, 2 ** 63])
+@pytest.mark.parametrize("entry", ["config", "sweep", "shots"])
+def test_shots_outside_the_sampler_range_are_refused_by_value(entry, shots):
+    # past 2^63 - 1 numpy's binomial sampler raises an OverflowError that
+    # names no argument
+    calls = {
+        "config": lambda: ExperimentConfig(
+            np.array([1.0]), np.array([0.1]), SqueezeParameter(0.5), shots, 1
+        ),
+        "sweep": lambda: scaling_sweep([1.0, 2.0], shots, 10, 1),
+        "shots": lambda: simulate_shots(0.5, shots, 1),
+    }
+    with pytest.raises(
+        ValueError, match=re.escape(f"shots must lie in [1, {2 ** 63 - 1}], got {shots}")
+    ):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("seed", [[-1, 0, 0], [3, -2]])
 def test_shot_seed_words_must_be_non_negative(seed):
     with pytest.raises(ValueError, match=re.escape(f"seed must be >= 0, got {seed}")):
@@ -415,10 +448,27 @@ class TestRunProtocol:
         assert run.p_exact == pytest.approx(1.0, abs=1e-12)
         assert run.phi_hat == 0.0
 
+    @pytest.mark.parametrize("ratio", [0.01, 0.05, 0.1, 0.2, 0.29])
+    def test_equal_phases_come_back_without_shot_noise(self, monkeypatch, ratio):
+        # the count is the exact expectation, so phi_hat carries no shot noise
+        monkeypatch.setattr(
+            sqzmet.metrology, "simulate_shots", lambda p, shots, seed: round(p * shots)
+        )
+        for weights in ([1.0], [0.25, 0.75], [0.2, 0.3, 0.5]):
+            phi = ratio  # nbar = 1
+            config = ExperimentConfig(
+                weights=np.array(weights),
+                true_phases=np.full(len(weights), phi),
+                squeeze=SqueezeParameter(R_UNIT),
+                shots=10 ** 15,
+                seed=0,
+            )
+            assert run_protocol(config).phi_hat == pytest.approx(phi, rel=0, abs=1e-12)
+
 
 class TestScalingSweep:
     def test_refuses_outside_regime(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match="force=True .sqzmet sweep --force."):
             scaling_sweep([1.0, 2.0], 1000, 10, 0, bias_product=0.4)
         forced = scaling_sweep([1.0, 2.0], 1000, 10, 0, bias_product=0.4, force=True)
         assert len(forced.results) == 2
@@ -477,6 +527,13 @@ class TestScalingSweep:
                 np.var(estimates, ddof=1), rel=1e-9
             )
 
+    def test_survival_fraction_at_the_largest_shot_count(self):
+        # repetitions x shots is far past int64; the fraction must not wrap
+        result = scaling_sweep([1.0, 2.0], 2 ** 63 - 1, 10, 1)
+        for nbar, point in zip(result.nbars, result.results):
+            p = sweep_point_probability(nbar, 0.05 / nbar)
+            assert point.p_hat == pytest.approx(p, rel=0, abs=1e-6)
+
     def test_point_variance_near_reference(self):
         # the sample variance of 2000 repetitions has relative SD
         # sqrt(2 / 1999) ~ 0.032, so rel=0.15 is a band of about 4.6 sigma
@@ -528,8 +585,8 @@ class TestScalingSweep:
             raise AssertionError("the sweep called an engine")
 
         monkeypatch.setattr(sqzmet.metrology, "exact_survival_probability", refuse)
-        monkeypatch.setattr(sqzmet.metrology, "apply_squeeze", refuse)
-        monkeypatch.setattr(sqzmet.gaussian, "apply_squeeze", refuse)
+        monkeypatch.setattr(sqzmet.metrology, "squeezed_probe", refuse)
+        monkeypatch.setattr(sqzmet.gaussian, "squeezed_probe", refuse)
         monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", refuse)
         assert scaling_sweep([0.5, 1.0, 2.0], 5000, 20, 3) == expected
 
