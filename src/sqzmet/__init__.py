@@ -37,8 +37,6 @@ from .fock import (
     FockAmplitudes,
     SurvivalSeries,
     TruncationError,
-    TwoModeSectorOperators,
-    generator_moments,
     generator_moments_sectors,
     mach_zehnder_factorization_residual,
     propagate_through_network,
@@ -47,7 +45,6 @@ from .fock import (
     squeezed_vacuum_amplitudes,
     survival_probability,
     survival_probability_sectors,
-    two_mode_sector_operators,
 )
 from .metrology import (
     EstimationResult,
@@ -94,8 +91,6 @@ __all__ = [
     "FockAmplitudes",
     "SurvivalSeries",
     "TruncationError",
-    "TwoModeSectorOperators",
-    "generator_moments",
     "generator_moments_sectors",
     "mach_zehnder_factorization_residual",
     "propagate_through_network",
@@ -104,7 +99,6 @@ __all__ = [
     "squeezed_vacuum_amplitudes",
     "survival_probability",
     "survival_probability_sectors",
-    "two_mode_sector_operators",
     "EstimationResult",
     "ExperimentConfig",
     "PhaseMoments",

@@ -240,24 +240,6 @@ def series_partial_sum(terms: np.ndarray, max_term: int) -> float:
     return total
 
 
-def generator_moments(state: FockAmplitudes, phases, max_order: int = 6) -> SurvivalSeries:
-    """Diagonal moments ``<(n . phi)^k>`` over the table, for k up to ``max_order``.
-
-    Raises:
-        ValueError: if ``max_order`` exceeds ``MAX_SERIES_ORDER`` (the series
-            terms lose accuracy to cancellation beyond that).
-    """
-    if not 0 <= max_order <= MAX_SERIES_ORDER:
-        raise ValueError(f"max_order must be in [0, {MAX_SERIES_ORDER}], got {max_order}")
-    phases = network.validate_phases(phases, state.modes)
-    weighted = state.occupations @ phases
-    probs = state.probabilities()
-    moments = np.array(
-        [float(np.sum(probs * weighted ** k)) for k in range(max_order + 1)]
-    )
-    return SurvivalSeries(moments, _series_terms(moments))
-
-
 # ---------------------------------------------------------------------------
 # per-sector resummation
 # ---------------------------------------------------------------------------
@@ -308,7 +290,12 @@ def _multinomial_weighted_moments(
 def generator_moments_sectors(
     amplitudes: np.ndarray, weights, phases, max_order: int = 6
 ) -> SurvivalSeries:
-    """Same moments as :func:`generator_moments`, via per-sector resummation."""
+    """Diagonal moments ``<(n . phi)^k>`` for k up to ``max_order``, via per-sector resummation.
+
+    Raises:
+        ValueError: if ``max_order`` exceeds ``MAX_SERIES_ORDER`` (the series
+            terms lose accuracy to cancellation beyond that).
+    """
     if not 0 <= max_order <= MAX_SERIES_ORDER:
         raise ValueError(f"max_order must be in [0, {MAX_SERIES_ORDER}], got {max_order}")
     w = network.validate_weights(weights)
@@ -324,29 +311,16 @@ def generator_moments_sectors(
 # truncated two-mode operators and the Mach-Zehnder factorisation check
 # ---------------------------------------------------------------------------
 
-class TwoModeSectorOperators(NamedTuple):
-    """Hermitian generators on one fixed-photon-number sector of two modes.
+def _sector_generators(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mixing generators ``(Jx, Jy)`` on the ``total``-photon sector of two modes.
 
-    The sector with ``total`` photons has basis ``|k, total - k>``; all three
-    operators conserve the total, so truncation introduces no edge effects.
+    The sector has basis ``|k, total - k>``; both generators conserve the
+    total, so truncation introduces no edge effects.
     """
-
-    total: int
-    jx: np.ndarray
-    jy: np.ndarray
-    n_first: np.ndarray
-
-
-def two_mode_sector_operators(total: int) -> TwoModeSectorOperators:
-    """Build the mixing generators on the ``total``-photon sector."""
-    k = np.arange(total + 1)
+    k = np.arange(total)
     raising = np.zeros((total + 1, total + 1), dtype=complex)
-    if total > 0:
-        amp = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
-        raising[np.arange(1, total + 1), np.arange(total)] = amp
-    jx = (raising + raising.conj().T) / 2.0
-    jy = (raising - raising.conj().T) / 2.0j
-    return TwoModeSectorOperators(total, jx, jy, k.astype(float))
+    raising[k + 1, k] = np.sqrt((k + 1.0) * (total - k))
+    return (raising + raising.conj().T) / 2.0, (raising - raising.conj().T) / 2.0j
 
 
 @lru_cache(maxsize=64)
@@ -356,10 +330,10 @@ def _mach_zehnder_sector(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Cached by ``total`` and returned read-only, so no caller can alter a
     later residual.
     """
-    ops = two_mode_sector_operators(total)
-    values, vectors = np.linalg.eigh(ops.jx)
+    jx, jy = _sector_generators(total)
+    values, vectors = np.linalg.eigh(jx)
     splitter = (vectors * np.exp(-0.5j * math.pi * values)) @ vectors.conj().T
-    jy_values, jy_vectors = np.linalg.eigh(ops.jy)
+    jy_values, jy_vectors = np.linalg.eigh(jy)
     for array in (splitter, jy_values, jy_vectors):
         array.flags.writeable = False
     return splitter, jy_values, jy_vectors

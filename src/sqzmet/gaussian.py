@@ -55,8 +55,10 @@ class GaussianState:
 
     Attributes:
         covariance: real symmetric ``(2M, 2M)`` array in interleaved
-            quadrature ordering.  Stored read-only; operations return new
-            states instead of mutating.
+            quadrature ordering, refused unless ``max|V - V^T|`` is at most
+            ``1e-10 * max|V|`` (so also when an entry is NaN or inf).
+            Stored read-only; operations return new states instead of
+            mutating.
     """
 
     covariance: np.ndarray
@@ -65,8 +67,11 @@ class GaussianState:
         cov = np.array(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.shape[0] == 0:
             raise ValueError(f"covariance must be square with even dimension, got shape {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
+        # one scale-relative comparison; written negated so NaN and inf fail it
+        with np.errstate(invalid="ignore", over="ignore"):
+            asymmetry = np.max(np.abs(cov - cov.T))
+        if not asymmetry <= 1e-10 * np.max(np.abs(cov)):
+            raise ValueError(f"covariance must be symmetric, got max |V - V^T| = {asymmetry:.3e}")
         cov.flags.writeable = False
         object.__setattr__(self, "covariance", cov)
 
@@ -77,10 +82,9 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class PhotonMoments:
-    """First two moments of the total photon number."""
+    """Mean and variance of the total photon number."""
 
     mean_n: float
-    mean_n_sq: float
     var_n: float
 
 
@@ -153,17 +157,16 @@ def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def photon_moments(state: GaussianState) -> PhotonMoments:
-    """First two moments of the total photon number of a pure zero-mean state.
+    """Mean and variance of the total photon number of a pure zero-mean state.
 
-    The second moment follows from Wick contractions of the ladder-operator
-    covariances, so no Fock expansion is needed.  On vacuum all three fields
-    are exactly zero.
+    The variance follows from Wick contractions of the ladder-operator
+    covariances, so no Fock expansion is needed.  On vacuum both fields are
+    exactly zero.
     """
     alpha, beta = _ladder_covariances(state)
     mean_n = float(np.trace(alpha).real)
     var_n = float(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(alpha) ** 2) + mean_n)
-    var_n = max(var_n, 0.0)
-    return PhotonMoments(mean_n=mean_n, mean_n_sq=var_n + mean_n ** 2, var_n=var_n)
+    return PhotonMoments(mean_n=mean_n, var_n=max(var_n, 0.0))
 
 
 def purity_defect(state: GaussianState) -> float:

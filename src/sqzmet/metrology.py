@@ -61,13 +61,9 @@ def phase_moments(weights, phases) -> PhaseMoments:
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
 
 
-def validate_seed(seed) -> None:
-    """Raise ValueError on a negative seed, which keys no numpy random stream.
-
-    ``seed`` is an integer or a sequence of integers (one ``SeedSequence``
-    entropy word each); every word must be >= 0.
-    """
-    if np.any(np.asarray(seed) < 0):
+def validate_seed(seed: int) -> None:
+    """Raise ValueError on a negative seed, which keys no numpy random stream."""
+    if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
@@ -107,14 +103,11 @@ def heisenberg_sensitivity(nbar: float) -> float:
     return 1.0 / (8.0 * nbar ** 2)
 
 
-def simulate_shots(p: float, shots: int, seed) -> int:
+def simulate_shots(p: float, shots: int, seed: int) -> int:
     """Count of unchanged-probe outcomes over ``shots`` on-off detections.
 
-    Each shot is a Bernoulli trial with success probability ``p``.  The
-    ``seed`` may be an integer or a sequence of integers.  numpy's
-    ``SeedSequence`` ignores trailing zero words, so ``s``, ``[s, 0]`` and
-    ``[s, 0, 0]`` key one and the same stream: the ``[seed, 0, 0]`` that
-    :func:`run_protocol` passes draws from the stream of sweep point 0.
+    Each shot is a Bernoulli trial with success probability ``p``, drawn
+    from the stream keyed by ``seed``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
@@ -222,7 +215,7 @@ def run_protocol(config: ExperimentConfig) -> ProtocolRun:
     moments = phase_moments(config.weights, config.true_phases)
     nbar = config.squeeze.mean_photon_number
     p_exact, _ = exact_survival_probability(config.weights, config.true_phases, config.squeeze)
-    count = simulate_shots(p_exact, config.shots, [config.seed, 0, 0])
+    count = simulate_shots(p_exact, config.shots, config.seed)
     p_hat = count / config.shots
     phi_hat = estimate_phase(count, config.shots, nbar) if nbar > 0 else 0.0
     regime = check_regime(config.true_phases, nbar)

@@ -127,10 +127,6 @@ class RotationMesh:
         object.__setattr__(self, "output_phases", phases)
         object.__setattr__(self, "elements", tuple(self.elements))
 
-    @property
-    def dim(self) -> int:
-        return self.output_phases.size
-
 
 def weight_chain(weights) -> RotationMesh:
     """The weight network: ``M - 1`` real rotations whose first column is ``sqrt(weights)``.

@@ -95,7 +95,7 @@ class TestSynthesize:
 
         def nan_mesh(weights):
             mesh = real(weights)
-            return RotationMesh(mesh.elements, np.full(mesh.dim, np.nan))
+            return RotationMesh(mesh.elements, np.full_like(mesh.output_phases, np.nan))
 
         monkeypatch.setattr(sqzmet.network, "weight_chain", nan_mesh)
         weights = tmp_path / "w.txt"

@@ -8,7 +8,6 @@ from sqzmet import (
     SqueezeParameter,
     TruncationError,
     embed_weights_unitary,
-    generator_moments,
     generator_moments_sectors,
     mach_zehnder_factorization_residual,
     mach_zehnder_unitary,
@@ -18,9 +17,8 @@ from sqzmet import (
     squeezed_vacuum_amplitudes,
     survival_probability,
     survival_probability_sectors,
-    two_mode_sector_operators,
 )
-from sqzmet.fock import _multinomial_weighted_moments
+from sqzmet.fock import _mach_zehnder_sector, _multinomial_weighted_moments, _sector_generators
 from conftest import random_weights
 
 R_UNIT = math.asinh(1.0)
@@ -63,11 +61,12 @@ def mz_residual_by_sector(phi1, phi2, cutoff):
 
     worst = 0.0
     for total in range(cutoff + 1):
-        ops = two_mode_sector_operators(total)
-        splitter = expi(ops.jx, -math.pi / 2.0)
-        diag_phase = np.exp(-1j * (phi1 * ops.n_first + phi2 * (total - ops.n_first)))
+        jx, jy = _sector_generators(total)
+        n_first = np.arange(total + 1.0)
+        splitter = expi(jx, -math.pi / 2.0)
+        diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (total - n_first)))
         composed = (splitter * diag_phase[None, :]) @ splitter.conj().T
-        factorised = expi(ops.jy, phi1 - phi2) * np.exp(-0.5j * (phi1 + phi2) * total)
+        factorised = expi(jy, phi1 - phi2) * np.exp(-0.5j * (phi1 + phi2) * total)
         worst = max(worst, float(np.linalg.norm(composed - factorised, 2)))
     return worst
 
@@ -238,10 +237,11 @@ class TestGeneratorMoments:
         cutoff = recommend_cutoff(squeeze, 1e-12, moment_power=4)
         amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
         table = propagate_through_network(amps, embed_weights_unitary(weights))
-        from_table = generator_moments(table, phases, max_order=4)
+        # the table route: plain diagonal sums over the explicit amplitude table
+        generator = table.occupations @ phases
+        from_table = [float(table.probabilities() @ generator ** k) for k in range(5)]
         from_sectors = generator_moments_sectors(amps, weights, phases, max_order=4)
-        assert np.allclose(from_table.moments, from_sectors.moments, atol=1e-11)
-        assert np.allclose(from_table.terms, from_sectors.terms, atol=1e-11)
+        assert np.allclose(from_table, from_sectors.moments, atol=1e-11)
 
     def test_multinomial_moments_against_enumeration(self, rng):
         for _ in range(5):
@@ -301,9 +301,6 @@ class TestGeneratorMoments:
 
     def test_order_cap_enforced(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
-        table = propagate_through_network(amps, np.eye(1, dtype=complex))
-        with pytest.raises(ValueError):
-            generator_moments(table, [0.1], max_order=9)
         with pytest.raises(ValueError):
             generator_moments_sectors(amps, [1.0], [0.1], max_order=9)
 
@@ -344,23 +341,25 @@ class TestMachZehnderFactorization:
             assert batched == pytest.approx(looped, rel=0, abs=1e-15)
 
     def test_returned_operators_cannot_change_a_later_residual(self):
+        # the residual reads the cached per-sector arrays; none can be written
         before = mach_zehnder_factorization_residual(0.4, -1.3, 8)
         for total in range(9):
-            ops = two_mode_sector_operators(total)
-            for array in (ops.jx, ops.jy, ops.n_first):
-                if array.flags.writeable:
+            for array in _mach_zehnder_sector(total):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
                     array[...] = 7.0
         assert mach_zehnder_factorization_residual(0.4, -1.3, 8) == before
 
     def test_sector_operators_hermitian(self):
         for total in (1, 4, 9):
-            ops = two_mode_sector_operators(total)
-            assert np.max(np.abs(ops.jx - ops.jx.conj().T)) <= 1e-12
-            assert np.max(np.abs(ops.jy - ops.jy.conj().T)) <= 1e-12
+            jx, jy = _sector_generators(total)
+            assert np.max(np.abs(jx - jx.conj().T)) <= 1e-12
+            assert np.max(np.abs(jy - jy.conj().T)) <= 1e-12
 
     def test_sector_operators_algebra(self):
         # [jx, jy] = i jz with jz = (n1 - n2)/2 on each sector
-        ops = two_mode_sector_operators(6)
-        jz = np.diag(ops.n_first - (6 - ops.n_first)) / 2.0
-        commutator = ops.jx @ ops.jy - ops.jy @ ops.jx
+        jx, jy = _sector_generators(6)
+        n_first = np.arange(7.0)
+        jz = np.diag(n_first - (6 - n_first)) / 2.0
+        commutator = jx @ jy - jy @ jx
         assert np.max(np.abs(commutator - 1j * jz)) <= 1e-12

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqzmet import (
+    GaussianState,
     SqueezeParameter,
     apply_network,
     exact_survival_probability,
@@ -160,17 +161,38 @@ class TestNetworkAndPhases:
         assert purity_defect(state) <= 1e-9
 
 
+class TestCovarianceSymmetry:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_covariance_is_refused(self, bad):
+        # an all-inf covariance used to pass the symmetry check, give a NaN
+        # purity defect that the purity gate let through, and an overlap of 0.0
+        with pytest.raises(ValueError, match=r"covariance must be symmetric, got max \|V - V\^T\| = nan"):
+            GaussianState(np.full((2, 2), bad))
+
+    def test_asymmetric_covariance_is_refused(self):
+        with pytest.raises(ValueError, match=r"max \|V - V\^T\| = 1\.000e-01"):
+            GaussianState(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_tolerance_is_relative_to_the_largest_entry(self, scale):
+        cov = scale * np.array([[0.5, 0.0], [0.0, 0.5]])
+        cov[0, 1] = scale * 1e-11
+        GaussianState(cov)
+        cov[0, 1] = scale * 1e-9
+        with pytest.raises(ValueError, match="covariance must be symmetric"):
+            GaussianState(cov)
+
+
 class TestPhotonMoments:
     def test_vacuum_moments_are_zero(self):
         moments = photon_moments(squeezed_probe(3, SqueezeParameter(0.0)))
-        assert (moments.mean_n, moments.mean_n_sq, moments.var_n) == (0.0, 0.0, 0.0)
+        assert (moments.mean_n, moments.var_n) == (0.0, 0.0)
 
     def test_unit_photon_squeezer(self):
         state = squeezed_probe(1, SqueezeParameter(R_UNIT))
         assert photon_moments(state).mean_n == pytest.approx(1.0, abs=1e-12)
         moments = photon_moments(state)
         assert moments.var_n == pytest.approx(4.0, abs=1e-9)
-        assert moments.mean_n_sq == pytest.approx(5.0, abs=1e-9)
 
     def test_variance_is_super_poissonian(self, rng):
         for _ in range(20):

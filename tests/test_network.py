@@ -218,7 +218,7 @@ class TestNetlist:
         mesh = RotationMesh((), np.zeros(3))
         parsed = parse_netlist(mesh_to_netlist(mesh))
         assert parsed.elements == ()
-        assert parsed.dim == 3
+        assert np.array_equal(parsed.output_phases, np.zeros(3))
 
     def test_mesh_element_fields(self):
         element = MeshElement(2, -0.5, 1.0)

@@ -1,0 +1,30 @@
+"""The package exports only names that its own code, the demos or the acceptance suite use."""
+
+import ast
+from pathlib import Path
+
+import sqzmet
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _used_names(path: Path) -> set[str]:
+    """Identifiers a file reads, imports or accesses as attributes; docstrings and definitions do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    package = ROOT / "src" / "sqzmet"
+    callers = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    callers += sorted((ROOT / "demos").glob("*.py"))
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*(_used_names(path) for path in callers))
+    assert sorted(set(sqzmet.__all__) - used) == []
