@@ -1,11 +1,11 @@
 """Command-line front end: synthesize, simulate, sweep, validate.
 
 Exit codes: 0 success, 1 a self-check failed (a validation-suite check or a
-``synthesize`` residual), 2 bad input or a file that cannot be read or
-written, 3 refusal to run outside the small-phase regime.  Output tables
-are CSV with a manifest header sufficient to regenerate them; numbers use
-shortest round-trip notation, so identical configuration and seed give
-byte-identical files.
+``synthesize`` residual), 2 bad input, an allocation the host cannot make,
+or a file that cannot be read or written, 3 refusal to run outside the
+small-phase regime.  Output tables are CSV with a manifest header
+sufficient to regenerate them; numbers use shortest round-trip notation,
+so identical configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -276,9 +276,11 @@ def main(argv=None) -> int:
     except metrology.RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ValueError, OSError) as exc:
-        # bad input: the library's validation and truncation errors, and
-        # files that cannot be read or written
+    except (ValueError, OSError, MemoryError) as exc:
+        # bad input: the library's validation and truncation errors, inputs
+        # too large for the host's memory (synthesize and simulate build
+        # dense M x M arrays, sweep holds --repetitions counts per point),
+        # and files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -61,16 +61,18 @@ def phase_moments(weights, phases) -> PhaseMoments:
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
 
 
-def validate_seed(seed: int) -> None:
-    """Raise ValueError on a negative seed, which keys no numpy random stream."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def validate_count(name: str, value, low: int, high: int | None = None) -> int:
+    """Return ``value`` as an int if it is an integer in ``[low, high]`` (``>= low`` without ``high``).
 
-
-def validate_shots(shots: int) -> None:
-    """Raise ValueError unless ``1 <= shots <= MAX_SHOTS``, the counts the sampler can draw."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    Otherwise raise ValueError naming ``name``; a bool, ``1.5`` or ``"7"`` is not an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return int(value)
 
 
 def generator_variance(moments: PhaseMoments, photon: PhotonMoments) -> float:
@@ -85,7 +87,13 @@ def generator_variance(moments: PhaseMoments, photon: PhotonMoments) -> float:
 
 
 def check_regime(phases, nbar: float) -> RegimeCheck:
-    """Small-phase expansion validity: ratio ``max|phi| * nbar`` against ``REGIME_THRESHOLD``."""
+    """Small-phase expansion validity: ratio ``max|phi| * nbar`` against ``REGIME_THRESHOLD``.
+
+    Raises:
+        ValueError: unless ``nbar`` is finite and non-negative.
+    """
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"regime ratio undefined for nbar = {nbar}")
     phases = np.asarray(phases, dtype=float)
     ratio = float(np.max(np.abs(phases)) * nbar) if phases.size else 0.0
     return RegimeCheck(ratio, ratio < REGIME_THRESHOLD)
@@ -100,7 +108,8 @@ def heisenberg_sensitivity(nbar: float) -> float:
     """
     if not (nbar > 0 and 0 < 8.0 * nbar * nbar < math.inf):
         raise ValueError(f"sensitivity reference 1/(8 nbar^2) undefined for nbar = {nbar}")
-    return 1.0 / (8.0 * nbar ** 2)
+    # float first: a numpy integer's square wraps
+    return 1.0 / (8.0 * float(nbar) ** 2)
 
 
 def simulate_shots(p: float, shots: int, seed: int) -> int:
@@ -111,8 +120,8 @@ def simulate_shots(p: float, shots: int, seed: int) -> int:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    validate_shots(shots)
-    validate_seed(seed)
+    shots = validate_count("shots", shots, 1, MAX_SHOTS)
+    seed = validate_count("seed", seed, 0)
     return int(np.random.default_rng(seed).binomial(shots, p))
 
 
@@ -133,16 +142,18 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
     returned.
 
     Raises:
-        ValueError: if ``count > shots`` or ``nbar`` is not finite and
-            positive.
+        ValueError: unless ``shots`` and ``count`` are integers with
+            ``1 <= shots <= MAX_SHOTS`` and ``0 <= count <= shots``, and
+            ``nbar > 0`` makes ``4 nbar (nbar + 1)`` a finite, non-zero float.
     """
-    if not 0 <= count <= shots:
-        raise ValueError(f"count must lie in [0, {shots}], got {count}")
-    if not 0 < nbar < math.inf:
+    shots = validate_count("shots", shots, 1, MAX_SHOTS)
+    count = validate_count("count", count, 0, shots)
+    scale = 4.0 * nbar * (nbar + 1.0)
+    if not (nbar > 0 and 0 < scale < math.inf):
         raise ValueError(f"estimator undefined for nbar = {nbar}")
     if count == 0:
         return math.pi / 2.0
-    sin_sq = ((count / shots) ** -2 - 1.0) / (4.0 * nbar * (nbar + 1.0))
+    sin_sq = ((count / shots) ** -2 - 1.0) / scale
     return math.asin(math.sqrt(min(1.0, sin_sq)))
 
 
@@ -160,8 +171,8 @@ class ExperimentConfig:
         # copies, so freezing them leaves the caller's arrays writable
         w = network.validate_weights(self.weights).copy()
         phi = network.validate_phases(self.true_phases, w.size).copy()
-        validate_shots(self.shots)
-        validate_seed(self.seed)
+        object.__setattr__(self, "shots", validate_count("shots", self.shots, 1, MAX_SHOTS))
+        object.__setattr__(self, "seed", validate_count("seed", self.seed, 0))
         w.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -261,14 +272,25 @@ def sweep_point_probability(
     ``coherent`` substitutes Poissonian photon-number statistics (variance
     equal to the mean) into the quadratic expansion, which is the
     shot-noise-limited reference.
+
+    Raises:
+        ValueError: on an unknown baseline; unless ``nbar >= 0`` keeps
+            ``4 nbar (nbar + 1)`` finite and ``phi_bar`` is finite, for both
+            baselines; or if the coherent model's ``phi_bar^2`` overflows.
     """
+    if baseline not in ("squeezed", "coherent"):
+        raise ValueError(f"baseline must be 'squeezed' or 'coherent', got {baseline!r}")
+    scale = 4.0 * nbar * (nbar + 1.0)
+    if not (nbar >= 0 and scale < math.inf and math.isfinite(phi_bar)):
+        raise ValueError(f"{baseline} model undefined at nbar = {nbar}, phi_bar = {phi_bar}")
     if baseline == "squeezed":
-        return 1.0 / math.sqrt(1.0 + 4.0 * nbar * (nbar + 1.0) * math.sin(phi_bar) ** 2)
-    if baseline == "coherent":
-        # quadratic expansion 1 - v, with the generator variance v of equal
-        # phases under Poissonian statistics: phi_bar^2 * var_n = phi_bar^2 * nbar
-        return 1.0 - phi_bar ** 2 * nbar
-    raise ValueError(f"baseline must be 'squeezed' or 'coherent', got {baseline!r}")
+        return 1.0 / math.sqrt(1.0 + scale * math.sin(phi_bar) ** 2)
+    # quadratic expansion 1 - v, with the generator variance v of equal
+    # phases under Poissonian statistics: phi_bar^2 * var_n = phi_bar^2 * nbar
+    try:
+        return 1.0 - float(phi_bar) ** 2 * nbar
+    except OverflowError:
+        raise ValueError(f"coherent model: phi_bar^2 overflows at phi_bar = {phi_bar}") from None
 
 
 def _sweep_inversion_scale(nbar: float, baseline: str) -> float:
@@ -331,10 +353,9 @@ def scaling_sweep(
         raise ValueError(f"nbars {nbars} have no spread in log(nbar): no slope can be fitted")
     if not math.isfinite(bias_product):
         raise ValueError(f"bias_product must be finite, got {bias_product}")
-    validate_shots(shots)
-    if repetitions < 2:
-        raise ValueError(f"repetitions must be >= 2, got {repetitions}")
-    validate_seed(seed)
+    shots = validate_count("shots", shots, 1, MAX_SHOTS)
+    repetitions = validate_count("repetitions", repetitions, 2)
+    seed = validate_count("seed", seed, 0)
     # every point's phases all equal bias_product / nbar; the ratio is
     # taken at nbar = 1, where it is |bias_product| without rounding
     regime = check_regime([bias_product], 1.0)
@@ -362,7 +383,8 @@ def scaling_sweep(
         if not delta_phi_sq > 0:
             raise ValueError(
                 f"zero sample variance at nbar = {nbar} (bias_product {bias_product}, "
-                f"shots {shots}): every repetition gave the same estimate"
+                f"shots {shots}, repetitions {repetitions}): every repetition gave the "
+                "same estimate"
             )
         results.append(
             EstimationResult(

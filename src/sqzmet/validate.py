@@ -25,9 +25,8 @@ class CheckResult(NamedTuple):
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
-    """A check's own random stream, ``seed + offset``; refuses a negative ``seed``."""
-    metrology.validate_seed(seed)
-    return np.random.default_rng(seed + offset)
+    """A check's own random stream, ``seed + offset``; ``seed`` must be an integer >= 0."""
+    return np.random.default_rng(metrology.validate_count("seed", seed, 0) + offset)
 
 
 def _random_cases(rng: np.random.Generator, count: int, max_modes: int = 5, max_r: float = 1.2):

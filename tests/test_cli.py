@@ -418,6 +418,42 @@ def test_unwritable_out_exits_two(tmp_path, config_file, capsys, argv):
     assert "missing" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "{weights}"],
+        ["simulate", "--config", "{config}"],
+        ["sweep", "--config", "{config}", "--repetitions", "10"],
+    ],
+    ids=["synthesize", "simulate", "sweep"],
+)
+def test_allocation_failure_exits_two_and_writes_nothing(
+    tmp_path, config_file, capsys, monkeypatch, argv
+):
+    # numpy's message for a dense M x M array at M = 10^5; the stand-ins
+    # raise it without allocating
+    message = (
+        "Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+        "and data type complex128"
+    )
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sqzmet.network, "recompose", no_memory)
+    monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", no_memory)
+    monkeypatch.setattr(sqzmet.metrology, "scaling_sweep", no_memory)
+    weights = tmp_path / "w.txt"
+    weights.write_text("0.5 0.5\n")
+    argv = [arg.format(config=config_file, weights=weights) for arg in argv]
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestConfigFile:
     COMMANDS = {
         "simulate": ["simulate", "--config", "{config}"],

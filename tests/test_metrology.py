@@ -141,6 +141,12 @@ class TestRegimeAndSensitivity:
         assert ratio == pytest.approx(2.0)
         assert not ok
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_regime_rejects_bad_nbar(self, bad):
+        # a negative nbar would make a negative ratio, which passes the threshold
+        with pytest.raises(ValueError, match=re.escape(f"nbar = {bad}")):
+            check_regime([0.5], bad)
+
     def test_regime_zero_phases(self):
         assert check_regime([0.0, 0.0], 5.0).ok
 
@@ -244,6 +250,17 @@ class TestEstimatePhase:
     def test_rejects_non_finite_nbar(self, bad):
         with pytest.raises(ValueError, match="nbar"):
             estimate_phase(5, 10, bad)
+
+    @pytest.mark.parametrize("count, nbar", [(5, 1e200), (9, 1e154)])
+    def test_rejects_nbar_whose_scale_overflows(self, count, nbar):
+        # 4 nbar (nbar + 1) is inf here, which would turn any count into phi = 0
+        with pytest.raises(ValueError, match=re.escape(f"nbar = {nbar}")):
+            estimate_phase(count, 10, nbar)
+
+    def test_zero_shots_are_refused(self):
+        # zero shots carry no survival fraction to invert
+        with pytest.raises(ValueError, match=re.escape("shots must lie in [1, ")):
+            estimate_phase(0, 0, 1.0)
 
     def test_consistency_at_equal_phases(self):
         # estimator converges to the true average when all phases are equal
@@ -403,6 +420,41 @@ def test_shots_outside_the_sampler_range_are_refused_by_value(entry, shots):
         calls[entry]()
 
 
+def _config(shots=100, seed=1):
+    return ExperimentConfig(np.array([1.0]), np.array([0.1]), SqueezeParameter(0.5), shots, seed)
+
+
+COUNT_ARGUMENTS = {
+    "config-shots": ("shots", lambda value: _config(shots=value)),
+    "config-seed": ("seed", lambda value: _config(seed=value)),
+    "simulate-shots": ("shots", lambda value: simulate_shots(0.5, value, 1)),
+    "simulate-seed": ("seed", lambda value: simulate_shots(0.5, 10, value)),
+    "sweep-shots": ("shots", lambda value: scaling_sweep([1.0, 2.0], value, 10, 1)),
+    "sweep-repetitions": ("repetitions", lambda value: scaling_sweep([1.0, 2.0], 1000, value, 1)),
+    "sweep-seed": ("seed", lambda value: scaling_sweep([1.0, 2.0], 1000, 10, value)),
+    "estimate-count": ("count", lambda value: estimate_phase(value, 10, 1.0)),
+    "estimate-shots": ("shots", lambda value: estimate_phase(5, value, 1.0)),
+    "quick_suite": ("seed", quick_suite),
+    **{name: ("seed", getattr(validate, name)) for name in CHECKS},
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, 1000.5, True, "7", np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+def test_counts_must_be_integers(entry, value):
+    # numpy would draw int(1000.5) trials while p_hat divides by 1000.5, and
+    # a bool would count as 1
+    name, call = COUNT_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
+
+
+def test_numpy_integer_counts_are_stored_as_ints():
+    config = _config(shots=np.int64(100), seed=np.uint8(1))
+    assert type(config.shots) is int and type(config.seed) is int
+    assert run_protocol(config) == run_protocol(_config())
+
+
 class TestRunProtocol:
     def test_single_run_row(self):
         config = ExperimentConfig(
@@ -513,6 +565,7 @@ class TestScalingSweep:
             scaling_sweep([0.5, 1.0], shots, 20, 0, bias_product=bias_product)
         assert f"bias_product {bias_product}" in str(info.value)
         assert f"shots {shots}" in str(info.value)
+        assert "repetitions 20" in str(info.value)
 
     def test_point_streams_are_keyed_by_index(self):
         # point i draws only from the stream keyed by (seed, i), so a call
@@ -644,3 +697,21 @@ class TestScalingSweep:
     def test_rejects_unknown_baseline(self):
         with pytest.raises(ValueError):
             sweep_point_probability(1.0, 0.05, baseline="thermal")
+
+    @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
+    @pytest.mark.parametrize(
+        "nbar, phi_bar",
+        # both models answer a negative nbar with a "probability" >= 1 and a
+        # NaN with NaN; 4 nbar (nbar + 1) overflows at 1e200, and inf * 0 is NaN
+        [(-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan),
+         (1.0, math.inf), (1e200, 0.0)],
+    )
+    def test_point_probability_refuses_bad_inputs(self, baseline, nbar, phi_bar):
+        with pytest.raises(
+            ValueError, match=re.escape(f"nbar = {nbar}, phi_bar = {phi_bar}")
+        ):
+            sweep_point_probability(nbar, phi_bar, baseline=baseline)
+
+    def test_coherent_phase_square_overflow_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape("phi_bar = 1e+200")):
+            sweep_point_probability(0.0, 1e200, baseline="coherent")
