@@ -56,10 +56,11 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
         cutoff: largest total photon number kept, even and >= 0.
 
     Raises:
-        ValueError: if ``cutoff`` is negative or odd.
+        ValueError: unless ``cutoff`` is an even integer >= 0.
     """
-    if cutoff < 0 or cutoff % 2 != 0:
-        raise ValueError(f"cutoff must be even and >= 0, got {cutoff}")
+    cutoff = network.validate_count("cutoff", cutoff, 0)
+    if cutoff % 2 != 0:
+        raise ValueError(f"cutoff must be even, got {cutoff}")
     n_terms = cutoff // 2 + 1
     amps = np.zeros(n_terms, dtype=complex)
     amps[0] = 1.0 / math.sqrt(math.cosh(squeeze.r))
@@ -81,9 +82,14 @@ def recommend_cutoff(
     which certifies truncated photon-number moments up to order ``p``.
     Certification uses a geometric bound on the remainder of the
     single-mode series, so the result is conservative.
+
+    Raises:
+        ValueError: unless ``tail_bound`` is a real number > 0 and
+            ``moment_power`` an integer in ``[0, MAX_SERIES_ORDER]``; or if
+            no cutoff below 400000 photons certifies the tail.
     """
-    if tail_bound <= 0:
-        raise ValueError("tail_bound must be positive")
+    tail_bound = network.validate_real("tail_bound", tail_bound, math.ulp(0.0))
+    moment_power = network.validate_count("moment_power", moment_power, 0, MAX_SERIES_ORDER)
     if squeeze.r == 0.0:
         return 0
     t2 = math.tanh(squeeze.r) ** 2
@@ -233,7 +239,8 @@ def _series_terms(moments: np.ndarray) -> np.ndarray:
 
 
 def series_partial_sum(terms: np.ndarray, max_term: int) -> float:
-    """Alternating partial sum of the survival series through term ``max_term``."""
+    """Alternating partial sum of the survival series through term ``max_term`` (an integer >= 0)."""
+    max_term = network.validate_count("max_term", max_term, 0)
     total = 0.0
     for ell in range(0, min(max_term, len(terms) - 1) + 1, 2):
         total += (-1) ** (ell // 2) * terms[ell] / math.factorial(ell)
@@ -293,11 +300,10 @@ def generator_moments_sectors(
     """Diagonal moments ``<(n . phi)^k>`` for k up to ``max_order``, via per-sector resummation.
 
     Raises:
-        ValueError: if ``max_order`` exceeds ``MAX_SERIES_ORDER`` (the series
-            terms lose accuracy to cancellation beyond that).
+        ValueError: unless ``max_order`` is an integer in ``[0, MAX_SERIES_ORDER]``
+            (the series terms lose accuracy to cancellation beyond that).
     """
-    if not 0 <= max_order <= MAX_SERIES_ORDER:
-        raise ValueError(f"max_order must be in [0, {MAX_SERIES_ORDER}], got {max_order}")
+    max_order = network.validate_count("max_order", max_order, 0, MAX_SERIES_ORDER)
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
     probs = np.abs(np.asarray(amplitudes)) ** 2
@@ -354,11 +360,12 @@ def mach_zehnder_factorization_residual(phi1: float, phi2: float, cutoff: int) -
     batched singular-value decomposition.
 
     Args:
-        phi1, phi2: arm phases.
-        cutoff: largest total photon number considered.
+        phi1, phi2: arm phases, each in ``[-network.PHASE_MAX, network.PHASE_MAX]``.
+        cutoff: largest total photon number considered, an integer >= 2.
     """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    phi1 = network.validate_real("phi1", phi1, -network.PHASE_MAX, network.PHASE_MAX)
+    phi2 = network.validate_real("phi2", phi2, -network.PHASE_MAX, network.PHASE_MAX)
+    cutoff = network.validate_count("cutoff", cutoff, 2)
     gaps = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1), dtype=complex)
     for total in range(cutoff + 1):
         splitter, jy_values, jy_vectors = _mach_zehnder_sector(total)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import validate_count, validate_real
+
 OVERLAP_PURITY_TOL = 1e-6
 # exp(x) and expm1(x) are finite floats only up to this x
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -37,12 +39,11 @@ class SqueezeParameter:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= 2.0 * self.r <= _LOG_FLOAT_MAX:  # exp(2r) must be a finite float
-            raise ValueError(f"squeezing magnitude r = {self.r} outside [0, {_LOG_FLOAT_MAX / 2}]")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"squeezing phase must be finite, got {self.theta}")
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+        # exp(2r) must be a finite float
+        r = validate_real("squeezing magnitude r", self.r, 0, _LOG_FLOAT_MAX / 2)
+        theta = validate_real("squeezing phase", self.theta)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
 
     @property
     def mean_photon_number(self) -> float:
@@ -110,10 +111,9 @@ def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
     ``r = 0`` the probe is the vacuum.
 
     Raises:
-        ValueError: if ``modes < 1``.
+        ValueError: unless ``modes`` is an integer >= 1.
     """
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
+    modes = validate_count("modes", modes, 1)
     cov = 0.5 * np.eye(2 * modes)
     block = _squeeze_block(squeeze)
     cov[:2, :2] = 0.5 * (block @ block.T)

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock, network
+from .network import NBAR_MAX, NBAR_MIN, PHASE_MAX, validate_count, validate_real
 from .gaussian import (
     PhotonMoments,
     SqueezeParameter,
@@ -61,20 +62,6 @@ def phase_moments(weights, phases) -> PhaseMoments:
     return PhaseMoments(float(w @ phi), float(w @ phi ** 2))
 
 
-def validate_count(name: str, value, low: int, high: int | None = None) -> int:
-    """Return ``value`` as an int if it is an integer in ``[low, high]`` (``>= low`` without ``high``).
-
-    Otherwise raise ValueError naming ``name``; a bool, ``1.5`` or ``"7"`` is not an integer.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if high is None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    if high is not None and not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
-    return int(value)
-
-
 def generator_variance(moments: PhaseMoments, photon: PhotonMoments) -> float:
     """Variance of the phase-shift generator over the post-network state.
 
@@ -90,12 +77,12 @@ def check_regime(phases, nbar: float) -> RegimeCheck:
     """Small-phase expansion validity: ratio ``max|phi| * nbar`` against ``REGIME_THRESHOLD``.
 
     Raises:
-        ValueError: unless ``nbar`` is finite and non-negative.
+        ValueError: unless ``nbar`` lies in ``[0, NBAR_MAX]`` and every phase
+            is finite.
     """
-    if not 0 <= nbar < math.inf:
-        raise ValueError(f"regime ratio undefined for nbar = {nbar}")
-    phases = np.asarray(phases, dtype=float)
-    ratio = float(np.max(np.abs(phases)) * nbar) if phases.size else 0.0
+    nbar = validate_real("nbar", nbar, 0, NBAR_MAX)
+    phases = network.validate_phases(phases, np.size(phases))
+    ratio = float(np.max(np.abs(phases))) * nbar if phases.size else 0.0
     return RegimeCheck(ratio, ratio < REGIME_THRESHOLD)
 
 
@@ -103,13 +90,10 @@ def heisenberg_sensitivity(nbar: float) -> float:
     """Reference squared phase error per shot, ``1 / (8 nbar^2)``.
 
     Raises:
-        ValueError: unless ``nbar > 0`` and ``8 nbar^2`` is finite and
-            non-zero; the reference is undefined elsewhere.
+        ValueError: unless ``nbar`` lies in ``[NBAR_MIN, NBAR_MAX]``.
     """
-    if not (nbar > 0 and 0 < 8.0 * nbar * nbar < math.inf):
-        raise ValueError(f"sensitivity reference 1/(8 nbar^2) undefined for nbar = {nbar}")
-    # float first: a numpy integer's square wraps
-    return 1.0 / (8.0 * float(nbar) ** 2)
+    nbar = validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX)
+    return 1.0 / (8.0 * nbar ** 2)
 
 
 def simulate_shots(p: float, shots: int, seed: int) -> int:
@@ -118,8 +102,7 @@ def simulate_shots(p: float, shots: int, seed: int) -> int:
     Each shot is a Bernoulli trial with success probability ``p``, drawn
     from the stream keyed by ``seed``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    p = validate_real("probability p", p, 0, 1)
     shots = validate_count("shots", shots, 1, MAX_SHOTS)
     seed = validate_count("seed", seed, 0)
     return int(np.random.default_rng(seed).binomial(shots, p))
@@ -144,16 +127,14 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
     Raises:
         ValueError: unless ``shots`` and ``count`` are integers with
             ``1 <= shots <= MAX_SHOTS`` and ``0 <= count <= shots``, and
-            ``nbar > 0`` makes ``4 nbar (nbar + 1)`` a finite, non-zero float.
+            ``nbar`` lies in ``[NBAR_MIN, NBAR_MAX]``.
     """
     shots = validate_count("shots", shots, 1, MAX_SHOTS)
     count = validate_count("count", count, 0, shots)
-    scale = 4.0 * nbar * (nbar + 1.0)
-    if not (nbar > 0 and 0 < scale < math.inf):
-        raise ValueError(f"estimator undefined for nbar = {nbar}")
+    nbar = validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX)
     if count == 0:
         return math.pi / 2.0
-    sin_sq = ((count / shots) ** -2 - 1.0) / scale
+    sin_sq = ((count / shots) ** -2 - 1.0) / (4.0 * nbar * (nbar + 1.0))
     return math.asin(math.sqrt(min(1.0, sin_sq)))
 
 
@@ -274,23 +255,18 @@ def sweep_point_probability(
     shot-noise-limited reference.
 
     Raises:
-        ValueError: on an unknown baseline; unless ``nbar >= 0`` keeps
-            ``4 nbar (nbar + 1)`` finite and ``phi_bar`` is finite, for both
-            baselines; or if the coherent model's ``phi_bar^2`` overflows.
+        ValueError: on an unknown baseline; unless ``nbar`` lies in
+            ``[0, NBAR_MAX]`` and ``phi_bar`` in ``[-PHASE_MAX, PHASE_MAX]``.
     """
     if baseline not in ("squeezed", "coherent"):
         raise ValueError(f"baseline must be 'squeezed' or 'coherent', got {baseline!r}")
-    scale = 4.0 * nbar * (nbar + 1.0)
-    if not (nbar >= 0 and scale < math.inf and math.isfinite(phi_bar)):
-        raise ValueError(f"{baseline} model undefined at nbar = {nbar}, phi_bar = {phi_bar}")
+    nbar = validate_real("nbar", nbar, 0, NBAR_MAX)
+    phi_bar = validate_real("phi_bar", phi_bar, -PHASE_MAX, PHASE_MAX)
     if baseline == "squeezed":
-        return 1.0 / math.sqrt(1.0 + scale * math.sin(phi_bar) ** 2)
+        return 1.0 / math.sqrt(1.0 + 4.0 * nbar * (nbar + 1.0) * math.sin(phi_bar) ** 2)
     # quadratic expansion 1 - v, with the generator variance v of equal
     # phases under Poissonian statistics: phi_bar^2 * var_n = phi_bar^2 * nbar
-    try:
-        return 1.0 - float(phi_bar) ** 2 * nbar
-    except OverflowError:
-        raise ValueError(f"coherent model: phi_bar^2 overflows at phi_bar = {phi_bar}") from None
+    return 1.0 - phi_bar ** 2 * nbar
 
 
 def _sweep_inversion_scale(nbar: float, baseline: str) -> float:
@@ -324,8 +300,8 @@ def scaling_sweep(
     leading order in the phase.
 
     Args:
-        nbars: mean photon numbers to scan, as :func:`heisenberg_sensitivity`
-            accepts; two or more must not all share one ``log(nbar)``.
+        nbars: mean photon numbers to scan, each in ``[NBAR_MIN, NBAR_MAX]``;
+            two or more must not all share one ``log(nbar)``.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
         seed: master seed, >= 0; point ``i`` draws all its repetitions
@@ -345,14 +321,13 @@ def scaling_sweep(
             estimates have zero sample variance (every repetition saw the
             same count), which leaves nothing to fit.
     """
-    nbars = [float(n) for n in nbars]
+    nbars = [validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX) for nbar in nbars]
     if not nbars:
         raise ValueError("nbars must not be empty")
     references = [heisenberg_sensitivity(nbar) for nbar in nbars]
     if len(nbars) > 1 and np.ptp(np.log(nbars)) == 0:
         raise ValueError(f"nbars {nbars} have no spread in log(nbar): no slope can be fitted")
-    if not math.isfinite(bias_product):
-        raise ValueError(f"bias_product must be finite, got {bias_product}")
+    bias_product = validate_real("bias_product", bias_product)
     shots = validate_count("shots", shots, 1, MAX_SHOTS)
     repetitions = validate_count("repetitions", repetitions, 2)
     seed = validate_count("seed", seed, 0)

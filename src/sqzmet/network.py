@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +22,42 @@ import numpy as np
 
 UNITARITY_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
+# envelope of the scalar arguments: inside it 8 nbar^2, 1/(8 nbar^2),
+# 4 nbar (nbar + 1), phi^2 nbar and phi times any photon count are finite floats
+NBAR_MIN, NBAR_MAX, PHASE_MAX = 1e-100, 1e100, 1e100
+
+
+def validate_count(name: str, value, low: int, high: int | None = None) -> int:
+    """Return ``value`` as an int if it is an integer in ``[low, high]`` (``>= low`` without ``high``).
+
+    Otherwise raise ValueError naming ``name``; a bool, ``1.5`` or ``"7"`` is not an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return int(value)
+
+
+def validate_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """Return ``value`` as a float if it is a finite real number in ``[low, high]``.
+
+    Otherwise raise ValueError naming ``name``; a bool or ``"1"`` is not a real
+    number, and an int past the float range counts as +-inf.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if math.isfinite(number) and low <= number <= high:
+        return number
+    if low == -math.inf and high == math.inf:
+        raise ValueError(f"{name} must be finite, got {number}")
+    raise ValueError(f"{name} = {number} outside [{low}, {high}]")
 
 
 def validate_weights(weights) -> np.ndarray:
@@ -93,10 +130,9 @@ def mach_zehnder_unitary(w1: float) -> np.ndarray:
     """Two-channel beamsplitter with reflectivity ``w1`` and transmittivity ``1 - w1``.
 
     Raises:
-        ValueError: if ``w1`` is outside ``[0, 1]``.
+        ValueError: unless ``w1`` is a real number in ``[0, 1]``.
     """
-    if not 0.0 <= w1 <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {w1}")
+    w1 = validate_real("reflectivity w1", w1, 0, 1)
     a = math.sqrt(w1)
     b = math.sqrt(1.0 - w1)
     return np.array([[a, b], [b, -a]], dtype=complex)

@@ -215,6 +215,7 @@ class TestSimulate:
             ("800", "r = 800.0 outside [0, 354.8913"),
             ("300", "purity defect inf"),
             ("1, nan", "squeezing phase must be finite"),
+            ("1, 0, 2", "squeeze takes one or two comma-separated numbers"),
         ],
     )
     def test_unrepresentable_squeezing_exits_two(self, tmp_path, capsys, squeeze, message):
@@ -372,11 +373,14 @@ class TestSweep:
 
 
 class TestValidate:
-    def test_quick_suite_passes(self, capsys):
-        assert cli.main(["validate", "quick"]) == 0
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_quick_suite_passes(self, capsys, level):
+        assert cli.main(["validate", level]) == 0
         out = capsys.readouterr().out
         assert "PASS cross-engine equality" in out
         assert "FAIL" not in out
+        full_only = ("PASS mach-zehnder factorization", "PASS series convergence order")
+        assert all((check in out) == (level == "full") for check in full_only)
 
     def test_corrupted_engine_is_caught(self, capsys, monkeypatch):
         # simulate a sign flip in the covariance engine; the cross-engine
@@ -488,7 +492,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize(
         "line, message",
-        [("shots = 1.5", "bad value for shots: '1.5'"), ("seed = x", "bad value for seed: 'x'")],
+        [
+            ("shots = 1.5", "bad value for shots: '1.5'"),
+            ("seed = x", "bad value for seed: 'x'"),
+            ("seed 7", "expected key=value, got 'seed 7'"),
+        ],
     )
     def test_integer_keys_name_themselves(
         self, tmp_path, config_file, capsys, command, line, message

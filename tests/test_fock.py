@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -171,6 +172,12 @@ class TestPropagation:
         with pytest.raises(ValueError, match="first column"):
             propagate_through_network(amps, 0.9 * np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2,)])
+    def test_rejects_non_square_network(self, shape):
+        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
+        with pytest.raises(ValueError, match=re.escape(f"network must be square, got shape {shape}")):
+            propagate_through_network(amps, np.ones(shape))
+
 
 class TestSurvivalProbability:
     def test_zero_phases_is_unity_up_to_tail(self):
@@ -314,6 +321,40 @@ class TestGeneratorMoments:
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         with pytest.raises(ValueError, match="weights must"):
             route(amps, weights, [0.1, 0.0])
+
+
+AMPS_UNIT = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, 2.0), id="amplitudes-2.0"),
+        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, True), id="amplitudes-True"),
+        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, -2), id="amplitudes-neg"),
+        pytest.param("tail_bound", lambda: recommend_cutoff(SQ_UNIT, 0.0), id="tail-0"),
+        pytest.param("tail_bound", lambda: recommend_cutoff(SQ_UNIT, math.nan), id="tail-nan"),
+        pytest.param("tail_bound", lambda: recommend_cutoff(SQ_UNIT, "1e-10"), id="tail-str"),
+        pytest.param("moment_power", lambda: recommend_cutoff(SQ_UNIT, 1e-10, 1000), id="power-1000"),
+        pytest.param("moment_power", lambda: recommend_cutoff(SQ_UNIT, 1e-10, -1), id="power-neg"),
+        pytest.param("moment_power", lambda: recommend_cutoff(SQ_UNIT, 1e-10, 1.5), id="power-1.5"),
+        pytest.param(
+            "max_order",
+            lambda: generator_moments_sectors(AMPS_UNIT, [1.0], [0.1], max_order=2.5),
+            id="order-2.5",
+        ),
+        pytest.param("max_term", lambda: series_partial_sum(np.ones(5), -2), id="term-neg"),
+        pytest.param("max_term", lambda: series_partial_sum(np.ones(5), 2.5), id="term-2.5"),
+        pytest.param("phi1", lambda: mach_zehnder_factorization_residual(math.nan, 0.2, 4), id="mz-phi1"),
+        pytest.param("phi2", lambda: mach_zehnder_factorization_residual(0.1, 1e308, 4), id="mz-phi2"),
+        pytest.param("cutoff", lambda: mach_zehnder_factorization_residual(0.1, 0.2, 4.0), id="mz-cutoff"),
+    ],
+)
+def test_scalar_arguments_are_refused_by_name(name, call):
+    # each answered with a TypeError, an OverflowError, a LinAlgError or a
+    # silent number before it went through network.validate_count / validate_real
+    with pytest.raises(ValueError, match=f"^{name} (=|must)"):
+        call()
 
 
 class TestMachZehnderFactorization:

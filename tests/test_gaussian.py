@@ -48,6 +48,11 @@ class TestStatePreparation:
         with pytest.raises(ValueError):
             squeezed_probe(0, SqueezeParameter(0.0))
 
+    @pytest.mark.parametrize("modes", [2.0, True, "2"])
+    def test_probe_modes_must_be_an_integer(self, modes):
+        with pytest.raises(ValueError, match=re.escape(f"modes must be an integer, got {modes!r}")):
+            squeezed_probe(modes, SqueezeParameter(0.5))
+
     def test_squeeze_covariance_diagonal(self):
         state = squeezed_probe(1, SqueezeParameter(R_UNIT))
         expected = np.diag([math.exp(2 * R_UNIT) / 2, math.exp(-2 * R_UNIT) / 2])
@@ -99,6 +104,21 @@ class TestStatePreparation:
     def test_squeeze_parameter_rejects_non_finite_phase(self, theta):
         with pytest.raises(ValueError, match="squeezing phase must be finite"):
             SqueezeParameter(1.0, theta)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("1",), "squeezing magnitude r must be a real number, got '1'"),
+            ((True,), "squeezing magnitude r must be a real number, got True"),
+            ((10 ** 400,), "squeezing magnitude r = inf outside [0, 354.8913"),
+            ((1.0, "1"), "squeezing phase must be a real number, got '1'"),
+            ((1.0, -10 ** 400), "squeezing phase must be finite, got -inf"),
+        ],
+    )
+    def test_squeeze_parameter_refuses_what_is_not_a_finite_real(self, args, message):
+        # a string raised TypeError, a huge int OverflowError, and True was r = 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SqueezeParameter(*args)
 
 
 class TestNetworkAndPhases:
@@ -162,6 +182,11 @@ class TestNetworkAndPhases:
 
 
 class TestCovarianceSymmetry:
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0), (4,)])
+    def test_covariance_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"even dimension, got shape {shape}")):
+            GaussianState(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_covariance_is_refused(self, bad):
         # an all-inf covariance used to pass the symmetry check, give a NaN

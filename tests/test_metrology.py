@@ -147,6 +147,12 @@ class TestRegimeAndSensitivity:
         with pytest.raises(ValueError, match=re.escape(f"nbar = {bad}")):
             check_regime([0.5], bad)
 
+    @pytest.mark.parametrize("phase, nbar", [(math.nan, 1.0), (math.inf, 0.0), (-math.inf, 2.0)])
+    def test_regime_rejects_non_finite_phase(self, phase, nbar):
+        # NaN gave RegimeCheck(nan, False); inf at nbar = 0 gave NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="phases must be finite"):
+            check_regime([0.1, phase], nbar)
+
     def test_regime_zero_phases(self):
         assert check_regime([0.0, 0.0], 5.0).ok
 
@@ -164,9 +170,10 @@ class TestRegimeAndSensitivity:
         with pytest.raises(ValueError, match="nbar"):
             heisenberg_sensitivity(bad)
 
-    @pytest.mark.parametrize("bad", [1e200, 1e-300])
+    @pytest.mark.parametrize("bad", [1e200, 1e-300, 1e-160])
     def test_heisenberg_rejects_unrepresentable_square(self, bad):
-        # 8 nbar^2 overflows to inf or underflows to 0
+        # 8 nbar^2 overflows to inf, underflows to 0, or is subnormal with
+        # 1 / (8 nbar^2) = inf; all three lie outside [NBAR_MIN, NBAR_MAX]
         with pytest.raises(ValueError, match=re.escape(f"nbar = {bad}")):
             heisenberg_sensitivity(bad)
 
@@ -702,16 +709,41 @@ class TestScalingSweep:
     @pytest.mark.parametrize(
         "nbar, phi_bar",
         # both models answer a negative nbar with a "probability" >= 1 and a
-        # NaN with NaN; 4 nbar (nbar + 1) overflows at 1e200, and inf * 0 is NaN
+        # NaN with NaN; 1e200 is past NBAR_MAX, and inf * 0 is NaN.  The
+        # cases with nbar = 1.0 have the bad phi_bar
         [(-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan),
          (1.0, math.inf), (1e200, 0.0)],
     )
     def test_point_probability_refuses_bad_inputs(self, baseline, nbar, phi_bar):
-        with pytest.raises(
-            ValueError, match=re.escape(f"nbar = {nbar}, phi_bar = {phi_bar}")
-        ):
+        name, value = ("phi_bar", phi_bar) if nbar == 1.0 else ("nbar", nbar)
+        with pytest.raises(ValueError, match=re.escape(f"{name} = {value} outside [")):
             sweep_point_probability(nbar, phi_bar, baseline=baseline)
 
     def test_coherent_phase_square_overflow_is_refused(self):
         with pytest.raises(ValueError, match=re.escape("phi_bar = 1e+200")):
             sweep_point_probability(0.0, 1e200, baseline="coherent")
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("nbar", lambda: heisenberg_sensitivity(10 ** 400), id="heisenberg-huge"),
+        pytest.param("nbar", lambda: heisenberg_sensitivity("1"), id="heisenberg-str"),
+        pytest.param("nbar", lambda: estimate_phase(5, 10, 10 ** 400), id="estimate-huge"),
+        pytest.param("nbar", lambda: check_regime([0.1], -10 ** 400), id="regime-huge"),
+        pytest.param("probability p", lambda: simulate_shots("0.5", 10, 1), id="shots-str"),
+        pytest.param("phi_bar", lambda: sweep_point_probability(1.0, 10 ** 400), id="point-huge"),
+        pytest.param(
+            "bias_product",
+            lambda: scaling_sweep([1.0, 2.0], 1000, 10, 0, bias_product=10 ** 400),
+            id="sweep-bias-huge",
+        ),
+        pytest.param(
+            "nbar", lambda: scaling_sweep([1.0, 10 ** 400], 1000, 10, 0), id="sweep-nbar-huge"
+        ),
+    ],
+)
+def test_values_outside_the_envelope_are_refused_by_name(name, call):
+    # an int past the float range raised a bare OverflowError, "1" a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} (=|must)"):
+        call()

@@ -132,9 +132,9 @@ class TestMachZehnder:
                 atol=1e-12,
             )
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, "0.5", True])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reflectivity w1"):
             mach_zehnder_unitary(bad)
 
 
