@@ -11,6 +11,7 @@ so identical configuration and seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -241,13 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthesize", help="build the weight-encoding mesh")
     p_syn.add_argument("weights_file", help="text file of non-negative weights summing to 1")
     p_syn.add_argument("--out", help="output prefix (default: network)")
-    p_syn.set_defaults(func=cmd_synthesize)
 
     p_sim = sub.add_parser("simulate", help="one protocol run as a CSV row")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", help="CSV path (default: stdout)")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_swp = sub.add_parser("sweep", help="scaling sweep of the estimation variance")
     p_swp.add_argument("--config", required=True, help="supplies shots and seed")
@@ -259,20 +258,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--force", action="store_true", help="ignore the regime refusal")
     p_swp.add_argument("--jobs", type=int, default=1, help="ignored; sampling is vectorised")
     p_swp.add_argument("--out", help="CSV path (default: stdout)")
-    p_swp.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the self-validation suites")
     p_val.add_argument("level", choices=("quick", "full"))
     p_val.add_argument("--seed", type=int)
-    p_val.set_defaults(func=cmd_validate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import; it holds no handler and
+    # parse_args fills a fresh namespace, so no call sees another's arguments
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up at call time, so a replaced cmd_* is honoured
+    handler = {
+        "synthesize": cmd_synthesize,
+        "simulate": cmd_simulate,
+        "sweep": cmd_sweep,
+        "validate": cmd_validate,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except metrology.RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME

@@ -353,7 +353,9 @@ def mach_zehnder_factorization_residual(phi1: float, phi2: float, cutoff: int) -
     side is a mixing rotation by the phase difference times a global phase
     generated by the total photon number:
     ``exp(i (phi1 - phi2) Jy) . exp(-i (phi1 + phi2) N / 2)``.
-    Both sides are built sector by sector, so the residual is pure rounding.
+    Both sides are built sector by sector, so the residual is pure rounding,
+    over the whole ``PHASE_MAX`` envelope: each arm phase is first reduced
+    modulo ``2 pi`` (which leaves a phase in ``[-pi, pi]`` unchanged).
     The splitter and the eigensystem of ``Jy`` depend only on the sector
     total and are computed once per total; the sector gaps, zero-padded to
     one size (which leaves their singular values unchanged), go through one
@@ -366,6 +368,10 @@ def mach_zehnder_factorization_residual(phi1: float, phi2: float, cutoff: int) -
     phi1 = network.validate_real("phi1", phi1, -network.PHASE_MAX, network.PHASE_MAX)
     phi2 = network.validate_real("phi2", phi2, -network.PHASE_MAX, network.PHASE_MAX)
     cutoff = network.validate_count("cutoff", cutoff, 2)
+    # both sides are 2pi-periodic in each arm phase; reducing first keeps
+    # phi * n from rounding apart on the two sides as |phi| grows
+    phi1 = math.remainder(phi1, 2 * math.pi)
+    phi2 = math.remainder(phi2, 2 * math.pi)
     gaps = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1), dtype=complex)
     for total in range(cutoff + 1):
         splitter, jy_values, jy_vectors = _mach_zehnder_sector(total)

@@ -251,6 +251,9 @@ def mesh_to_netlist(mesh: RotationMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PAIR_LINE = re.compile(r"pair\s+(\d+)\s+(\d+)\s*/\s*(\S+)\s*/\s*(\S+)")
+
+
 def parse_netlist(text: str) -> RotationMesh:
     """Inverse of :func:`mesh_to_netlist`.
 
@@ -266,9 +269,7 @@ def parse_netlist(text: str) -> RotationMesh:
         if line.startswith("phases"):
             phases = np.array([float(tok) for tok in line.split()[1:]], dtype=float)
             continue
-        match = re.fullmatch(
-            r"pair\s+(\d+)\s+(\d+)\s*/\s*(\S+)\s*/\s*(\S+)", line
-        )
+        match = _PAIR_LINE.fullmatch(line)
         if match is None:
             raise ValueError(f"bad netlist line: {raw!r}")
         i, j = int(match.group(1)), int(match.group(2))

@@ -1,3 +1,4 @@
+import argparse
 import math
 from pathlib import Path
 
@@ -543,6 +544,57 @@ class TestConfigFile:
 
 
 class TestParser:
+    def test_sweep_flags_do_not_carry_to_the_next_call(self, tmp_path, config_file, capsys):
+        first, plain = tmp_path / "first.csv", tmp_path / "plain.csv"
+        argv = ["sweep", "--config", config_file]
+        flags = ["--seed", "5", "--nbars", "1,2", "--repetitions", "10", "--force"]
+        assert cli.main(argv + flags + ["--out", str(first)]) == 0
+        assert cli.main(argv + ["--out", str(plain)]) == 0
+        manifest, _, _ = read_csv(plain)
+        assert "# seed = 42" in manifest
+        assert "# nbars = 0.5,1.0,2.0,4.0" in manifest
+        assert "# repetitions = 200" in manifest
+        assert cli.main(argv + ["--bias-product", "0.5"]) == 3
+        assert "--force" in capsys.readouterr().err
+
+    def test_validate_seed_does_not_carry_to_the_next_call(self, capsys):
+        assert cli.main(["validate", "quick", "--seed", "0"]) == 0
+        seed_zero = capsys.readouterr().out
+        assert cli.main(["validate", "full", "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert cli.main(["validate", "quick"]) == 0
+        assert capsys.readouterr().out == seed_zero
+
+    def test_parser_is_built_once(self, tmp_path, config_file, capsys, monkeypatch):
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.5 0.5\n")
+        assert cli.main(["validate", "quick"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (
+            ["synthesize", str(weights), "--out", str(tmp_path / "net")],
+            ["simulate", "--config", config_file, "--out", str(tmp_path / "row.csv")],
+            ["sweep", "--config", config_file, "--repetitions", "10", "--out", str(tmp_path / "s")],
+            ["validate", "quick"],
+        ):
+            assert cli.main(argv) == 0
+        assert built == []
+
+    def test_handler_is_looked_up_at_call_time(self, config_file, monkeypatch):
+        # build the shared parser before the patch, so a handler bound at
+        # build time would still be the original
+        assert cli.main(["validate", "quick"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args) or 0)
+        assert cli.main(["sweep", "--config", config_file, "--seed", "3"]) == 0
+        assert [(args.command, args.seed) for args in seen] == [("sweep", 3)]
+
     def test_sweep_baseline_defaults_to_squeezed(self):
         args = cli.build_parser().parse_args(["sweep", "--config", "run.cfg"])
         assert args.baseline == "squeezed"

@@ -369,6 +369,13 @@ class TestMachZehnderFactorization:
             phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
             assert mach_zehnder_factorization_residual(phi1, phi2, 10) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "phi1, phi2, cutoff", [(1e6, 0.0, 12), (1e100, 0.0, 4), (1e15, 1.0, 12)]
+    )
+    def test_large_arm_phases_stay_at_rounding(self, phi1, phi2, cutoff):
+        # unreduced, phi * n and (phi1 - phi2) Jy round apart: 3.7e-9, 1.97, 1.99
+        assert mach_zehnder_factorization_residual(phi1, phi2, cutoff) <= 1e-9
+
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             mach_zehnder_factorization_residual(0.1, 0.2, 1)
