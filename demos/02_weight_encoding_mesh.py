@@ -4,7 +4,8 @@ The estimation weights live in the first column of the network unitary,
 and the survival probability depends on nothing else.  This script builds
 that column for a five-channel example as a chain of M - 1 real rotations
 on adjacent mode pairs, prints the netlist a lab would wire up, and checks
-the network the netlist describes, exactly as ``sqzmet synthesize`` does.
+the network the netlist describes with dense matrices: the independent
+route to the residuals ``sqzmet synthesize`` measures element by element.
 """
 
 import numpy as np

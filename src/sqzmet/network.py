@@ -12,6 +12,7 @@ laid out as beam splitters and phase shifters.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 import re
@@ -173,14 +174,21 @@ def weight_chain(weights) -> RotationMesh:
     has ``theta_k == 0`` and is skipped: ``(1, 0, ..., 0)`` gives an empty mesh.
     """
     thetas = _chain_angles(weights)
-    elements = [MeshElement(int(k), float(thetas[k]), 0.0) for k in np.flatnonzero(thetas)[::-1]]
+    modes = np.flatnonzero(thetas)[::-1]
+    elements = [MeshElement(k, t, 0.0) for k, t in zip(modes.tolist(), thetas[modes].tolist())]
     return RotationMesh(elements, np.zeros(thetas.size + 1))
 
 
-def _element_block(element: MeshElement) -> np.ndarray:
+def _element_entries(element: MeshElement) -> tuple[complex, complex, complex, complex]:
+    # the element's 2 x 2 block, row by row
     c, s = math.cos(element.theta), math.sin(element.theta)
     ph = complex(math.cos(element.phase), math.sin(element.phase))
-    return np.array([[c, -ph * s], [s / ph, c]])
+    return c, -ph * s, s / ph, c
+
+
+def _element_block(element: MeshElement) -> np.ndarray:
+    a, b, c, d = _element_entries(element)
+    return np.array([[a, b], [c, d]])
 
 
 def _wrap_phase(angle: float) -> float:
@@ -236,6 +244,70 @@ def recompose(mesh: RotationMesh) -> np.ndarray:
     return result
 
 
+def first_column(mesh: RotationMesh) -> np.ndarray:
+    """First column of :func:`recompose`'s unitary in O(M) time and memory.
+
+    The phase layer and then the element blocks, in :func:`recompose`'s order,
+    act on the first unit vector; any mesh of adjacent-pair elements works.
+    """
+    column = [0j] * mesh.output_phases.size
+    column[0] = complex(np.exp(1j * mesh.output_phases[0]))
+    for element in reversed(mesh.elements):
+        i = element.mode
+        a, b, c, d = _element_entries(element)
+        x, y = column[i], column[i + 1]
+        column[i], column[i + 1] = a * x + b * y, c * x + d * y
+    return np.array(column)
+
+
+def _element_table(mesh: RotationMesh) -> np.ndarray:
+    # one (mode, theta, phase) row per element
+    values = itertools.chain.from_iterable(mesh.elements)
+    return np.fromiter(values, dtype=float, count=3 * len(mesh.elements)).reshape(-1, 3)
+
+
+def block_unitarity_defect(mesh: RotationMesh) -> float:
+    """Largest ``||B^dag B - I||_F`` over the element blocks ``B`` and the phase layer, in O(M).
+
+    A product of unitaries is unitary, so this bounds the defect of the whole
+    mesh without building it.  NaN if an angle or phase is not finite.
+    """
+    table = _element_table(mesh)
+    if not (np.isfinite(table).all() and np.isfinite(mesh.output_phases).all()):
+        return math.nan
+    # each block of _element_entries is [[c, b], [d, c]] with real c; its
+    # B^dag B - I has diagonal c^2 + |d|^2 - 1, |b|^2 + c^2 - 1 and
+    # off-diagonal c (b + conj(d)) and its conjugate
+    c, s = np.cos(table[:, 1]), np.sin(table[:, 1])
+    ph = np.cos(table[:, 2]) + 1j * np.sin(table[:, 2])
+    b, d = -ph * s, s / ph
+    squared = (
+        (c * c + np.abs(d) ** 2 - 1.0) ** 2
+        + (np.abs(b) ** 2 + c * c - 1.0) ** 2
+        + 2.0 * np.abs(c * (b + np.conj(d))) ** 2
+    )
+    element_defect = math.sqrt(float(np.max(squared, initial=0.0)))
+    layer = np.abs(np.exp(1j * mesh.output_phases)) ** 2 - 1.0
+    return max(element_defect, float(np.linalg.norm(layer)))
+
+
+def mesh_gap(mesh: RotationMesh, reference: RotationMesh) -> float:
+    """Largest angle or phase gap between two meshes, element by element and in the phase layer.
+
+    ``inf`` if their element pairs or mode counts differ; NaN if a value is NaN.
+    """
+    table, ref = _element_table(mesh), _element_table(reference)
+    if (
+        table.shape != ref.shape
+        or mesh.output_phases.shape != reference.output_phases.shape
+        or not np.array_equal(table[:, 0], ref[:, 0])
+    ):
+        return math.inf
+    gaps = np.abs(table[:, 1:] - ref[:, 1:]).ravel()
+    layer = np.abs(mesh.output_phases - reference.output_phases)
+    return float(np.max(np.concatenate([gaps, layer]), initial=0.0))
+
+
 def mesh_to_netlist(mesh: RotationMesh) -> str:
     """Render a mesh as plain text, one element per line plus a phase line.
 
@@ -251,31 +323,44 @@ def mesh_to_netlist(mesh: RotationMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PAIR_LINE = re.compile(r"pair\s+(\d+)\s+(\d+)\s*/\s*(\S+)\s*/\s*(\S+)")
+_PAIR_LINE = re.compile(r"\s*pair\s+(\d+)\s+(\d+)\s*/\s*(\S+)\s*/\s*(\S+)\s*")
 
 
 def parse_netlist(text: str) -> RotationMesh:
     """Inverse of :func:`mesh_to_netlist`.
 
     Raises:
-        ValueError: on malformed lines or a missing phase layer.
+        ValueError: on malformed lines, a missing, empty or repeated phase
+            line, or a pair outside the phase line's modes; each names the line.
     """
-    elements = []
+    lines = text.splitlines()
+    elements, element_linenos = [], []
     phases = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(lines, 1):
+        match = _PAIR_LINE.fullmatch(raw)
+        if match is not None:
+            i, j, theta, phase = match.groups()
+            if int(j) != int(i) + 1:
+                raise ValueError(f"non-adjacent pair in netlist line: {raw!r}")
+            elements.append(MeshElement(int(i), float(theta), float(phase)))
+            element_linenos.append(lineno)
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("phases"):
-            phases = np.array([float(tok) for tok in line.split()[1:]], dtype=float)
-            continue
-        match = _PAIR_LINE.fullmatch(line)
-        if match is None:
+        if not line.startswith("phases"):
             raise ValueError(f"bad netlist line: {raw!r}")
-        i, j = int(match.group(1)), int(match.group(2))
-        if j != i + 1:
-            raise ValueError(f"non-adjacent pair in netlist line: {raw!r}")
-        elements.append(MeshElement(i, float(match.group(3)), float(match.group(4))))
+        if phases is not None:
+            raise ValueError(f"netlist line {lineno}: second phase line: {raw!r}")
+        phases = np.array([float(tok) for tok in line.split()[1:]], dtype=float)
+        if phases.size == 0:
+            raise ValueError(f"netlist line {lineno}: empty phase line: {raw!r}")
     if phases is None:
         raise ValueError("netlist is missing the trailing phase line")
+    for element, lineno in zip(elements, element_linenos):
+        if element.mode + 1 >= phases.size:
+            raise ValueError(
+                f"netlist line {lineno}: pair outside the {phases.size} modes "
+                f"of the phase line: {lines[lineno - 1]!r}"
+            )
     return RotationMesh(tuple(elements), phases)

@@ -137,6 +137,42 @@ class TestSynthesize:
             assert moved_modes == modes
             assert np.max(np.abs(moved_thetas - thetas)) <= 1e-12
 
+    def test_large_m_runs_no_dense_matrix(self, tmp_path, capsys, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("synthesize built a dense matrix")
+
+        for name in ("recompose", "embed_weights_unitary", "unitarity_defect"):
+            monkeypatch.setattr(sqzmet.network, name, dense)
+        modes = 10_000
+        weights = tmp_path / "w.txt"
+        w = np.random.default_rng(3).dirichlet(np.ones(modes))
+        weights.write_text(" ".join(repr(float(x)) for x in w) + "\n")
+        assert cli.main(["synthesize", str(weights), "--out", str(tmp_path / "net")]) == 0
+        out = capsys.readouterr().out
+        printed = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert printed["modes"] == str(modes)
+        for name in ("first-column residual", "unitarity residual", "mesh round-trip residual"):
+            assert float(printed[name]) <= 1e-12
+        lines = (tmp_path / "net.netlist").read_text().splitlines()
+        assert sum(line.startswith("pair ") for line in lines) == modes - 1
+
+    def test_lossy_netlist_writer_exits_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        real = sqzmet.network.mesh_to_netlist
+
+        def six_digit_angles(mesh):
+            coarse = [el._replace(theta=float(f"{el.theta:.6g}")) for el in mesh.elements]
+            return real(RotationMesh(coarse, mesh.output_phases))
+
+        monkeypatch.setattr(sqzmet.network, "mesh_to_netlist", six_digit_angles)
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.1 0.2 0.3 0.4\n")
+        assert cli.main(["synthesize", str(weights), "--out", str(tmp_path / "net")]) == 1
+        captured = capsys.readouterr()
+        assert "error: mesh round-trip residual = " in captured.err
+        assert "no file written" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [weights]
+
 
 class TestSimulate:
     def test_row_values(self, tmp_path, config_file, capsys):
@@ -435,8 +471,8 @@ def test_unwritable_out_exits_two(tmp_path, config_file, capsys, argv):
 def test_allocation_failure_exits_two_and_writes_nothing(
     tmp_path, config_file, capsys, monkeypatch, argv
 ):
-    # numpy's message for a dense M x M array at M = 10^5; the stand-ins
-    # raise it without allocating
+    # numpy's message for a dense M x M array at M = 10^5; the stand-ins,
+    # one on each command's path, raise it without allocating
     message = (
         "Unable to allocate 149. GiB for an array with shape (100000, 100000) "
         "and data type complex128"
@@ -445,7 +481,7 @@ def test_allocation_failure_exits_two_and_writes_nothing(
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(sqzmet.network, "recompose", no_memory)
+    monkeypatch.setattr(sqzmet.network, "weight_chain", no_memory)
     monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", no_memory)
     monkeypatch.setattr(sqzmet.metrology, "scaling_sweep", no_memory)
     weights = tmp_path / "w.txt"

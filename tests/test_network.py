@@ -6,8 +6,11 @@ import pytest
 from sqzmet import (
     MeshElement,
     RotationMesh,
+    block_unitarity_defect,
     embed_weights_unitary,
+    first_column,
     mach_zehnder_unitary,
+    mesh_gap,
     mesh_to_netlist,
     parse_netlist,
     reck_decompose,
@@ -214,6 +217,25 @@ class TestNetlist:
         with pytest.raises(ValueError, match="phase line"):
             parse_netlist("pair 0 1 / 0.1 / 0.2\n")
 
+    def test_pair_outside_the_phase_line_is_named(self):
+        text = "pair 0 1 / 0.1 / 0.0\npair 5 6 / 0.2 / 0.0\nphases 0.0 0.0 0.0\n"
+        with pytest.raises(ValueError, match=r"line 2: pair outside the 3 modes.*'pair 5 6"):
+            parse_netlist(text)
+        # the last mode of the phase line cannot start a pair either
+        with pytest.raises(ValueError, match="line 1: pair outside the 3 modes"):
+            parse_netlist("pair 2 3 / 0.1 / 0.0\nphases 0.0 0.0 0.0\n")
+
+    def test_second_phase_line_is_named(self):
+        text = "pair 0 1 / 0.1 / 0.0\nphases 0.0 0.0\n# again\nphases 0.0 0.0\n"
+        with pytest.raises(ValueError, match="line 4: second phase line"):
+            parse_netlist(text)
+
+    def test_empty_phase_line_is_named(self):
+        with pytest.raises(ValueError, match="line 1: empty phase line"):
+            parse_netlist("phases\n")
+        with pytest.raises(ValueError, match="line 2: empty phase line"):
+            parse_netlist("pair 0 1 / 0.1 / 0.0\n  phases   \n")
+
     def test_empty_mesh_netlist(self):
         mesh = RotationMesh((), np.zeros(3))
         parsed = parse_netlist(mesh_to_netlist(mesh))
@@ -223,3 +245,81 @@ class TestNetlist:
     def test_mesh_element_fields(self):
         element = MeshElement(2, -0.5, 1.0)
         assert element.mode == 2 and element.theta == -0.5 and element.phase == 1.0
+
+
+def random_adjacent_mesh(rng, dim, count):
+    """Elements on random adjacent pairs with random angles and non-zero phases."""
+    modes = rng.integers(dim - 1, size=count).tolist()
+    thetas, phases = rng.uniform(-np.pi, np.pi, size=(2, count)).tolist()
+    elements = [MeshElement(*values) for values in zip(modes, thetas, phases)]
+    return RotationMesh(elements, rng.uniform(-np.pi, np.pi, size=dim))
+
+
+class TestFirstColumn:
+    def test_matches_dense_route_on_random_meshes(self, rng):
+        for dim in range(2, 17):
+            for count in (0, 1, dim, 3 * dim):
+                mesh = random_adjacent_mesh(rng, dim, count)
+                assert np.max(np.abs(first_column(mesh) - recompose(mesh)[:, 0])) <= 1e-14
+
+    def test_chain_encodes_the_weights(self, rng):
+        w = rng.dirichlet(np.ones(40))
+        assert np.max(np.abs(first_column(weight_chain(w)) - np.sqrt(w))) <= 1e-14
+
+    def test_nan_propagates(self):
+        mesh = RotationMesh([MeshElement(0, np.nan, 0.0)], [0.0, 0.0])
+        assert np.all(np.isnan(first_column(mesh)))
+
+
+class TestBlockUnitarityDefect:
+    def test_rounding_level_on_random_meshes(self, rng):
+        for dim in (2, 7, 30):
+            mesh = random_adjacent_mesh(rng, dim, 2 * dim)
+            assert block_unitarity_defect(mesh) <= 1e-15
+            # the dense product of those blocks is unitary to the same order
+            assert unitarity_defect(recompose(mesh)) <= 1e-13
+
+    def test_empty_mesh_is_exactly_unitary(self):
+        assert block_unitarity_defect(RotationMesh((), np.zeros(4))) == 0.0
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            RotationMesh([MeshElement(0, np.nan, 0.0)], [0.0, 0.0]),
+            RotationMesh([MeshElement(0, 0.1, np.inf)], [0.0, 0.0]),
+            RotationMesh([MeshElement(0, 0.1, 0.0)], [0.0, -np.inf]),
+        ],
+        ids=["nan-angle", "inf-phase", "inf-output-phase"],
+    )
+    def test_non_finite_gives_nan(self, mesh):
+        assert math.isnan(block_unitarity_defect(mesh))
+
+
+class TestMeshGap:
+    def test_zero_against_itself(self, rng):
+        mesh = random_adjacent_mesh(rng, 6, 10)
+        assert mesh_gap(mesh, mesh) == 0.0
+
+    def test_largest_angle_or_phase_gap(self):
+        base = RotationMesh([MeshElement(1, 0.5, 0.0), MeshElement(0, 0.25, 0.0)], np.zeros(3))
+        moved = RotationMesh([MeshElement(1, 0.5, 1e-6), MeshElement(0, 0.25 + 3e-6, 0.0)], np.zeros(3))
+        assert mesh_gap(moved, base) == pytest.approx(3e-6, rel=1e-9)
+        shifted = RotationMesh(base.elements, [0.0, 0.0, 2e-5])
+        assert mesh_gap(shifted, base) == 2e-5
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            RotationMesh([MeshElement(0, 0.5, 0.0), MeshElement(1, 0.25, 0.0)], np.zeros(3)),
+            RotationMesh([MeshElement(1, 0.5, 0.0)], np.zeros(3)),
+            RotationMesh([MeshElement(1, 0.5, 0.0), MeshElement(0, 0.25, 0.0)], np.zeros(4)),
+        ],
+        ids=["reordered", "missing-element", "mode-count"],
+    )
+    def test_different_structure_is_inf(self, other):
+        base = RotationMesh([MeshElement(1, 0.5, 0.0), MeshElement(0, 0.25, 0.0)], np.zeros(3))
+        assert mesh_gap(other, base) == math.inf
+
+    def test_nan_propagates(self):
+        base = RotationMesh([MeshElement(0, 0.5, 0.0)], np.zeros(2))
+        assert math.isnan(mesh_gap(RotationMesh([MeshElement(0, np.nan, 0.0)], np.zeros(2)), base))
