@@ -21,7 +21,6 @@ from .gaussian import (
     vacuum_overlap_probability,
 )
 from .network import (
-    MeshElement,
     RotationMesh,
     block_unitarity_defect,
     embed_weights_unitary,
@@ -80,7 +79,6 @@ __all__ = [
     "purity_defect",
     "squeezed_probe",
     "vacuum_overlap_probability",
-    "MeshElement",
     "RotationMesh",
     "block_unitarity_defect",
     "embed_weights_unitary",

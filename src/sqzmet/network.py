@@ -12,12 +12,10 @@ laid out as beam splitters and phase shifters.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -139,30 +137,40 @@ def mach_zehnder_unitary(w1: float) -> np.ndarray:
     return np.array([[a, b], [b, -a]], dtype=complex)
 
 
-class MeshElement(NamedTuple):
-    """One two-mode rotation acting on the adjacent pair ``(mode, mode + 1)``."""
-
-    mode: int
-    theta: float
-    phase: float
+ELEMENT_DTYPE = np.dtype([("mode", np.int64), ("theta", np.float64), ("phase", np.float64)])
 
 
 @dataclass(frozen=True)
 class RotationMesh:
     """Ordered rotations plus a trailing diagonal phase layer.
 
-    ``recompose`` multiplies the element blocks in listed order and then the
-    phase diagonal, reproducing the decomposed unitary.
+    ``elements`` is a read-only ``ELEMENT_DTYPE`` array, one ``(mode, theta, phase)``
+    record per rotation of modes ``(mode, mode + 1)``, converted once from any
+    iterable of such tuples or records.  ``recompose`` multiplies the element blocks
+    in listed order and then the phase diagonal, reproducing the decomposed unitary.
+
+    Raises:
+        ValueError: unless the phase layer is a non-empty vector of ``M`` phases
+            and every element's mode lies in ``[0, M - 2]``.
     """
 
-    elements: tuple[MeshElement, ...]
+    elements: np.ndarray
     output_phases: np.ndarray
 
     def __post_init__(self):
+        # fromiter, not np.array: numpy reads a tuple, even (), as one record
+        elements = np.fromiter(self.elements, dtype=ELEMENT_DTYPE)
         phases = np.array(self.output_phases, dtype=float)
+        if phases.ndim != 1 or phases.size == 0:
+            raise ValueError(f"phase layer must be a non-empty vector, got shape {phases.shape}")
+        modes = elements["mode"]
+        outside = modes[(modes < 0) | (modes > phases.size - 2)]
+        if outside.size:
+            raise ValueError(f"element mode {outside[0]} outside [0, M - 2] for M = {phases.size}")
+        elements.flags.writeable = False
         phases.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "output_phases", phases)
-        object.__setattr__(self, "elements", tuple(self.elements))
 
 
 def weight_chain(weights) -> RotationMesh:
@@ -175,19 +183,20 @@ def weight_chain(weights) -> RotationMesh:
     """
     thetas = _chain_angles(weights)
     modes = np.flatnonzero(thetas)[::-1]
-    elements = [MeshElement(k, t, 0.0) for k, t in zip(modes.tolist(), thetas[modes].tolist())]
+    elements = np.zeros(modes.size, dtype=ELEMENT_DTYPE)
+    elements["mode"], elements["theta"] = modes, thetas[modes]
     return RotationMesh(elements, np.zeros(thetas.size + 1))
 
 
-def _element_entries(element: MeshElement) -> tuple[complex, complex, complex, complex]:
+def _element_entries(theta: float, phase: float) -> tuple[complex, complex, complex, complex]:
     # the element's 2 x 2 block, row by row
-    c, s = math.cos(element.theta), math.sin(element.theta)
-    ph = complex(math.cos(element.phase), math.sin(element.phase))
+    c, s = math.cos(theta), math.sin(theta)
+    ph = complex(math.cos(phase), math.sin(phase))
     return c, -ph * s, s / ph, c
 
 
-def _element_block(element: MeshElement) -> np.ndarray:
-    a, b, c, d = _element_entries(element)
+def _element_block(theta: float, phase: float) -> np.ndarray:
+    a, b, c, d = _element_entries(theta, phase)
     return np.array([[a, b], [c, d]])
 
 
@@ -226,21 +235,20 @@ def reck_decompose(unitary: np.ndarray) -> RotationMesh:
                 continue
             theta = math.atan2(abs(target), abs(pivot))
             phase = cmath.phase(pivot) - cmath.phase(-target)
-            givens = _element_block(MeshElement(row - 1, theta, phase))
+            givens = _element_block(theta, phase)
             work[row - 1:row + 1, :] = givens @ work[row - 1:row + 1, :]
             work[row, col] = 0.0
             # the stored element is the inverse rotation, same family with
             # the mixing angle negated
-            elements.append(MeshElement(row - 1, -theta, _wrap_phase(phase)))
-    return RotationMesh(tuple(elements), np.angle(np.diag(work)))
+            elements.append((row - 1, -theta, _wrap_phase(phase)))
+    return RotationMesh(elements, np.angle(np.diag(work)))
 
 
 def recompose(mesh: RotationMesh) -> np.ndarray:
     """Multiply a mesh back into a dense unitary."""
     result = np.diag(np.exp(1j * mesh.output_phases))
-    for element in reversed(mesh.elements):
-        i = element.mode
-        result[i:i + 2, :] = _element_block(element) @ result[i:i + 2, :]
+    for i, theta, phase in reversed(mesh.elements.tolist()):
+        result[i:i + 2, :] = _element_block(theta, phase) @ result[i:i + 2, :]
     return result
 
 
@@ -252,18 +260,11 @@ def first_column(mesh: RotationMesh) -> np.ndarray:
     """
     column = [0j] * mesh.output_phases.size
     column[0] = complex(np.exp(1j * mesh.output_phases[0]))
-    for element in reversed(mesh.elements):
-        i = element.mode
-        a, b, c, d = _element_entries(element)
+    for i, theta, phase in reversed(mesh.elements.tolist()):
+        a, b, c, d = _element_entries(theta, phase)
         x, y = column[i], column[i + 1]
         column[i], column[i + 1] = a * x + b * y, c * x + d * y
     return np.array(column)
-
-
-def _element_table(mesh: RotationMesh) -> np.ndarray:
-    # one (mode, theta, phase) row per element
-    values = itertools.chain.from_iterable(mesh.elements)
-    return np.fromiter(values, dtype=float, count=3 * len(mesh.elements)).reshape(-1, 3)
 
 
 def block_unitarity_defect(mesh: RotationMesh) -> float:
@@ -272,14 +273,14 @@ def block_unitarity_defect(mesh: RotationMesh) -> float:
     A product of unitaries is unitary, so this bounds the defect of the whole
     mesh without building it.  NaN if an angle or phase is not finite.
     """
-    table = _element_table(mesh)
-    if not (np.isfinite(table).all() and np.isfinite(mesh.output_phases).all()):
+    theta, phase = mesh.elements["theta"], mesh.elements["phase"]
+    if not all(np.isfinite(values).all() for values in (theta, phase, mesh.output_phases)):
         return math.nan
     # each block of _element_entries is [[c, b], [d, c]] with real c; its
     # B^dag B - I has diagonal c^2 + |d|^2 - 1, |b|^2 + c^2 - 1 and
     # off-diagonal c (b + conj(d)) and its conjugate
-    c, s = np.cos(table[:, 1]), np.sin(table[:, 1])
-    ph = np.cos(table[:, 2]) + 1j * np.sin(table[:, 2])
+    c, s = np.cos(theta), np.sin(theta)
+    ph = np.cos(phase) + 1j * np.sin(phase)
     b, d = -ph * s, s / ph
     squared = (
         (c * c + np.abs(d) ** 2 - 1.0) ** 2
@@ -296,16 +297,14 @@ def mesh_gap(mesh: RotationMesh, reference: RotationMesh) -> float:
 
     ``inf`` if their element pairs or mode counts differ; NaN if a value is NaN.
     """
-    table, ref = _element_table(mesh), _element_table(reference)
-    if (
-        table.shape != ref.shape
-        or mesh.output_phases.shape != reference.output_phases.shape
-        or not np.array_equal(table[:, 0], ref[:, 0])
-    ):
+    elements, ref = mesh.elements, reference.elements
+    # array_equal is False for element lists of different lengths
+    same_pairs = np.array_equal(elements["mode"], ref["mode"])
+    if not same_pairs or mesh.output_phases.shape != reference.output_phases.shape:
         return math.inf
-    gaps = np.abs(table[:, 1:] - ref[:, 1:]).ravel()
+    gaps = [np.abs(elements[name] - ref[name]) for name in ("theta", "phase")]
     layer = np.abs(mesh.output_phases - reference.output_phases)
-    return float(np.max(np.concatenate([gaps, layer]), initial=0.0))
+    return float(np.max(np.concatenate([*gaps, layer]), initial=0.0))
 
 
 def mesh_to_netlist(mesh: RotationMesh) -> str:
@@ -316,10 +315,9 @@ def mesh_to_netlist(mesh: RotationMesh) -> str:
     file parses back bit-exactly.
     """
     lines = [
-        f"pair {el.mode} {el.mode + 1} / {float(el.theta)!r} / {float(el.phase)!r}"
-        for el in mesh.elements
+        f"pair {i} {i + 1} / {theta!r} / {phase!r}" for i, theta, phase in mesh.elements.tolist()
     ]
-    lines.append("phases " + " ".join(repr(float(p)) for p in mesh.output_phases))
+    lines.append("phases " + " ".join(repr(p) for p in mesh.output_phases.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -342,7 +340,7 @@ def parse_netlist(text: str) -> RotationMesh:
             i, j, theta, phase = match.groups()
             if int(j) != int(i) + 1:
                 raise ValueError(f"non-adjacent pair in netlist line: {raw!r}")
-            elements.append(MeshElement(int(i), float(theta), float(phase)))
+            elements.append((int(i), float(theta), float(phase)))
             element_linenos.append(lineno)
             continue
         line = raw.strip()
@@ -357,10 +355,10 @@ def parse_netlist(text: str) -> RotationMesh:
             raise ValueError(f"netlist line {lineno}: empty phase line: {raw!r}")
     if phases is None:
         raise ValueError("netlist is missing the trailing phase line")
-    for element, lineno in zip(elements, element_linenos):
-        if element.mode + 1 >= phases.size:
+    for (mode, _, _), lineno in zip(elements, element_linenos):
+        if mode + 1 >= phases.size:
             raise ValueError(
                 f"netlist line {lineno}: pair outside the {phases.size} modes "
                 f"of the phase line: {lines[lineno - 1]!r}"
             )
-    return RotationMesh(tuple(elements), phases)
+    return RotationMesh(elements, phases)

@@ -7,7 +7,7 @@ import pytest
 
 import sqzmet.metrology
 import sqzmet.network
-from sqzmet import MeshElement, RotationMesh, cli, parse_netlist, recompose
+from sqzmet import RotationMesh, cli, parse_netlist, recompose
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestSynthesize:
         assert float(printed["mesh round-trip residual"]) <= 1e-12
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.netlist", "w.txt"]
         mesh = parse_netlist((tmp_path / "net.netlist").read_text())
-        assert mesh.elements == (MeshElement(0, pytest.approx(math.pi / 4, abs=1e-12), 0.0),)
+        assert mesh.elements.tolist() == [(0, pytest.approx(math.pi / 4, abs=1e-12), 0.0)]
         assert np.array_equal(mesh.output_phases, [0.0, 0.0])
         half = 2 ** -0.5
         assert np.allclose(recompose(mesh), [[half, -half], [half, half]], atol=1e-15)
@@ -73,7 +73,7 @@ class TestSynthesize:
             if not l.startswith("#")
         )
         mesh = parse_netlist(body)
-        assert mesh.elements == ()
+        assert len(mesh.elements) == 0
         assert np.allclose(mesh.output_phases, 0.0)
 
     def test_negative_weight_exits_two(self, tmp_path, capsys):
@@ -124,7 +124,7 @@ class TestSynthesize:
             path.write_text(" ".join(repr(float(w)) for w in weights) + "\n")
             assert cli.main(["synthesize", str(path), "--out", str(tmp_path / name)]) == 0
             mesh = parse_netlist((tmp_path / f"{name}.netlist").read_text())
-            return [el.mode for el in mesh.elements], np.array([el.theta for el in mesh.elements])
+            return mesh.elements["mode"].tolist(), mesh.elements["theta"]
 
         for _ in range(100):
             dim = int(rng.integers(3, 17))
@@ -160,7 +160,8 @@ class TestSynthesize:
         real = sqzmet.network.mesh_to_netlist
 
         def six_digit_angles(mesh):
-            coarse = [el._replace(theta=float(f"{el.theta:.6g}")) for el in mesh.elements]
+            coarse = mesh.elements.copy()
+            coarse["theta"] = [float(f"{theta:.6g}") for theta in coarse["theta"].tolist()]
             return real(RotationMesh(coarse, mesh.output_phases))
 
         monkeypatch.setattr(sqzmet.network, "mesh_to_netlist", six_digit_angles)

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqzmet import (
-    MeshElement,
     RotationMesh,
     block_unitarity_defect,
     embed_weights_unitary,
@@ -19,6 +19,7 @@ from sqzmet import (
     validate_weights,
     weight_chain,
 )
+from sqzmet.network import ELEMENT_DTYPE
 from conftest import random_unitary, random_weights
 
 HALF = math.sqrt(0.5)
@@ -83,7 +84,8 @@ class TestWeightChain:
         mesh = weight_chain(weights)
         dim = len(weights)
         assert len(mesh.elements) <= dim - 1
-        assert all(0 <= el.mode < dim - 1 and el.phase == 0.0 for el in mesh.elements)
+        assert np.all((0 <= mesh.elements["mode"]) & (mesh.elements["mode"] < dim - 1))
+        assert np.all(mesh.elements["phase"] == 0.0)
         assert np.array_equal(mesh.output_phases, np.zeros(dim))
         assert np.linalg.norm(recompose(mesh) - embed_weights_unitary(weights)) <= 1e-12
 
@@ -97,7 +99,7 @@ class TestWeightChain:
     def test_zero_weight_channels(self):
         for w in ([0.3, 0.0, 0.7, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0]):
             self._check(w)
-        assert weight_chain([0.3, 0.0, 0.7, 0.0]).elements[0].mode == 1
+        assert weight_chain([0.3, 0.0, 0.7, 0.0]).elements["mode"][0] == 1
 
     @pytest.mark.parametrize("modes", [64, 128])
     def test_uniform_weights(self, modes):
@@ -105,14 +107,14 @@ class TestWeightChain:
         assert len(weight_chain(np.full(modes, 1.0 / modes)).elements) == modes - 1
 
     def test_unit_weight_gives_empty_chain(self):
-        assert weight_chain([1.0]).elements == ()
-        assert weight_chain([1.0, 0.0, 0.0]).elements == ()
+        assert len(weight_chain([1.0]).elements) == 0
+        assert len(weight_chain([1.0, 0.0, 0.0]).elements) == 0
 
     def test_applies_pair_zero_first(self):
         mesh = weight_chain([0.25, 0.25, 0.5])
-        assert [el.mode for el in mesh.elements] == [1, 0]
-        assert mesh.elements[1].theta == pytest.approx(math.atan2(math.sqrt(0.75), 0.5))
-        assert mesh.elements[0].theta == pytest.approx(math.atan2(math.sqrt(0.5), 0.5))
+        assert mesh.elements["mode"].tolist() == [1, 0]
+        assert mesh.elements["theta"][1] == pytest.approx(math.atan2(math.sqrt(0.75), 0.5))
+        assert mesh.elements["theta"][0] == pytest.approx(math.atan2(math.sqrt(0.5), 0.5))
 
 
 class TestMachZehnder:
@@ -144,7 +146,7 @@ class TestMachZehnder:
 class TestReckDecomposition:
     def test_identity_gives_empty_mesh(self):
         mesh = reck_decompose(np.eye(4))
-        assert mesh.elements == ()
+        assert len(mesh.elements) == 0
         assert np.allclose(mesh.output_phases, 0.0)
         assert np.allclose(recompose(mesh), np.eye(4))
 
@@ -152,7 +154,7 @@ class TestReckDecomposition:
         unitary = mach_zehnder_unitary(0.5)
         mesh = reck_decompose(unitary)
         assert len(mesh.elements) == 1
-        assert abs(mesh.elements[0].theta) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert abs(mesh.elements["theta"][0]) == pytest.approx(math.pi / 4, abs=1e-12)
         assert np.linalg.norm(recompose(mesh) - unitary) <= 1e-12
 
     def test_roundtrip_random_unitaries(self, rng):
@@ -160,7 +162,7 @@ class TestReckDecomposition:
             unitary = random_unitary(rng, dim)
             mesh = reck_decompose(unitary)
             assert len(mesh.elements) <= dim * (dim - 1) // 2
-            assert all(el.mode + 1 < dim for el in mesh.elements)
+            assert np.all(mesh.elements["mode"] + 1 < dim)
             assert np.linalg.norm(recompose(mesh) - unitary) <= 1e-9
 
     def test_roundtrip_seeded_five_mode(self):
@@ -170,8 +172,8 @@ class TestReckDecomposition:
 
     def test_phases_are_wrapped(self, rng):
         mesh = reck_decompose(random_unitary(rng, 6))
-        for element in mesh.elements:
-            assert -math.pi < element.phase <= math.pi
+        assert np.all(mesh.elements["phase"] > -math.pi)
+        assert np.all(mesh.elements["phase"] <= math.pi)
         assert np.all(mesh.output_phases > -math.pi - 1e-12)
         assert np.all(mesh.output_phases <= math.pi + 1e-12)
 
@@ -180,7 +182,8 @@ class TestReckDecomposition:
         # a rotation ratio -target/pivot overflowed on tiny pivots here
         unitary = embed_weights_unitary(np.full(modes, 1.0 / modes))
         mesh = reck_decompose(unitary)
-        assert np.all(np.isfinite([v for el in mesh.elements for v in el[1:]]))
+        assert np.all(np.isfinite(mesh.elements["theta"]))
+        assert np.all(np.isfinite(mesh.elements["phase"]))
         assert np.all(np.isfinite(mesh.output_phases))
         assert np.linalg.norm(recompose(mesh) - unitary) <= 1e-9
 
@@ -193,6 +196,50 @@ class TestReckDecomposition:
             reck_decompose(np.ones((2, 3)))
 
 
+class TestRotationMesh:
+    def test_elements_are_one_read_only_record_array(self):
+        mesh = RotationMesh([(1, 0.5, -0.0), (0, 0.25, 1.0)], np.zeros(3))
+        assert mesh.elements.dtype == ELEMENT_DTYPE
+        assert mesh.elements.tolist() == [(1, 0.5, -0.0), (0, 0.25, 1.0)]
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.elements["theta"][0] = 0.0
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_mode_outside_the_phase_layer_is_refused(self, mode):
+        # first_column used to rotate modes (-1, 0) as if they were (M - 1, 0)
+        with pytest.raises(ValueError, match=rf"element mode {mode} outside \[0, M - 2\] for M = 3"):
+            RotationMesh([(0, 0.5, 0.0), (mode, 0.5, 0.0)], np.zeros(3))
+
+    def test_empty_phase_layer_is_refused(self):
+        # it used to render "phases \n", which parse_netlist refuses
+        with pytest.raises(ValueError, match=r"phase layer must be a non-empty vector, got shape \(0,\)"):
+            RotationMesh((), [])
+
+    def test_phase_layer_that_is_not_a_vector_is_refused(self):
+        # recompose used to return a 1 x 1 identity for it
+        with pytest.raises(ValueError, match=r"phase layer .* got shape \(1, 2\)"):
+            RotationMesh((), [[0.0, 0.0]])
+
+    def test_one_mode_mesh_has_no_element(self):
+        assert np.array_equal(recompose(RotationMesh((), [0.5])), [[np.exp(0.5j)]])
+        with pytest.raises(ValueError, match="element mode 0 outside"):
+            RotationMesh([(0, 0.5, 0.0)], [0.0])
+
+
+# edges of the float format: signed zeros, subnormals and the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-309, -1e308, 1e308, 1.7976931348623157e308]
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def adjacent_meshes(draw):
+    """A mesh of 1 to 64 modes with up to 3 (M - 1) elements on random adjacent pairs."""
+    dim = draw(st.integers(1, 64))
+    row = st.tuples(st.integers(0, max(dim - 2, 0)), FINITE_FLOATS, FINITE_FLOATS)
+    elements = draw(st.lists(row, max_size=3 * (dim - 1)))
+    return RotationMesh(elements, draw(st.lists(FINITE_FLOATS, min_size=dim, max_size=dim)))
+
+
 class TestNetlist:
     def test_format_shape(self):
         mesh = reck_decompose(mach_zehnder_unitary(0.5))
@@ -202,12 +249,16 @@ class TestNetlist:
         assert lines[-1].startswith("phases ")
         assert len(lines) == 2
 
-    def test_roundtrip_is_bit_exact(self, rng):
-        mesh = reck_decompose(random_unitary(rng, 5))
-        parsed = parse_netlist(mesh_to_netlist(mesh))
-        assert parsed.elements == mesh.elements
-        assert np.array_equal(parsed.output_phases, mesh.output_phases)
-        assert np.allclose(recompose(parsed), recompose(mesh), atol=0)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(mesh=adjacent_meshes())
+    def test_roundtrip_is_bit_exact(self, mesh):
+        text = mesh_to_netlist(mesh)
+        parsed = parse_netlist(text)
+        for got, want in ((parsed.elements, mesh.elements), (parsed.output_phases, mesh.output_phases)):
+            assert np.array_equal(got, want)
+            # array_equal has -0.0 == 0.0; the bytes also hold the sign of zero
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert mesh_to_netlist(parsed) == text
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -239,20 +290,15 @@ class TestNetlist:
     def test_empty_mesh_netlist(self):
         mesh = RotationMesh((), np.zeros(3))
         parsed = parse_netlist(mesh_to_netlist(mesh))
-        assert parsed.elements == ()
+        assert len(parsed.elements) == 0
         assert np.array_equal(parsed.output_phases, np.zeros(3))
-
-    def test_mesh_element_fields(self):
-        element = MeshElement(2, -0.5, 1.0)
-        assert element.mode == 2 and element.theta == -0.5 and element.phase == 1.0
 
 
 def random_adjacent_mesh(rng, dim, count):
     """Elements on random adjacent pairs with random angles and non-zero phases."""
     modes = rng.integers(dim - 1, size=count).tolist()
     thetas, phases = rng.uniform(-np.pi, np.pi, size=(2, count)).tolist()
-    elements = [MeshElement(*values) for values in zip(modes, thetas, phases)]
-    return RotationMesh(elements, rng.uniform(-np.pi, np.pi, size=dim))
+    return RotationMesh(list(zip(modes, thetas, phases)), rng.uniform(-np.pi, np.pi, size=dim))
 
 
 class TestFirstColumn:
@@ -267,7 +313,7 @@ class TestFirstColumn:
         assert np.max(np.abs(first_column(weight_chain(w)) - np.sqrt(w))) <= 1e-14
 
     def test_nan_propagates(self):
-        mesh = RotationMesh([MeshElement(0, np.nan, 0.0)], [0.0, 0.0])
+        mesh = RotationMesh([(0, np.nan, 0.0)], [0.0, 0.0])
         assert np.all(np.isnan(first_column(mesh)))
 
 
@@ -285,9 +331,9 @@ class TestBlockUnitarityDefect:
     @pytest.mark.parametrize(
         "mesh",
         [
-            RotationMesh([MeshElement(0, np.nan, 0.0)], [0.0, 0.0]),
-            RotationMesh([MeshElement(0, 0.1, np.inf)], [0.0, 0.0]),
-            RotationMesh([MeshElement(0, 0.1, 0.0)], [0.0, -np.inf]),
+            RotationMesh([(0, np.nan, 0.0)], [0.0, 0.0]),
+            RotationMesh([(0, 0.1, np.inf)], [0.0, 0.0]),
+            RotationMesh([(0, 0.1, 0.0)], [0.0, -np.inf]),
         ],
         ids=["nan-angle", "inf-phase", "inf-output-phase"],
     )
@@ -301,8 +347,8 @@ class TestMeshGap:
         assert mesh_gap(mesh, mesh) == 0.0
 
     def test_largest_angle_or_phase_gap(self):
-        base = RotationMesh([MeshElement(1, 0.5, 0.0), MeshElement(0, 0.25, 0.0)], np.zeros(3))
-        moved = RotationMesh([MeshElement(1, 0.5, 1e-6), MeshElement(0, 0.25 + 3e-6, 0.0)], np.zeros(3))
+        base = RotationMesh([(1, 0.5, 0.0), (0, 0.25, 0.0)], np.zeros(3))
+        moved = RotationMesh([(1, 0.5, 1e-6), (0, 0.25 + 3e-6, 0.0)], np.zeros(3))
         assert mesh_gap(moved, base) == pytest.approx(3e-6, rel=1e-9)
         shifted = RotationMesh(base.elements, [0.0, 0.0, 2e-5])
         assert mesh_gap(shifted, base) == 2e-5
@@ -310,16 +356,16 @@ class TestMeshGap:
     @pytest.mark.parametrize(
         "other",
         [
-            RotationMesh([MeshElement(0, 0.5, 0.0), MeshElement(1, 0.25, 0.0)], np.zeros(3)),
-            RotationMesh([MeshElement(1, 0.5, 0.0)], np.zeros(3)),
-            RotationMesh([MeshElement(1, 0.5, 0.0), MeshElement(0, 0.25, 0.0)], np.zeros(4)),
+            RotationMesh([(0, 0.5, 0.0), (1, 0.25, 0.0)], np.zeros(3)),
+            RotationMesh([(1, 0.5, 0.0)], np.zeros(3)),
+            RotationMesh([(1, 0.5, 0.0), (0, 0.25, 0.0)], np.zeros(4)),
         ],
         ids=["reordered", "missing-element", "mode-count"],
     )
     def test_different_structure_is_inf(self, other):
-        base = RotationMesh([MeshElement(1, 0.5, 0.0), MeshElement(0, 0.25, 0.0)], np.zeros(3))
+        base = RotationMesh([(1, 0.5, 0.0), (0, 0.25, 0.0)], np.zeros(3))
         assert mesh_gap(other, base) == math.inf
 
     def test_nan_propagates(self):
-        base = RotationMesh([MeshElement(0, 0.5, 0.0)], np.zeros(2))
-        assert math.isnan(mesh_gap(RotationMesh([MeshElement(0, np.nan, 0.0)], np.zeros(2)), base))
+        base = RotationMesh([(0, 0.5, 0.0)], np.zeros(2))
+        assert math.isnan(mesh_gap(RotationMesh([(0, np.nan, 0.0)], np.zeros(2)), base))
