@@ -36,6 +36,17 @@ from .gaussian import SqueezeParameter
 MAX_SERIES_ORDER = 8
 # largest missing weight a table may have for :func:`survival_probability`
 MAX_TABLE_TAIL = 1e-6
+# largest cutoff mach_zehnder_factorization_residual accepts: its cached stack
+# holds two complex (cutoff + 1)^3 arrays, about 1.2 MB at this bound
+MAX_MZ_CUTOFF = 32
+
+_ORDERS = np.arange(MAX_SERIES_ORDER + 1)
+_FACTORIALS = np.array([float(math.factorial(k)) for k in _ORDERS])
+# _SIGNED_BINOMIAL[l, k] = (-1)^k C(l, k), zero above the diagonal; _LAG[l, k] = l - k there
+_SIGNED_BINOMIAL = np.array(
+    [[(-1) ** k * math.comb(ell, k) for k in _ORDERS] for ell in _ORDERS], dtype=float
+)
+_LAG = np.subtract.outer(_ORDERS, _ORDERS).clip(0)
 
 
 class TruncationError(ValueError):
@@ -46,8 +57,8 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
     """Even-sector amplitudes of the single-mode squeezed vacuum.
 
     Entry ``n`` of the result is the amplitude of the ``2n``-photon
-    component; odd photon numbers never appear.  Amplitudes follow the
-    ratio recurrence of the closed form
+    component; odd photon numbers never appear.  Amplitudes are one
+    running product of the term-to-term ratios of the closed form
     ``c_{2n} = cosh(r)^{-1/2} (-e^{i theta} tanh r)^n sqrt((2n)!) / (2^n n!)``
     so no factorial overflows occur.
 
@@ -61,13 +72,10 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
     cutoff = network.validate_count("cutoff", cutoff, 0)
     if cutoff % 2 != 0:
         raise ValueError(f"cutoff must be even, got {cutoff}")
-    n_terms = cutoff // 2 + 1
-    amps = np.zeros(n_terms, dtype=complex)
-    amps[0] = 1.0 / math.sqrt(math.cosh(squeeze.r))
+    n = np.arange(cutoff // 2)
     step = -np.exp(1j * squeeze.theta) * math.tanh(squeeze.r)
-    for n in range(n_terms - 1):
-        amps[n + 1] = amps[n] * step * math.sqrt((2 * n + 1) / (2 * n + 2))
-    return amps
+    first = 1.0 / math.sqrt(math.cosh(squeeze.r))
+    return np.cumprod(np.concatenate(([first], step * np.sqrt((2 * n + 1) / (2 * n + 2)))))
 
 
 def recommend_cutoff(
@@ -108,7 +116,7 @@ def recommend_cutoff(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockAmplitudes:
     """Truncated multimode amplitude table, sparse over even photon sectors.
 
@@ -117,6 +125,8 @@ class FockAmplitudes:
         occupations: ``(N, modes)`` integer array of occupation tuples.
         amplitudes: ``(N,)`` complex amplitudes, same row order.
         tail: probability weight missing above the cutoff.
+
+    Instances compare and hash by identity: an array field has no single truth value.
     """
 
     modes: int
@@ -228,14 +238,9 @@ class SurvivalSeries(NamedTuple):
 
 
 def _series_terms(moments: np.ndarray) -> np.ndarray:
-    order = len(moments) - 1
-    terms = np.zeros(order + 1)
-    for ell in range(order + 1):
-        terms[ell] = sum(
-            (-1) ** k * math.comb(ell, k) * moments[ell - k] * moments[k]
-            for k in range(ell + 1)
-        )
-    return terms
+    # terms[l] = sum_k (-1)^k C(l, k) moments[l - k] moments[k]
+    size = len(moments)
+    return (_SIGNED_BINOMIAL[:size, :size] * moments[_LAG[:size, :size]]) @ moments
 
 
 def series_partial_sum(terms: np.ndarray, max_term: int) -> float:
@@ -279,18 +284,17 @@ def _multinomial_weighted_moments(
 
     Uses the power-series recurrence for ``A(s)**t`` where
     ``A(s) = sum_j w_j exp(s phi_j)``; exact up to rounding, no truncation.
+    Order ``m`` of the recurrence is one product over the earlier
+    coefficients, newest first.
     """
-    alpha = np.array(
-        [float(np.sum(weights * phases ** m)) / math.factorial(m) for m in range(max_order + 1)]
-    )
+    factorials = _FACTORIALS[: max_order + 1]
+    alpha = (phases[None, :] ** _ORDERS[: max_order + 1, None]) @ weights / factorials
+    # i t - (m - i) = i (t + 1) - m for i = 1..m
+    scaled = _ORDERS[1 : max_order + 1, None] * (totals + 1.0)
     coeffs = np.zeros((max_order + 1, len(totals)))
     coeffs[0] = 1.0
     for m in range(1, max_order + 1):
-        acc = np.zeros(len(totals))
-        for i in range(1, m + 1):
-            acc += (i * totals - (m - i)) * alpha[i] * coeffs[m - i]
-        coeffs[m] = acc / m
-    factorials = np.array([math.factorial(k) for k in range(max_order + 1)])
+        coeffs[m] = alpha[1 : m + 1] @ ((scaled[:m] - m) * coeffs[m - 1 :: -1]) / m
     return coeffs * factorials[:, None]
 
 
@@ -329,20 +333,33 @@ def _sector_generators(total: int) -> tuple[np.ndarray, np.ndarray]:
     return (raising + raising.conj().T) / 2.0, (raising - raising.conj().T) / 2.0j
 
 
-@lru_cache(maxsize=64)
-def _mach_zehnder_sector(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The phase-free parts of one sector: the 50:50 splitter and the eigensystem of ``Jy``.
+@lru_cache(maxsize=1)
+def _mach_zehnder_stack(cutoff: int) -> tuple[np.ndarray, ...]:
+    """The phase-free parts of every sector up to ``cutoff``, stacked by total.
 
-    Cached by ``total`` and returned read-only, so no caller can alter a
-    later residual.
+    Entry ``t`` of each array belongs to the ``t``-photon sector, zero-padded
+    to ``cutoff + 1`` states: the 50:50 splitter, the eigenvalues and
+    eigenvectors of ``Jy``, and the first-mode photon numbers ``k`` with the
+    sector totals ``t``.  The stack of the last cutoff asked for is cached
+    and returned read-only, so no caller can alter a later residual.
     """
-    jx, jy = _sector_generators(total)
-    values, vectors = np.linalg.eigh(jx)
-    splitter = (vectors * np.exp(-0.5j * math.pi * values)) @ vectors.conj().T
-    jy_values, jy_vectors = np.linalg.eigh(jy)
-    for array in (splitter, jy_values, jy_vectors):
+    size = cutoff + 1
+    splitter = np.zeros((size, size, size), dtype=complex)
+    jy_values = np.zeros((size, size))
+    jy_vectors = np.zeros((size, size, size), dtype=complex)
+    for total in range(size):
+        jx, jy = _sector_generators(total)
+        values, vectors = np.linalg.eigh(jx)
+        sector = slice(0, total + 1)
+        rotated = vectors * np.exp(-0.5j * math.pi * values)
+        splitter[total, sector, sector] = rotated @ vectors.conj().T
+        jy_values[total, sector], jy_vectors[total, sector, sector] = np.linalg.eigh(jy)
+    n_first = np.broadcast_to(np.arange(size, dtype=float), (size, size))
+    totals = np.arange(size, dtype=float)[:, None]
+    stack = (splitter, jy_values, jy_vectors, n_first, totals)
+    for array in stack:
         array.flags.writeable = False
-    return splitter, jy_values, jy_vectors
+    return stack
 
 
 def mach_zehnder_factorization_residual(phi1: float, phi2: float, cutoff: int) -> float:
@@ -357,28 +374,27 @@ def mach_zehnder_factorization_residual(phi1: float, phi2: float, cutoff: int) -
     over the whole ``PHASE_MAX`` envelope: each arm phase is first reduced
     modulo ``2 pi`` (which leaves a phase in ``[-pi, pi]`` unchanged).
     The splitter and the eigensystem of ``Jy`` depend only on the sector
-    total and are computed once per total; the sector gaps, zero-padded to
-    one size (which leaves their singular values unchanged), go through one
+    total; they are computed once per cutoff and stacked, zero-padded to one
+    size (which leaves each sector's singular values unchanged), so every
+    sector's gap comes from one batched expression and all go through one
     batched singular-value decomposition.
 
     Args:
         phi1, phi2: arm phases, each in ``[-network.PHASE_MAX, network.PHASE_MAX]``.
-        cutoff: largest total photon number considered, an integer >= 2.
+        cutoff: largest total photon number considered, an integer in
+            ``[2, MAX_MZ_CUTOFF]``; the padded products cost ``(cutoff + 1)^4``.
     """
     phi1 = network.validate_real("phi1", phi1, -network.PHASE_MAX, network.PHASE_MAX)
     phi2 = network.validate_real("phi2", phi2, -network.PHASE_MAX, network.PHASE_MAX)
-    cutoff = network.validate_count("cutoff", cutoff, 2)
+    cutoff = network.validate_count("cutoff", cutoff, 2, MAX_MZ_CUTOFF)
     # both sides are 2pi-periodic in each arm phase; reducing first keeps
     # phi * n from rounding apart on the two sides as |phi| grows
     phi1 = math.remainder(phi1, 2 * math.pi)
     phi2 = math.remainder(phi2, 2 * math.pi)
-    gaps = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1), dtype=complex)
-    for total in range(cutoff + 1):
-        splitter, jy_values, jy_vectors = _mach_zehnder_sector(total)
-        n_first = np.arange(total + 1.0)
-        diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (total - n_first)))
-        composed = (splitter * diag_phase[None, :]) @ splitter.conj().T
-        mixing = (jy_vectors * np.exp(1j * (phi1 - phi2) * jy_values)) @ jy_vectors.conj().T
-        factorised = mixing * np.exp(-0.5j * (phi1 + phi2) * total)
-        gaps[total, : total + 1, : total + 1] = composed - factorised
-    return float(np.linalg.svd(gaps, compute_uv=False).max())
+    splitter, jy_values, jy_vectors, n_first, totals = _mach_zehnder_stack(cutoff)
+    diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (totals - n_first)))
+    composed = (splitter * diag_phase[:, None, :]) @ splitter.conj().swapaxes(1, 2)
+    mixing_phase = np.exp(1j * (phi1 - phi2) * jy_values)
+    mixing = (jy_vectors * mixing_phase[:, None, :]) @ jy_vectors.conj().swapaxes(1, 2)
+    factorised = mixing * np.exp(-0.5j * (phi1 + phi2) * totals)[:, :, None]
+    return float(np.linalg.svd(composed - factorised, compute_uv=False).max())

@@ -50,7 +50,7 @@ class SqueezeParameter:
         return math.sinh(self.r) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Zero-mean pure state of ``modes`` optical modes.
 
@@ -60,6 +60,8 @@ class GaussianState:
             ``1e-10 * max|V|`` (so also when an entry is NaN or inf).
             Stored read-only; operations return new states instead of
             mutating.
+
+    Instances compare and hash by identity: an array field has no single truth value.
     """
 
     covariance: np.ndarray

@@ -138,9 +138,12 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
     return math.asin(math.sqrt(min(1.0, sin_sq)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything needed to reproduce one protocol run."""
+    """Everything needed to reproduce one protocol run.
+
+    Instances compare and hash by identity: an array field has no single truth value.
+    """
 
     weights: np.ndarray
     true_phases: np.ndarray

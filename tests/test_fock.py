@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 from itertools import combinations_with_replacement
@@ -19,7 +20,13 @@ from sqzmet import (
     survival_probability,
     survival_probability_sectors,
 )
-from sqzmet.fock import _mach_zehnder_sector, _multinomial_weighted_moments, _sector_generators
+from sqzmet.fock import (
+    MAX_MZ_CUTOFF,
+    MAX_SERIES_ORDER,
+    _mach_zehnder_stack,
+    _multinomial_weighted_moments,
+    _sector_generators,
+)
 from conftest import random_weights
 
 R_UNIT = math.asinh(1.0)
@@ -37,6 +44,27 @@ def multinomial_moment_brute_force(weights, phases, total, order):
             prob *= w ** k / math.factorial(k)
         acc += prob * float(occ @ phases) ** order
     return acc
+
+
+def squeezed_amplitudes_closed_form(r, theta, cutoff):
+    """``c_2n = cosh(r)^(-1/2) (-e^(i theta) tanh r)^n sqrt((2n)!) / (2^n n!)``, term by term.
+
+    ``(2n)! / (4^n n!^2)`` is the central binomial over ``4^n``, divided
+    exactly as integers; the power is taken by repeated squaring.
+    """
+    def power(z, n):
+        out = 1.0
+        while n:
+            if n & 1:
+                out *= z
+            z, n = z * z, n >> 1
+        return out
+
+    step = -cmath.exp(1j * theta) * math.tanh(r)
+    return np.array([
+        power(step, n) * math.sqrt(math.comb(2 * n, n) / 4 ** n / math.cosh(r))
+        for n in range(cutoff // 2 + 1)
+    ])
 
 
 def propagate_by_enumeration(amplitudes, unitary):
@@ -106,6 +134,13 @@ class TestAmplitudes:
                 shorter = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff - 2)) ** 2
                 assert 1.0 - shorter.sum() >= 1e-10 * 0.3  # not wildly conservative
 
+    def test_amplitudes_match_the_closed_form(self, rng):
+        for r in [*rng.uniform(0.1, 2.0, size=10), 2.0]:
+            theta = rng.uniform(0.0, 2 * math.pi)
+            amps = squeezed_vacuum_amplitudes(SqueezeParameter(r, theta), 400)
+            exact = squeezed_amplitudes_closed_form(r, theta, 400)
+            np.testing.assert_allclose(amps, exact, rtol=1e-13, atol=0)
+
     def test_uncertifiable_cutoff_names_the_squeezing(self):
         with pytest.raises(ValueError, match=r"r = 5\.5 \(nbar = 1\.497e\+04\)"):
             recommend_cutoff(SqueezeParameter(5.5), 1e-12)
@@ -166,6 +201,13 @@ class TestPropagation:
                 assert table.occupations.dtype == np.int64
                 np.testing.assert_array_equal(table.occupations, occupations)
                 np.testing.assert_allclose(table.amplitudes, amplitudes, rtol=0, atol=1e-15)
+
+    def test_equal_tables_compare_by_identity(self):
+        # == may not compare the array fields: an array has no single truth value
+        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
+        table, twin = (propagate_through_network(amps, np.eye(2)) for _ in range(2))
+        assert table == table and table != twin
+        assert len({table, twin}) == 2
 
     def test_rejects_unnormalized_first_column(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
@@ -251,18 +293,21 @@ class TestGeneratorMoments:
         assert np.allclose(from_table, from_sectors.moments, atol=1e-11)
 
     def test_multinomial_moments_against_enumeration(self, rng):
+        # through MAX_SERIES_ORDER, the order check_odd_terms asks for
         for _ in range(5):
             modes = int(rng.integers(1, 4))
             weights = random_weights(rng, modes)
             phases = rng.uniform(-1.0, 1.0, size=modes)
             totals = np.array([0.0, 2.0, 5.0, 8.0])
-            table = _multinomial_weighted_moments(weights, phases, totals, 4)
+            table = _multinomial_weighted_moments(weights, phases, totals, MAX_SERIES_ORDER)
             for col, total in enumerate(totals):
-                for order in range(5):
+                for order in range(MAX_SERIES_ORDER + 1):
                     brute = multinomial_moment_brute_force(
                         weights, phases, int(total), order
                     )
-                    assert table[order, col] == pytest.approx(brute, abs=1e-12)
+                    # orders above 4 reach 8^8 = 1.7e7, where 1e-12 is below one ulp
+                    tolerance = {"abs": 1e-12} if order <= 4 else {"rel": 1e-13, "abs": 1e-12}
+                    assert table[order, col] == pytest.approx(brute, **tolerance)
 
     def test_odd_terms_vanish(self, rng):
         for _ in range(30):
@@ -380,6 +425,12 @@ class TestMachZehnderFactorization:
         with pytest.raises(ValueError):
             mach_zehnder_factorization_residual(0.1, 0.2, 1)
 
+    def test_rejects_cutoff_above_the_cap(self):
+        # the cached stack holds (cutoff + 1)^3 complex entries per array
+        assert mach_zehnder_factorization_residual(0.1, 0.2, MAX_MZ_CUTOFF) <= 1e-9
+        with pytest.raises(ValueError, match=r"^cutoff must lie in \[2, 32\], got 33$"):
+            mach_zehnder_factorization_residual(0.1, 0.2, MAX_MZ_CUTOFF + 1)
+
     @pytest.mark.parametrize("cutoff", [2, 5, 12, 30])
     def test_batched_residual_matches_sector_loop(self, rng, cutoff):
         for _ in range(5):
@@ -389,13 +440,12 @@ class TestMachZehnderFactorization:
             assert batched == pytest.approx(looped, rel=0, abs=1e-15)
 
     def test_returned_operators_cannot_change_a_later_residual(self):
-        # the residual reads the cached per-sector arrays; none can be written
+        # the residual reads the cached per-cutoff stack; none of it can be written
         before = mach_zehnder_factorization_residual(0.4, -1.3, 8)
-        for total in range(9):
-            for array in _mach_zehnder_sector(total):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 7.0
+        for array in _mach_zehnder_stack(8):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 7.0
         assert mach_zehnder_factorization_residual(0.4, -1.3, 8) == before
 
     def test_sector_operators_hermitian(self):

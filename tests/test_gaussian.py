@@ -182,6 +182,12 @@ class TestNetworkAndPhases:
 
 
 class TestCovarianceSymmetry:
+    def test_equal_states_compare_by_identity(self):
+        # == may not compare the array fields: an array has no single truth value
+        state, twin = (squeezed_probe(2, SqueezeParameter(0.5)) for _ in range(2))
+        assert state == state and state != twin
+        assert len({state, twin}) == 2
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0), (4,)])
     def test_covariance_shape_is_refused(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"even dimension, got shape {shape}")):

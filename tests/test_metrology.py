@@ -349,6 +349,12 @@ class TestExperimentConfig:
         assert config.shots == 100 and config.seed == 7
         assert not config.weights.flags.writeable
 
+    def test_equal_configs_compare_by_identity(self):
+        # == may not compare the array fields: an array has no single truth value
+        config, twin = _config(), _config()
+        assert config == config and config != twin
+        assert len({config, twin}) == 2
+
     def test_caller_arrays_stay_writable_and_detached(self):
         weights = np.array([0.5, 0.5])
         phases = np.array([0.1, 0.2])

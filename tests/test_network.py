@@ -37,6 +37,22 @@ class TestWeightValidation:
         with pytest.raises(ValueError):
             validate_weights(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([np.inf, -np.inf], "weights must be finite"),
+            ([-np.inf, np.inf, 1.0], "weights must be finite"),
+            ([np.inf, 0.0], "weights must be finite"),
+            ([np.nan, 1.0], "weights must be finite"),
+            ([1.5, -0.5], "weights must be non-negative"),
+            ([0.5, 0.5 + 5e-11], "weights must sum to 1 within 1e-12"),
+        ],
+    )
+    def test_refusal_names_the_rule(self, bad, message):
+        # warnings are errors here: inf - inf in a sum would raise a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{message}"):
+            validate_weights(bad)
+
 
 class TestEmbedWeights:
     def test_unit_weight_gives_identity(self):
@@ -219,6 +235,12 @@ class TestRotationMesh:
         # recompose used to return a 1 x 1 identity for it
         with pytest.raises(ValueError, match=r"phase layer .* got shape \(1, 2\)"):
             RotationMesh((), [[0.0, 0.0]])
+
+    def test_equal_meshes_compare_by_identity(self):
+        # == may not compare the array fields: an array has no single truth value
+        mesh, twin = weight_chain([0.5, 0.5]), weight_chain([0.5, 0.5])
+        assert mesh == mesh and mesh != twin
+        assert len({mesh, twin}) == 2
 
     def test_one_mode_mesh_has_no_element(self):
         assert np.array_equal(recompose(RotationMesh((), [0.5])), [[np.exp(0.5j)]])
