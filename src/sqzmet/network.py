@@ -191,16 +191,22 @@ def weight_chain(weights) -> RotationMesh:
     return RotationMesh(elements, np.zeros(thetas.size + 1))
 
 
-def _element_entries(theta: float, phase: float) -> tuple[complex, complex, complex, complex]:
-    # the element's 2 x 2 block, row by row
-    c, s = math.cos(theta), math.sin(theta)
-    ph = complex(math.cos(phase), math.sin(phase))
+def _element_entries(theta, phase):
+    # the one definition of the element block [[a, b], [c, d]] =
+    # [[cos t, -e^{ip} sin t], [e^{-ip} sin t, cos t]]; scalars or columns
+    c, s = np.cos(theta), np.sin(theta)
+    ph = np.cos(phase) + 1j * np.sin(phase)
     return c, -ph * s, s / ph, c
 
 
-def _element_block(theta: float, phase: float) -> np.ndarray:
-    a, b, c, d = _element_entries(theta, phase)
-    return np.array([[a, b], [c, d]])
+def _apply_elements(mesh: RotationMesh, rows):
+    # left-multiply the blocks, last listed first, onto rows i, i + 1: numbers or array rows
+    elements = mesh.elements[::-1]
+    entries = _element_entries(elements["theta"], elements["phase"])
+    for i, a, b, c, d in zip(elements["mode"].tolist(), *(e.tolist() for e in entries)):
+        x, y = rows[i], rows[i + 1]
+        rows[i], rows[i + 1] = a * x + b * y, c * x + d * y
+    return rows
 
 
 def _wrap_phase(angle: float) -> float:
@@ -238,8 +244,9 @@ def reck_decompose(unitary: np.ndarray) -> RotationMesh:
                 continue
             theta = math.atan2(abs(target), abs(pivot))
             phase = cmath.phase(pivot) - cmath.phase(-target)
-            givens = _element_block(theta, phase)
-            work[row - 1:row + 1, :] = givens @ work[row - 1:row + 1, :]
+            a, b, c, d = _element_entries(theta, phase)
+            top, bottom = work[row - 1], work[row]
+            work[row - 1], work[row] = a * top + b * bottom, c * top + d * bottom
             work[row, col] = 0.0
             # the stored element is the inverse rotation, same family with
             # the mixing angle negated
@@ -247,27 +254,22 @@ def reck_decompose(unitary: np.ndarray) -> RotationMesh:
     return RotationMesh(elements, np.angle(np.diag(work)))
 
 
+@np.errstate(invalid="ignore")
 def recompose(mesh: RotationMesh) -> np.ndarray:
-    """Multiply a mesh back into a dense unitary."""
-    result = np.diag(np.exp(1j * mesh.output_phases))
-    for i, theta, phase in reversed(mesh.elements.tolist()):
-        result[i:i + 2, :] = _element_block(theta, phase) @ result[i:i + 2, :]
-    return result
+    """Multiply a mesh back into a dense unitary; a non-finite value gives NaN without a warning."""
+    return _apply_elements(mesh, np.diag(np.exp(1j * mesh.output_phases)))
 
 
+@np.errstate(invalid="ignore")
 def first_column(mesh: RotationMesh) -> np.ndarray:
     """First column of :func:`recompose`'s unitary in O(M) time and memory.
 
     The phase layer and then the element blocks, in :func:`recompose`'s order,
     act on the first unit vector; any mesh of adjacent-pair elements works.
+    A non-finite angle or phase gives NaN without a warning, as in :func:`recompose`.
     """
-    column = [0j] * mesh.output_phases.size
-    column[0] = complex(np.exp(1j * mesh.output_phases[0]))
-    for i, theta, phase in reversed(mesh.elements.tolist()):
-        a, b, c, d = _element_entries(theta, phase)
-        x, y = column[i], column[i + 1]
-        column[i], column[i + 1] = a * x + b * y, c * x + d * y
-    return np.array(column)
+    column = [complex(np.exp(1j * mesh.output_phases[0]))] + [0j] * (mesh.output_phases.size - 1)
+    return np.array(_apply_elements(mesh, column))
 
 
 def block_unitarity_defect(mesh: RotationMesh) -> float:
@@ -279,16 +281,11 @@ def block_unitarity_defect(mesh: RotationMesh) -> float:
     theta, phase = mesh.elements["theta"], mesh.elements["phase"]
     if not all(np.isfinite(values).all() for values in (theta, phase, mesh.output_phases)):
         return math.nan
-    # each block of _element_entries is [[c, b], [d, c]] with real c; its
-    # B^dag B - I has diagonal c^2 + |d|^2 - 1, |b|^2 + c^2 - 1 and
-    # off-diagonal c (b + conj(d)) and its conjugate
-    c, s = np.cos(theta), np.sin(theta)
-    ph = np.cos(phase) + 1j * np.sin(phase)
-    b, d = -ph * s, s / ph
+    a, b, c, d = _element_entries(theta, phase)
     squared = (
-        (c * c + np.abs(d) ** 2 - 1.0) ** 2
-        + (np.abs(b) ** 2 + c * c - 1.0) ** 2
-        + 2.0 * np.abs(c * (b + np.conj(d))) ** 2
+        (np.abs(a) ** 2 + np.abs(c) ** 2 - 1.0) ** 2
+        + (np.abs(b) ** 2 + np.abs(d) ** 2 - 1.0) ** 2
+        + 2.0 * np.abs(np.conj(a) * b + np.conj(c) * d) ** 2
     )
     element_defect = math.sqrt(float(np.max(squared, initial=0.0)))
     layer = np.abs(np.exp(1j * mesh.output_phases)) ** 2 - 1.0
@@ -339,23 +336,24 @@ def parse_netlist(text: str) -> RotationMesh:
     phases = None
     for lineno, raw in enumerate(lines, 1):
         match = _PAIR_LINE.fullmatch(raw)
-        if match is not None:
-            i, j, theta, phase = match.groups()
-            if int(j) != int(i) + 1:
-                raise ValueError(f"non-adjacent pair in netlist line: {raw!r}")
-            elements.append((int(i), float(theta), float(phase)))
-            element_linenos.append(lineno)
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.startswith("phases"):
-            raise ValueError(f"bad netlist line: {raw!r}")
-        if phases is not None:
-            raise ValueError(f"netlist line {lineno}: second phase line: {raw!r}")
-        phases = np.array([float(tok) for tok in line.split()[1:]], dtype=float)
-        if phases.size == 0:
-            raise ValueError(f"netlist line {lineno}: empty phase line: {raw!r}")
+        try:
+            if match is not None:
+                i, j, theta, phase = match.groups()
+                if int(j) != int(i) + 1:
+                    raise ValueError(f"non-adjacent pair: {raw!r}")
+                elements.append((int(i), float(theta), float(phase)))
+                element_linenos.append(lineno)
+            elif (tokens := raw.split()) and not tokens[0].startswith("#"):
+                if tokens[0] != "phases":
+                    raise ValueError(f"not a pair or phase line: {raw!r}")
+                if phases is not None:
+                    raise ValueError(f"second phase line: {raw!r}")
+                phases = np.array([float(tok) for tok in tokens[1:]], dtype=float)
+                if phases.size == 0:
+                    raise ValueError(f"empty phase line: {raw!r}")
+        except ValueError as exc:
+            # a number float() cannot read raises here too
+            raise ValueError(f"netlist line {lineno}: {exc}") from None
     if phases is None:
         raise ValueError("netlist is missing the trailing phase line")
     for (mode, _, _), lineno in zip(elements, element_linenos):

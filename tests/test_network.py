@@ -19,6 +19,7 @@ from sqzmet import (
     validate_weights,
     weight_chain,
 )
+from sqzmet import network
 from sqzmet.network import ELEMENT_DTYPE
 from conftest import random_unitary, random_weights
 
@@ -309,6 +310,26 @@ class TestNetlist:
         with pytest.raises(ValueError, match="line 2: empty phase line"):
             parse_netlist("pair 0 1 / 0.1 / 0.0\n  phases   \n")
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("pair 0 1 / abc / 0\nphases 0.0 0.0\n", 1),
+            ("# header\nphases 0 x\n", 2),
+            ("phases 0.0 0.0 0.0\npair 0 2 / 0.1 / 0.0\n", 2),
+            ("pair 0 1 / 0.1 / 0.0\npair 0 1 | 0.1 | 0.0\nphases 0.0 0.0\n", 2),
+        ],
+        ids=["angle", "phase", "non-adjacent", "bad-line"],
+    )
+    def test_every_refusal_names_the_line(self, text, lineno):
+        with pytest.raises(ValueError, match=f"^netlist line {lineno}: "):
+            parse_netlist(text)
+
+    def test_phase_line_starts_with_its_own_word(self):
+        # a prefix match would read "phases0.0" as the word and a 2-mode layer
+        for line in ("phases0.0 0.0 0.0", "phasesX"):
+            with pytest.raises(ValueError, match=f"line 1: not a pair or phase line: '{line}'"):
+                parse_netlist(line + "\n")
+
     def test_empty_mesh_netlist(self):
         mesh = RotationMesh((), np.zeros(3))
         parsed = parse_netlist(mesh_to_netlist(mesh))
@@ -338,6 +359,19 @@ class TestFirstColumn:
         mesh = RotationMesh([(0, np.nan, 0.0)], [0.0, 0.0])
         assert np.all(np.isnan(first_column(mesh)))
 
+    def test_non_finite_gives_nan_without_warning(self):
+        # tier-1 turns any RuntimeWarning into an error; parse_netlist still
+        # reads such numbers
+        for bad in ("inf", "-inf", "nan"):
+            for text in (
+                f"pair 0 1 / {bad} / 0.0\nphases 0.0 0.0\n",
+                f"pair 0 1 / 0.1 / {bad}\nphases 0.0 0.0\n",
+                f"pair 0 1 / 0.1 / 0.0\nphases {bad} 0.0\n",
+            ):
+                mesh = parse_netlist(text)
+                assert np.all(np.isnan(first_column(mesh)))
+                assert np.all(np.isnan(recompose(mesh)[:, 0]))
+
 
 class TestBlockUnitarityDefect:
     def test_rounding_level_on_random_meshes(self, rng):
@@ -346,6 +380,21 @@ class TestBlockUnitarityDefect:
             assert block_unitarity_defect(mesh) <= 1e-15
             # the dense product of those blocks is unitary to the same order
             assert unitarity_defect(recompose(mesh)) <= 1e-13
+
+    def test_every_walk_shares_the_one_block(self, rng, monkeypatch):
+        # a lossy block must show in the block check, the dense product and
+        # the O(M) column alike
+        exact = network._element_entries
+
+        def lossy(theta, phase):
+            a, b, c, d = exact(theta, phase)
+            return 1.01 * a, b, c, d
+
+        mesh = random_adjacent_mesh(rng, 6, 12)
+        monkeypatch.setattr(network, "_element_entries", lossy)
+        assert block_unitarity_defect(mesh) > 1e-3
+        assert unitarity_defect(recompose(mesh)) > 1e-3
+        assert abs(np.linalg.norm(first_column(mesh)) - 1.0) > 1e-3
 
     def test_empty_mesh_is_exactly_unitary(self):
         assert block_unitarity_defect(RotationMesh((), np.zeros(4))) == 0.0
