@@ -1,5 +1,8 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +422,14 @@ class TestValidate:
         assert "FAIL" not in out
         full_only = ("PASS mach-zehnder factorization", "PASS series convergence order")
         assert all((check in out) == (level == "full") for check in full_only)
+
+    def test_importing_the_cli_leaves_the_suites_unloaded(self):
+        # only `sqzmet validate` runs the suites, so only cmd_validate imports them
+        source_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, sqzmet.cli; assert 'sqzmet.validate' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_corrupted_engine_is_caught(self, capsys, monkeypatch):
         # simulate a sign flip in the covariance engine; the cross-engine

@@ -27,7 +27,7 @@ from sqzmet.fock import (
     _multinomial_weighted_moments,
     _sector_generators,
 )
-from conftest import random_weights
+from conftest import random_unitary, random_weights
 
 R_UNIT = math.asinh(1.0)
 SQ_UNIT = SqueezeParameter(R_UNIT)
@@ -201,6 +201,33 @@ class TestPropagation:
                 assert table.occupations.dtype == np.int64
                 np.testing.assert_array_equal(table.occupations, occupations)
                 np.testing.assert_allclose(table.amplitudes, amplitudes, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_power_table_matches_elementwise_powers(self, modes):
+        # complex first columns, one with a zero entry, up to r = 1.2 (the
+        # tail is irrelevant here): the looked-up powers must be the very
+        # bits of column ** occupations
+        unitary = random_unitary(np.random.default_rng(modes), modes)
+        networks = [unitary]
+        if modes > 1:
+            zeroed = unitary.copy()
+            zeroed[-1, 0] = 0.0
+            zeroed[:, 0] /= np.linalg.norm(zeroed[:, 0])
+            networks.append(zeroed)
+        for network_matrix in networks:
+            column = network_matrix[:, 0]
+            for r, cutoff in ((0.3, 12), (0.8, 24), (1.2, 24)):
+                amps = squeezed_vacuum_amplitudes(SqueezeParameter(r, 0.7), cutoff)
+                table = propagate_through_network(amps, network_matrix)
+                occupations = table.occupations
+                totals = occupations.sum(axis=1)
+                lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
+                reference = (
+                    amps[totals // 2]
+                    * np.exp(0.5 * (lgamma[totals] - lgamma[occupations].sum(axis=1)))
+                    * np.prod(column ** occupations, axis=1)
+                )
+                assert np.array_equal(table.amplitudes, reference)
 
     def test_equal_tables_compare_by_identity(self):
         # == may not compare the array fields: an array has no single truth value
@@ -392,6 +419,16 @@ AMPS_UNIT = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         pytest.param("max_term", lambda: series_partial_sum(np.ones(5), 2.5), id="term-2.5"),
         pytest.param("phi1", lambda: mach_zehnder_factorization_residual(math.nan, 0.2, 4), id="mz-phi1"),
         pytest.param("phi2", lambda: mach_zehnder_factorization_residual(0.1, 1e308, 4), id="mz-phi2"),
+        pytest.param(
+            "phi1",
+            lambda: mach_zehnder_factorization_residual([0.1, math.nan], [0.2, 0.3], 4),
+            id="mz-phi1-vector",
+        ),
+        pytest.param(
+            "phi2",
+            lambda: mach_zehnder_factorization_residual([0.1, 0.2], np.array([0.3, 1e308]), 4),
+            id="mz-phi2-vector",
+        ),
         pytest.param("cutoff", lambda: mach_zehnder_factorization_residual(0.1, 0.2, 4.0), id="mz-cutoff"),
     ],
 )
@@ -426,26 +463,57 @@ class TestMachZehnderFactorization:
             mach_zehnder_factorization_residual(0.1, 0.2, 1)
 
     def test_rejects_cutoff_above_the_cap(self):
-        # the cached stack holds (cutoff + 1)^3 complex entries per array
+        # the cap bounds the cached per-sector entries and a call's (cutoff + 1)^4 cost
         assert mach_zehnder_factorization_residual(0.1, 0.2, MAX_MZ_CUTOFF) <= 1e-9
         with pytest.raises(ValueError, match=r"^cutoff must lie in \[2, 32\], got 33$"):
             mach_zehnder_factorization_residual(0.1, 0.2, MAX_MZ_CUTOFF + 1)
 
-    @pytest.mark.parametrize("cutoff", [2, 5, 12, 30])
+    @pytest.mark.parametrize("cutoff", [2, 5, 12, 30, 32])
     def test_batched_residual_matches_sector_loop(self, rng, cutoff):
-        for _ in range(5):
-            phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
+        pairs = rng.uniform(-math.pi, math.pi, size=(5, 2))
+        for phi1, phi2 in pairs:
             batched = mach_zehnder_factorization_residual(phi1, phi2, cutoff)
             looped = mz_residual_by_sector(phi1, phi2, cutoff)
             assert batched == pytest.approx(looped, rel=0, abs=1e-15)
+        batched = mach_zehnder_factorization_residual(pairs[:, 0], pairs[:, 1], cutoff)
+        looped = max(mz_residual_by_sector(phi1, phi2, cutoff) for phi1, phi2 in pairs)
+        assert batched == pytest.approx(looped, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("cutoff", [2, 12, 32])
+    def test_batch_is_the_max_of_its_pairs(self, rng, cutoff):
+        # one pair is a batch of one, so the batch reads exactly its worst pair
+        phi1 = rng.uniform(-math.pi, math.pi, size=20)
+        phi2 = np.concatenate([rng.uniform(-math.pi, math.pi, size=19), [1e15]])
+        singles = [mach_zehnder_factorization_residual(a, b, cutoff) for a, b in zip(phi1, phi2)]
+        assert mach_zehnder_factorization_residual(phi1, phi2, cutoff) == max(singles)
+        assert mach_zehnder_factorization_residual(list(phi1), tuple(phi2), cutoff) == max(singles)
+        assert mach_zehnder_factorization_residual(phi1[:1], phi2[:1], cutoff) == singles[0]
+
+    @pytest.mark.parametrize(
+        "phi1, phi2, message",
+        [
+            ([0.1, "1"], [0.2, 0.3], r"^phi1 must be a real number, got '1'$"),
+            ([0.1, 0.2, 0.3], [0.2, 0.3], r"^phi1 and phi2 must have equal lengths, got 3 and 2$"),
+            (0.1, [0.2, 0.3], r"^phi1 and phi2 must have equal lengths, got 1 and 2$"),
+            ([], [], r"^phi1 must be a real number or a non-empty 1-D sequence, got shape \(0,\)$"),
+            (0.1, np.zeros((2, 2)), r"^phi2 must be a real number or a non-empty 1-D sequence, "),
+        ],
+        ids=["str", "length", "scalar-vs-pair", "empty", "2-d"],
+    )
+    def test_malformed_phase_vectors_are_refused(self, phi1, phi2, message):
+        with pytest.raises(ValueError, match=message):
+            mach_zehnder_factorization_residual(phi1, phi2, 4)
 
     def test_returned_operators_cannot_change_a_later_residual(self):
-        # the residual reads the cached per-cutoff stack; none of it can be written
+        # the residual reads the cached per-sector entries; none of them can be written
         before = mach_zehnder_factorization_residual(0.4, -1.3, 8)
-        for array in _mach_zehnder_stack(8):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 7.0
+        stack = _mach_zehnder_stack(8)
+        assert [sector.splitter.shape for sector in stack] == [(t + 1, t + 1) for t in range(9)]
+        for sector in stack:
+            for array in sector:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 7.0
         assert mach_zehnder_factorization_residual(0.4, -1.3, 8) == before
 
     def test_sector_operators_hermitian(self):

@@ -29,7 +29,7 @@ NUMPY_INTS = [np.int8, np.int32, np.int64, np.uint64]
 # instead of stalling the host: scaling_sweep holds `repetitions` counts
 # per point (the MemoryError a huge one meets is covered by the cli.main
 # test that exits 2 on it), `cutoff` sizes the amplitude vector and the
-# (cutoff + 1)^3 residual array, `modes` the 2M x 2M covariance, and
+# residual's per-sector matrices, `modes` the 2M x 2M covariance, and
 # `moment_power` is the power of the photon count in the certified tail
 MAX_INT = {
     "scaling_sweep.repetitions": 64,
