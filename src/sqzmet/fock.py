@@ -36,11 +36,11 @@ from .gaussian import SqueezeParameter
 MAX_SERIES_ORDER = 8
 # largest missing weight a table may have for :func:`survival_probability`
 MAX_TABLE_TAIL = 1e-6
-# largest cutoff mach_zehnder_factorization_residual accepts.  Its cached
-# per-sector entries hold four complex (t + 1) x (t + 1) matrices each, about
-# 0.8 MB at this bound, and a call costs about (cutoff + 1)^4 / 4 products per
-# phase pair; the checks use cutoff 12, and the bound stays where callers and
-# tests already rely on it
+# largest cutoff mach_zehnder_factorization_residual accepts.  Its cache holds
+# one entry per sector, shared by every cutoff: two complex (t + 1) x (t + 1)
+# matrices and t + 1 eigenvalues, about 0.4 MB for all 33 sectors at this bound;
+# a call costs about (cutoff + 1)^4 / 4 products per phase pair.  The checks
+# use cutoffs 10 and 12, and the bound stays where callers and tests rely on it
 MAX_MZ_CUTOFF = 32
 
 _ORDERS = np.arange(MAX_SERIES_ORDER + 1)
@@ -138,8 +138,9 @@ class FockAmplitudes:
     tail: float
 
     def __post_init__(self):
-        occ = np.asarray(self.occupations)
-        amp = np.asarray(self.amplitudes)
+        # copies, so freezing them leaves the caller's arrays writable
+        occ = np.array(self.occupations)
+        amp = np.array(self.amplitudes)
         occ.flags.writeable = False
         amp.flags.writeable = False
         object.__setattr__(self, "occupations", occ)
@@ -339,45 +340,21 @@ def _sector_generators(total: int) -> tuple[np.ndarray, np.ndarray]:
     return (raising + raising.conj().T) / 2.0, (raising - raising.conj().T) / 2.0j
 
 
-class _MachZehnderSector(NamedTuple):
-    """The phase-free parts of one photon-number sector of the balanced interferometer."""
+@lru_cache(maxsize=MAX_MZ_CUTOFF + 1)
+def _sector_operators(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 50:50 splitter and the eigensystem of ``Jy`` on the ``total``-photon sector.
 
-    n_first: np.ndarray
-    splitter: np.ndarray
-    splitter_h: np.ndarray
-    jy_values: np.ndarray
-    jy_vectors: np.ndarray
-    jy_vectors_h: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def _mach_zehnder_stack(cutoff: int) -> tuple[_MachZehnderSector, ...]:
-    """One entry per sector up to ``cutoff``, each of its own ``(t + 1) x (t + 1)`` size.
-
-    Entry ``t`` holds the first-mode photon numbers of the ``t``-photon
-    sector, the 50:50 splitter, the eigenvalues and eigenvectors of ``Jy``,
-    and the conjugate transposes of both matrices.
-    The entries of the last cutoff asked for are cached and returned
-    read-only, so no caller can alter a later residual.
+    They depend only on the sector total, so every cutoff shares them.  Each
+    array is cached and returned read-only, so no caller can alter a later
+    residual.
     """
-    stack = []
-    for total in range(cutoff + 1):
-        jx, jy = _sector_generators(total)
-        values, vectors = np.linalg.eigh(jx)
-        splitter = (vectors * np.exp(-0.5j * math.pi * values)) @ vectors.conj().T
-        jy_values, jy_vectors = np.linalg.eigh(jy)
-        sector = _MachZehnderSector(
-            np.arange(total + 1.0),
-            splitter,
-            np.ascontiguousarray(splitter.conj().T),
-            jy_values,
-            jy_vectors,
-            np.ascontiguousarray(jy_vectors.conj().T),
-        )
-        for array in sector:
-            array.flags.writeable = False
-        stack.append(sector)
-    return tuple(stack)
+    jx, jy = _sector_generators(total)
+    values, vectors = np.linalg.eigh(jx)
+    splitter = (vectors * np.exp(-0.5j * math.pi * values)) @ vectors.conj().T
+    operators = (splitter, *np.linalg.eigh(jy))
+    for array in operators:
+        array.flags.writeable = False
+    return operators
 
 
 def _arm_phases(name: str, value) -> np.ndarray:
@@ -400,8 +377,10 @@ def _arm_phases(name: str, value) -> np.ndarray:
 
 
 def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
-    """Operator-norm gap between the composed and the factorised balanced interferometer.
+    """Gap between the composed and the factorised balanced interferometer.
 
+    Each sector's gap is its Frobenius-norm gap (an upper bound on the
+    operator-norm gap), the norm of every other operator check in the package.
     The composed side is beamsplitter, per-arm phases, inverse beamsplitter,
     with the symmetric 50:50 splitter ``exp(-i (pi/2) Jx)``.  The factorised
     side is a mixing rotation by the phase difference times a global phase
@@ -411,10 +390,9 @@ def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
     over the whole ``PHASE_MAX`` envelope: each arm phase is first reduced
     modulo ``2 pi`` (which leaves a phase in ``[-pi, pi]`` unchanged).
     The splitter and the eigensystem of ``Jy`` depend only on the sector
-    total; they are computed once per cutoff at each sector's own size.
-    Each sector then evaluates every phase pair in one stacked product, and
-    its gap norm is the square root of the largest eigenvalue of
-    ``G^H G``, so the result equals the largest single-pair residual.
+    total and are cached once per sector.  Each sector then evaluates every
+    phase pair in one stacked product, so the result equals the largest
+    single-pair residual.
 
     Args:
         phi1, phi2: arm phases, each in ``[-network.PHASE_MAX, network.PHASE_MAX]``:
@@ -424,7 +402,7 @@ def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
             per pair.
 
     Returns:
-        The largest residual over every pair and every sector.
+        The largest Frobenius-norm gap over every pair and every sector.
     """
     phi1 = _arm_phases("phi1", phi1)
     phi2 = _arm_phases("phi2", phi2)
@@ -437,12 +415,13 @@ def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
     half_sum = (-0.5j * (phi1 + phi2))[:, None, None]
     phi1, phi2 = phi1[:, None], phi2[:, None]
     worst = 0.0
-    for total, sector in enumerate(_mach_zehnder_stack(cutoff)):
-        diag_phase = np.exp(-1j * (phi1 * sector.n_first + phi2 * (total - sector.n_first)))
-        composed = (sector.splitter * diag_phase[:, None, :]) @ sector.splitter_h
-        mixing_phase = np.exp(1j * difference * sector.jy_values)
-        mixing = (sector.jy_vectors * mixing_phase[:, None, :]) @ sector.jy_vectors_h
+    for total in range(cutoff + 1):
+        splitter, jy_values, jy_vectors = _sector_operators(total)
+        n_first = np.arange(total + 1.0)
+        diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (total - n_first)))
+        composed = (splitter * diag_phase[:, None, :]) @ splitter.conj().T
+        mixing_phase = np.exp(1j * difference * jy_values)
+        mixing = (jy_vectors * mixing_phase[:, None, :]) @ jy_vectors.conj().T
         gap = composed - mixing * np.exp(half_sum * total)
-        gram = gap.conj().swapaxes(1, 2) @ gap
-        worst = max(worst, float(np.linalg.eigvalsh(gram).max()))
-    return math.sqrt(worst)
+        worst = max(worst, float(np.linalg.norm(gap, axis=(1, 2)).max()))
+    return worst

@@ -59,14 +59,27 @@ def validate_real(name: str, value, low: float = -math.inf, high: float = math.i
     raise ValueError(f"{name} = {number} outside [{low}, {high}]")
 
 
+def _real_vector(name: str, values) -> np.ndarray:
+    """``values`` as a float array, if its dtype is integer or float.
+
+    Strings, bools, complex numbers and any other dtype are refused,
+    naming ``name``, as the scalar rule of :func:`validate_real` refuses them.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
+    return np.asarray(array, dtype=float)
+
+
 def validate_weights(weights) -> np.ndarray:
     """Return ``weights`` as a float array, checking non-negativity and normalisation.
 
     Raises:
-        ValueError: on negative entries, non-finite values, or a sum away
-            from 1 by more than ``WEIGHT_SUM_TOL``.
+        ValueError: on a dtype other than integer or float, negative
+            entries, non-finite values, or a sum away from 1 by more than
+            ``WEIGHT_SUM_TOL``.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _real_vector("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"weights must be a non-empty vector, got shape {w.shape}")
     # one accept test: a NaN fails the min, an inf the sum, and the sum is
@@ -85,9 +98,10 @@ def validate_phases(phases, modes: int) -> np.ndarray:
     """Return ``phases`` as a float array of one finite phase per mode.
 
     Raises:
-        ValueError: if the shape is not ``(modes,)`` or an entry is not finite.
+        ValueError: on a dtype other than integer or float, if the shape is
+            not ``(modes,)``, or if an entry is not finite.
     """
-    phases = np.asarray(phases, dtype=float)
+    phases = _real_vector("phases", phases)
     if phases.shape != (modes,):
         raise ValueError(f"expected {modes} phases, got shape {phases.shape}")
     if not np.all(np.isfinite(phases)):

@@ -20,12 +20,14 @@ from sqzmet import (
     survival_probability,
     survival_probability_sectors,
 )
+from sqzmet import fock
 from sqzmet.fock import (
     MAX_MZ_CUTOFF,
     MAX_SERIES_ORDER,
-    _mach_zehnder_stack,
+    FockAmplitudes,
     _multinomial_weighted_moments,
     _sector_generators,
+    _sector_operators,
 )
 from conftest import random_unitary, random_weights
 
@@ -82,8 +84,12 @@ def propagate_by_enumeration(amplitudes, unitary):
     return np.array(occ_rows, dtype=np.int64), np.array(amp_rows, dtype=complex)
 
 
-def mz_residual_by_sector(phi1, phi2, cutoff):
-    """Per-sector 2-norm loop with fresh eigendecompositions; the slow oracle."""
+def mz_residual_by_sector(phi1, phi2, cutoff, norm="fro"):
+    """Per-sector loop with fresh eigendecompositions; the slow oracle.
+
+    ``norm`` is passed to ``np.linalg.norm``: ``"fro"`` is the residual's
+    own norm, ``2`` the operator norm it bounds from above.
+    """
     def expi(matrix, scale):
         values, vectors = np.linalg.eigh(matrix)
         return (vectors * np.exp(1j * scale * values)) @ vectors.conj().T
@@ -96,7 +102,7 @@ def mz_residual_by_sector(phi1, phi2, cutoff):
         diag_phase = np.exp(-1j * (phi1 * n_first + phi2 * (total - n_first)))
         composed = (splitter * diag_phase[None, :]) @ splitter.conj().T
         factorised = expi(jy, phi1 - phi2) * np.exp(-0.5j * (phi1 + phi2) * total)
-        worst = max(worst, float(np.linalg.norm(composed - factorised, 2)))
+        worst = max(worst, float(np.linalg.norm(composed - factorised, norm)))
     return worst
 
 
@@ -228,6 +234,18 @@ class TestPropagation:
                     * np.prod(column ** occupations, axis=1)
                 )
                 assert np.array_equal(table.amplitudes, reference)
+
+    def test_caller_arrays_stay_writable_and_detached(self):
+        occupations = np.array([[0, 0], [2, 0]])
+        amplitudes = np.array([0.9, 0.1j])
+        table = FockAmplitudes(2, occupations, amplitudes, 0.0)
+        assert occupations.flags.writeable and amplitudes.flags.writeable
+        assert not table.occupations.flags.writeable
+        assert not table.amplitudes.flags.writeable
+        occupations[1, 0] = 7
+        amplitudes[0] = 0.0
+        assert table.occupations.tolist() == [[0, 0], [2, 0]]
+        assert table.amplitudes.tolist() == [0.9, 0.1j]
 
     def test_equal_tables_compare_by_identity(self):
         # == may not compare the array fields: an array has no single truth value
@@ -480,6 +498,41 @@ class TestMachZehnderFactorization:
         assert batched == pytest.approx(looped, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("cutoff", [2, 12, 32])
+    def test_residual_bounds_the_operator_norm_gap(self, rng, cutoff):
+        # ||G||_2 <= ||G||_F <= sqrt(rank) ||G||_2, and a sector has rank <= cutoff + 1
+        for phi1, phi2 in rng.uniform(-math.pi, math.pi, size=(5, 2)):
+            residual = mach_zehnder_factorization_residual(phi1, phi2, cutoff)
+            spectral = mz_residual_by_sector(phi1, phi2, cutoff, norm=2)
+            assert spectral <= residual <= math.sqrt(cutoff + 1) * spectral
+
+    def test_a_wrong_generator_shows(self, monkeypatch):
+        # a Jy of the wrong sign rotates the mixing the wrong way round
+        sector_generators = fock._sector_generators
+
+        def flipped(total):
+            jx, jy = sector_generators(total)
+            return jx, -jy
+
+        _sector_operators.cache_clear()
+        monkeypatch.setattr(fock, "_sector_generators", flipped)
+        try:
+            assert mach_zehnder_factorization_residual(0.4, -1.3, 6) > 1.0
+        finally:
+            _sector_operators.cache_clear()
+
+    def test_sectors_are_cached_once_for_every_cutoff(self):
+        # criterion 8 uses cutoff 10 and validate 12: the larger reuses the smaller's sectors
+        _sector_operators.cache_clear()
+        mach_zehnder_factorization_residual(0.4, -1.3, 10)
+        mach_zehnder_factorization_residual([0.4, 0.1], [-1.3, 2.0], 12)
+        info = _sector_operators.cache_info()
+        assert info.currsize == 13
+        assert info.maxsize == MAX_MZ_CUTOFF + 1
+        for total in range(13):
+            assert all(not array.flags.writeable for array in _sector_operators(total))
+        assert _sector_operators.cache_info().currsize == 13
+
+    @pytest.mark.parametrize("cutoff", [2, 12, 32])
     def test_batch_is_the_max_of_its_pairs(self, rng, cutoff):
         # one pair is a batch of one, so the batch reads exactly its worst pair
         phi1 = rng.uniform(-math.pi, math.pi, size=20)
@@ -507,10 +560,11 @@ class TestMachZehnderFactorization:
     def test_returned_operators_cannot_change_a_later_residual(self):
         # the residual reads the cached per-sector entries; none of them can be written
         before = mach_zehnder_factorization_residual(0.4, -1.3, 8)
-        stack = _mach_zehnder_stack(8)
-        assert [sector.splitter.shape for sector in stack] == [(t + 1, t + 1) for t in range(9)]
-        for sector in stack:
-            for array in sector:
+        for total in range(9):
+            splitter, jy_values, jy_vectors = _sector_operators(total)
+            assert splitter.shape == jy_vectors.shape == (total + 1, total + 1)
+            assert jy_values.shape == (total + 1,)
+            for array in (splitter, jy_values, jy_vectors):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 7.0

@@ -336,6 +336,12 @@ class TestEngines:
                 [0.5, 0.5], [0.1, bad], SqueezeParameter(0.5), engine=engine
             )
 
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    def test_complex_phases_are_refused_by_name(self, engine):
+        # a complex phase is not a real number: refused by name, not with numpy's float() TypeError
+        with pytest.raises(ValueError, match="^phases must be real numbers, got dtype complex128$"):
+            exact_survival_probability([1.0], [0.1 + 0.5j], SqueezeParameter(0.5), engine=engine)
+
 
 class TestExperimentConfig:
     def test_valid_roundtrip(self):

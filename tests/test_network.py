@@ -54,6 +54,33 @@ class TestWeightValidation:
         with pytest.raises(ValueError, match=f"^{message}"):
             validate_weights(bad)
 
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [
+            (["0.5", "0.5"], "<U3"),
+            ([True, False], "bool"),
+            ([0.5 + 0j, 0.5], "complex128"),
+            ([0.5, None], "object"),
+            ([10 ** 400, 0], "object"),
+        ],
+        ids=["str", "bool", "complex", "none", "huge-int"],
+    )
+    @pytest.mark.parametrize("name", ["weights", "phases"])
+    def test_only_integer_and_float_vectors_are_numbers(self, name, bad, dtype):
+        # the vector form of the scalar rule: a string, a bool or a complex
+        # number is not a real number
+        call = validate_weights if name == "weights" else lambda v: network.validate_phases(v, 2)
+        with pytest.raises(ValueError, match=f"^{name} must be real numbers, got dtype {dtype}$"):
+            call(bad)
+
+    @pytest.mark.parametrize(
+        "values", [[1, 0], np.array([1, 0], dtype=np.uint8), np.array([0.5, 0.5], dtype=np.float32)]
+    )
+    def test_integer_and_float_vectors_are_accepted(self, values):
+        for checked in (validate_weights(values), network.validate_phases(values, 2)):
+            assert checked.dtype == np.float64
+            assert np.array_equal(checked, np.asarray(values, dtype=float))
+
 
 class TestEmbedWeights:
     def test_unit_weight_gives_identity(self):
