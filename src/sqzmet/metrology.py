@@ -302,6 +302,11 @@ def scaling_sweep(
     :func:`estimate_phase` would rescale it by ``nbar / (nbar + 1)`` to
     leading order in the phase.
 
+    The counts of all points form one ``(points, repetitions)`` array that
+    is inverted at once and reduced along its rows, which gives the same
+    bits as reducing each point on its own; at its peak the pass holds two
+    such arrays of 8-byte numbers.
+
     Args:
         nbars: mean photon numbers to scan, each in ``[NBAR_MIN, NBAR_MAX]``;
             two or more must not all share one ``log(nbar)``.
@@ -352,28 +357,44 @@ def scaling_sweep(
                 f"{baseline} model gives p = {p} outside [0, 1] at nbar = {nbar} "
                 f"(bias_product {bias_product})"
             )
-    results = []
-    for i, (nbar, reference, p) in enumerate(zip(nbars, references, probabilities)):
-        scale = _sweep_inversion_scale(nbar, baseline)
-        counts = np.random.default_rng([seed, i]).binomial(shots, p, size=repetitions)
-        estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)
-        delta_phi_sq = float(estimates.var(ddof=1))
+    # row i holds point i's repetitions; every reduction below runs along rows
+    counts = np.empty((len(nbars), repetitions), dtype=np.int64)
+    for i, p in enumerate(probabilities):
+        counts[i] = np.random.default_rng([seed, i]).binomial(shots, p, size=repetitions)
+    if repetitions * shots <= MAX_SHOTS:
+        totals = counts.sum(axis=1).tolist()
+    else:
+        # Python ints, one row at a time: an int64 sum would wrap
+        totals = [sum(row.tolist()) for row in counts]
+    # inverted in place once the counts are dropped: the variance's
+    # deviations are then the only second array of this size
+    estimates = np.divide(counts, shots)
+    del counts
+    np.subtract(1.0, estimates, out=estimates)
+    np.maximum(0.0, estimates, out=estimates)
+    scales = np.array([_sweep_inversion_scale(nbar, baseline) for nbar in nbars])
+    np.divide(estimates, scales[:, None], out=estimates)
+    np.sqrt(estimates, out=estimates)
+    variances = estimates.var(axis=1, ddof=1)
+    for nbar, delta_phi_sq in zip(nbars, variances):
         if not delta_phi_sq > 0:
             raise ValueError(
                 f"zero sample variance at nbar = {nbar} (bias_product {bias_product}, "
                 f"shots {shots}, repetitions {repetitions}): every repetition gave the "
                 "same estimate"
             )
-        results.append(
-            EstimationResult(
-                # Python ints: an int64 sum wraps once shots near MAX_SHOTS
-                p_hat=sum(counts.tolist()) / (repetitions * shots),
-                phi_hat=float(estimates.mean()),
-                delta_phi_sq=delta_phi_sq,
-                heisenberg_bound=reference / shots,
-            )
+    results = tuple(
+        EstimationResult(
+            p_hat=total / (repetitions * shots),
+            phi_hat=phi_hat,
+            delta_phi_sq=delta_phi_sq,
+            heisenberg_bound=reference / shots,
         )
+        for total, phi_hat, delta_phi_sq, reference in zip(
+            totals, estimates.mean(axis=1).tolist(), variances.tolist(), references
+        )
+    )
     slope = float(
-        np.polyfit(np.log(nbars), np.log([r.delta_phi_sq for r in results]), 1)[0]
+        np.polyfit(np.log(nbars), np.log(variances), 1)[0]
     ) if len(nbars) > 1 else math.nan
-    return SweepResult(tuple(nbars), shots, repetitions, tuple(results), slope)
+    return SweepResult(tuple(nbars), shots, repetitions, results, slope)

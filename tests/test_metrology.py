@@ -594,23 +594,25 @@ class TestScalingSweep:
         assert scaling_sweep(nbars, 5000, 20, 99) == full
         assert full.results[:2] == scaling_sweep(nbars[:2], 5000, 20, 99).results
 
-    def test_vectorised_inversion_matches_loop(self):
-        # reference: draw point i's counts from the (seed, i) stream and
-        # invert them one repetition at a time
-        nbars, shots, reps, seed = [0.5, 2.0], 5000, 30, 7
-        result = scaling_sweep(nbars, shots, reps, seed)
+    @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
+    @pytest.mark.parametrize("nbars", [[1.0], [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]])
+    @pytest.mark.parametrize("reps", [2, 3, 129, 8193, 10 ** 5])
+    def test_vectorised_inversion_matches_loop(self, reps, nbars, baseline):
+        # reference: draw point i's counts from the (seed, i) stream and invert
+        # and reduce them as a 1-D array of their own.  The sweep reduces all
+        # points along the rows of one array; the CSV bytes need the same bits,
+        # and sums reordered around numpy's pairwise block (128) or buffer
+        # (8192) sizes would not give them
+        shots, seed = 10 ** 5, 7
+        result = scaling_sweep(nbars, shots, reps, seed, baseline=baseline)
         for i, (nbar, point) in enumerate(zip(nbars, result.results)):
-            p = sweep_point_probability(nbar, 0.05 / nbar)
+            p = sweep_point_probability(nbar, 0.05 / nbar, baseline)
+            scale = 2.0 * nbar ** 2 if baseline == "squeezed" else nbar
             counts = np.random.default_rng([seed, i]).binomial(shots, p, size=reps)
-            estimates = [
-                math.sqrt(max(0.0, 1.0 - int(c) / shots) / (2.0 * nbar ** 2))
-                for c in counts
-            ]
-            assert point.p_hat == sum(int(c) for c in counts) / (reps * shots)
-            assert point.phi_hat == pytest.approx(np.mean(estimates), rel=1e-12)
-            assert point.delta_phi_sq == pytest.approx(
-                np.var(estimates, ddof=1), rel=1e-9
-            )
+            estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)
+            assert point.p_hat == sum(counts.tolist()) / (reps * shots)
+            assert point.phi_hat == float(estimates.mean())
+            assert point.delta_phi_sq == float(estimates.var(ddof=1))
 
     def test_survival_fraction_at_the_largest_shot_count(self):
         # repetitions x shots is far past int64; the fraction must not wrap
