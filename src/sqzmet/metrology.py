@@ -82,8 +82,28 @@ def check_regime(phases, nbar: float) -> RegimeCheck:
     """
     nbar = validate_real("nbar", nbar, 0, NBAR_MAX)
     phases = network.validate_phases(phases, np.size(phases))
-    ratio = float(np.max(np.abs(phases))) * nbar if phases.size else 0.0
+    return _regime_check(float(np.max(np.abs(phases))) * nbar if phases.size else 0.0)
+
+
+def _regime_check(ratio: float) -> RegimeCheck:
+    # the one place the threshold is applied, to a ratio already validated
     return RegimeCheck(ratio, ratio < REGIME_THRESHOLD)
+
+
+def _fit_slope(xs, ys) -> float:
+    """Least-squares slope of ``ys`` against ``xs``; NaN if the xs have no spread.
+
+    Closed form over Python floats, with centred sums that ``math.fsum``
+    rounds once each, so the result does not depend on a BLAS or LAPACK
+    build or on a summation order.
+    """
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0:
+        return math.nan
+    return math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / sxx
 
 
 def heisenberg_sensitivity(nbar: float) -> float:
@@ -305,7 +325,8 @@ def scaling_sweep(
     The counts of all points form one ``(points, repetitions)`` array that
     is inverted at once and reduced along its rows, which gives the same
     bits as reducing each point on its own; at its peak the pass holds two
-    such arrays of 8-byte numbers.
+    such arrays of 8-byte numbers.  ``slope`` is the least-squares slope of
+    ``log(delta_phi_sq)`` against ``log(nbar)``, NaN for a single point.
 
     Args:
         nbars: mean photon numbers to scan, each in ``[NBAR_MIN, NBAR_MAX]``;
@@ -333,15 +354,17 @@ def scaling_sweep(
     if not nbars:
         raise ValueError("nbars must not be empty")
     references = [heisenberg_sensitivity(nbar) for nbar in nbars]
-    if len(nbars) > 1 and np.ptp(np.log(nbars)) == 0:
+    # the refusal and the fit read the same logs
+    log_nbars = [math.log(nbar) for nbar in nbars]
+    if len(nbars) > 1 and min(log_nbars) == max(log_nbars):
         raise ValueError(f"nbars {nbars} have no spread in log(nbar): no slope can be fitted")
     bias_product = validate_real("bias_product", bias_product)
     shots = validate_count("shots", shots, 1, MAX_SHOTS)
     repetitions = validate_count("repetitions", repetitions, 2)
     seed = validate_count("seed", seed, 0)
-    # every point's phases all equal bias_product / nbar; the ratio is
-    # taken at nbar = 1, where it is |bias_product| without rounding
-    regime = check_regime([bias_product], 1.0)
+    # every point's phases all equal bias_product / nbar, so check_regime's
+    # ratio max|phi| * nbar is |bias_product|, which needs no rounding
+    regime = _regime_check(abs(bias_product))
     if not regime.ok and not force:
         raise RegimeError(
             f"bias product {bias_product} is outside the small-phase regime "
@@ -366,8 +389,8 @@ def scaling_sweep(
     else:
         # Python ints, one row at a time: an int64 sum would wrap
         totals = [sum(row.tolist()) for row in counts]
-    # inverted in place once the counts are dropped: the variance's
-    # deviations are then the only second array of this size
+    # the counts are dropped once their fractions are taken; every step
+    # after that works in place on this one array
     estimates = np.divide(counts, shots)
     del counts
     np.subtract(1.0, estimates, out=estimates)
@@ -375,7 +398,12 @@ def scaling_sweep(
     scales = np.array([_sweep_inversion_scale(nbar, baseline) for nbar in nbars])
     np.divide(estimates, scales[:, None], out=estimates)
     np.sqrt(estimates, out=estimates)
-    variances = estimates.var(axis=1, ddof=1)
+    means = estimates.mean(axis=1)
+    # the steps of var(axis=1, ddof=1) on these means, so the same bits, with
+    # the deviations taken in place rather than in a second array
+    np.subtract(estimates, means[:, None], out=estimates)
+    np.square(estimates, out=estimates)
+    variances = (estimates.sum(axis=1) / (repetitions - 1)).tolist()
     for nbar, delta_phi_sq in zip(nbars, variances):
         if not delta_phi_sq > 0:
             raise ValueError(
@@ -391,10 +419,8 @@ def scaling_sweep(
             heisenberg_bound=reference / shots,
         )
         for total, phi_hat, delta_phi_sq, reference in zip(
-            totals, estimates.mean(axis=1).tolist(), variances.tolist(), references
+            totals, means.tolist(), variances, references
         )
     )
-    slope = float(
-        np.polyfit(np.log(nbars), np.log(variances), 1)[0]
-    ) if len(nbars) > 1 else math.nan
+    slope = _fit_slope(log_nbars, [math.log(v) for v in variances])
     return SweepResult(tuple(nbars), shots, repetitions, results, slope)

@@ -132,7 +132,9 @@ def check_series_convergence(seed: int) -> CheckResult:
         exact = fock.survival_probability_sectors(amps, weights, phases)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=6)
         residuals.append(abs(fock.series_partial_sum(series.terms, 6) - exact))
-    exponent = float(np.polyfit(np.log(scales), np.log(residuals), 1)[0])
+    exponent = metrology._fit_slope(
+        [math.log(scale) for scale in scales], [math.log(residual) for residual in residuals]
+    )
     return CheckResult(
         "series convergence order",
         exponent >= 7.0,

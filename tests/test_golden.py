@@ -23,10 +23,11 @@ SWEEPS = [
     for baseline in ("squeezed", "coherent")
     for repetitions in (200, 2000)
 ]
-# np.log is dispatched to a SIMD kernel chosen per host and np.polyfit solves
-# its least-squares problem through the host's LAPACK, so the fitted slope may
-# differ in its last bits between hosts.  Every other byte comes from numpy's
-# binomial stream, math.sin and correctly rounded operations in a fixed order
+# the fitted slope takes its logs from the host's libm log, whose last bit may
+# differ between C libraries, so the slope may differ in its last bits between
+# hosts; its sums are rounded once each by math.fsum.  Every other byte comes
+# from numpy's binomial stream, math.sin and correctly rounded operations in a
+# fixed order
 SLOPE_REL_TOL = 1e-12
 
 

@@ -677,11 +677,32 @@ class TestScalingSweep:
         monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", refuse)
         assert scaling_sweep([0.5, 1.0, 2.0], 5000, 20, 3) == expected
 
-    @pytest.mark.parametrize("bias_product", [-0.5, -0.3, 0.3])
+    @pytest.mark.parametrize(
+        "bias_product",
+        [0.0, -0.0, math.nextafter(0.3, 0), -math.nextafter(0.3, 0), 0.3, -0.3, 0.31, -0.31,
+         -0.5],
+    )
     def test_regime_rule_is_the_magnitude_of_the_bias(self, bias_product):
-        # check_regime's ratio max|phi| nbar is |bias_product| at every point
-        with pytest.raises(RegimeError, match=re.escape(f"ratio {abs(bias_product)}")):
-            scaling_sweep([1.0, 2.0], 1000, 10, 0, bias_product=bias_product)
+        # check_regime's ratio max|phi| nbar is |bias_product| at every point:
+        # the sweep refuses exactly where check_regime warns, which is from
+        # the threshold 0.3 itself up, and force lifts the refusal
+        def outcome(**kwargs):
+            # the result, or the type and text of the refusal (zero variance at 0)
+            try:
+                return scaling_sweep([1.0, 2.0], 10 ** 5, 10, 0, bias_product=bias_product,
+                                     **kwargs)
+            except ValueError as error:
+                return type(error), str(error)
+
+        regime = check_regime([bias_product], 1.0)
+        assert regime == (abs(bias_product), abs(bias_product) < 0.3)
+        forced = outcome(force=True)
+        assert not (isinstance(forced, tuple) and forced[0] is RegimeError)
+        if regime.ok:
+            assert outcome() == forced
+        else:
+            with pytest.raises(RegimeError, match=re.escape(f"(ratio {abs(bias_product)}, ")):
+                scaling_sweep([1.0, 2.0], 10 ** 5, 10, 0, bias_product=bias_product)
 
     @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
     def test_sign_of_the_bias_changes_nothing(self, baseline):
@@ -736,6 +757,44 @@ class TestScalingSweep:
     def test_coherent_phase_square_overflow_is_refused(self):
         with pytest.raises(ValueError, match=re.escape("phi_bar = 1e+200")):
             sweep_point_probability(0.0, 1e200, baseline="coherent")
+
+
+class TestFitSlope:
+    # the one least-squares fit of the sweep and of validate's series check
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("points", [2, 3, 5, 17, 64])
+    def test_matches_polyfit(self, points, noise):
+        # np.polyfit is the reference, over log spreads from 1e-16 up to the
+        # whole nbar envelope.  Both fits lose digits in proportion to the
+        # data's offset over its spread, so the offsets stay within a few
+        # spreads, where np.polyfit is accurate to about 1e-14
+        rng = np.random.default_rng([points, round(10 * noise)])
+        low, high = math.log(sqzmet.network.NBAR_MIN), math.log(sqzmet.network.NBAR_MAX)
+        for spread in np.geomspace(1e-16, high - low, 12):
+            start = rng.uniform(max(low, -spread), min(0.0, high - spread))
+            fractions = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, points - 2)])
+            xs = start + spread * fractions
+            slope = -rng.uniform(0.5, 3.0)
+            ys = spread * rng.uniform(-1.0, 1.0) + slope * xs
+            ys += noise * abs(slope) * spread * rng.standard_normal(points)
+            expected = np.polyfit(xs, ys, 1)[0]
+            fitted = sqzmet.metrology._fit_slope(xs.tolist(), ys.tolist())
+            assert fitted == pytest.approx(expected, rel=1e-12), (points, spread)
+
+    def test_one_point_or_no_spread_gives_nan(self):
+        assert math.isnan(sqzmet.metrology._fit_slope([0.7], [-3.0]))
+        assert math.isnan(sqzmet.metrology._fit_slope([0.7, 0.7], [-3.0, 1.0]))
+
+    def test_sweep_and_full_suite_need_no_polyfit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.polyfit was called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        result = scaling_sweep([0.5, 1.0, 2.0, 4.0], 10 ** 5, 200, 20260808)
+        assert -2.3 < result.slope < -1.7
+        checks = validate.full_suite(0)
+        assert checks[-1].name == "series convergence order"
+        assert all(check.passed for check in checks)
 
 
 @pytest.mark.parametrize(
