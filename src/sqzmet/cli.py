@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, metrology, network
-from .gaussian import SqueezeParameter
+from .metrology import SqueezeParameter
 
 CONFIG_KEYS = ("weights", "true_phases", "squeeze", "shots", "seed")
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network
-from .gaussian import SqueezeParameter
+from .metrology import SqueezeParameter
 
 MAX_SERIES_ORDER = 8
 # largest missing weight a table may have for :func:`survival_probability`
@@ -101,8 +101,6 @@ def recommend_cutoff(
     """
     tail_bound = network.validate_real("tail_bound", tail_bound, math.ulp(0.0))
     moment_power = network.validate_count("moment_power", moment_power, 0, MAX_SERIES_ORDER)
-    if squeeze.r == 0.0:
-        return 0
     t2 = math.tanh(squeeze.r) ** 2
     prob = 1.0 / math.cosh(squeeze.r)
     for n in range(200_000):

@@ -20,34 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import validate_count, validate_real
+from .metrology import _LOG_FLOAT_MAX, PhotonMoments, SqueezeParameter
+from .network import validate_count
 
 OVERLAP_PURITY_TOL = 1e-6
-# exp(x) and expm1(x) are finite floats only up to this x
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class SqueezeParameter:
-    """Magnitude ``r >= 0`` and phase ``theta`` of a single-mode squeezer.
-
-    The phase is normalised into ``[0, 2*pi)`` on construction.  The mean
-    photon number of the squeezed vacuum it prepares is ``sinh(r)**2``.
-    """
-
-    r: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        # exp(2r) must be a finite float
-        r = validate_real("squeezing magnitude r", self.r, 0, _LOG_FLOAT_MAX / 2)
-        theta = validate_real("squeezing phase", self.theta)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
-
-    @property
-    def mean_photon_number(self) -> float:
-        return math.sinh(self.r) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +57,6 @@ class GaussianState:
     @property
     def modes(self) -> int:
         return self.covariance.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class PhotonMoments:
-    """Mean and variance of the total photon number."""
-
-    mean_n: float
-    var_n: float
 
 
 def _rotation(angle: float) -> np.ndarray:

@@ -11,25 +11,52 @@ photon number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import fock, network
+from . import network
 from .network import NBAR_MAX, NBAR_MIN, PHASE_MAX, validate_count, validate_real
-from .gaussian import (
-    PhotonMoments,
-    SqueezeParameter,
-    apply_network,
-    squeezed_probe,
-    vacuum_overlap_probability,
-)
 
 REGIME_THRESHOLD = 0.3
 ENGINES = ("gaussian", "fock")
 # numpy's binomial sampler takes the number of trials as an int64
 MAX_SHOTS = 2 ** 63 - 1
+# exp(x) and expm1(x) are finite floats only up to this x
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+@dataclass(frozen=True)
+class SqueezeParameter:
+    """Magnitude ``r >= 0`` and phase ``theta`` of a single-mode squeezer.
+
+    The phase is normalised into ``[0, 2*pi)`` on construction.  The mean
+    photon number of the squeezed vacuum it prepares is ``sinh(r)**2``.
+    """
+
+    r: float
+    theta: float = 0.0
+
+    def __post_init__(self):
+        # exp(2r) must be a finite float
+        r = validate_real("squeezing magnitude r", self.r, 0, _LOG_FLOAT_MAX / 2)
+        theta = validate_real("squeezing phase", self.theta)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
+
+    @property
+    def mean_photon_number(self) -> float:
+        return math.sinh(self.r) ** 2
+
+
+@dataclass(frozen=True)
+class PhotonMoments:
+    """Mean and variance of the total photon number."""
+
+    mean_n: float
+    var_n: float
 
 
 class RegimeError(ValueError):
@@ -195,18 +222,24 @@ def exact_survival_probability(
     cutoff that :func:`fock.recommend_cutoff` certifies for a tail below
     ``1e-12``.
 
+    Each engine is a verifier, imported only when its branch runs.
+
     Returns:
         ``(probability, cutoff)``; the cutoff is None for the gaussian
         engine.
     """
     w = network.validate_weights(weights)
     if engine == "gaussian":
+        from .gaussian import apply_network, squeezed_probe, vacuum_overlap_probability
+
         phases = network.validate_phases(phases, w.size)
         unitary = network.embed_weights_unitary(w)
         passive = unitary.conj().T @ (np.exp(-1j * phases)[:, None] * unitary)
         probe = squeezed_probe(w.size, squeeze)
         return vacuum_overlap_probability(apply_network(probe, passive), probe), None
     if engine == "fock":
+        from . import fock
+
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-12)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         return fock.survival_probability_sectors(amps, w, phases), cutoff
@@ -393,8 +426,8 @@ def scaling_sweep(
     # after that works in place on this one array
     estimates = np.divide(counts, shots)
     del counts
+    # counts never exceed shots, so every deficit is at least +0.0
     np.subtract(1.0, estimates, out=estimates)
-    np.maximum(0.0, estimates, out=estimates)
     scales = np.array([_sweep_inversion_scale(nbar, baseline) for nbar in nbars])
     np.divide(estimates, scales[:, None], out=estimates)
     np.sqrt(estimates, out=estimates)

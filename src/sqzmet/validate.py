@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock, metrology, network
-from .gaussian import SqueezeParameter, photon_moments, squeezed_probe
+from .gaussian import photon_moments, squeezed_probe
+from .metrology import SqueezeParameter
 
 
 class CheckResult(NamedTuple):

@@ -423,13 +423,33 @@ class TestValidate:
         full_only = ("PASS mach-zehnder factorization", "PASS series convergence order")
         assert all((check in out) == (level == "full") for check in full_only)
 
-    def test_importing_the_cli_leaves_the_suites_unloaded(self):
-        # only `sqzmet validate` runs the suites, so only cmd_validate imports them
+    def test_importing_the_cli_leaves_the_suites_unloaded(self, tmp_path, config_file):
+        # only `sqzmet validate` runs the suites, so only cmd_validate imports
+        # them; synthesize and sweep load no verifier, and simulate loads the
+        # covariance engine it runs on
         source_root = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
-        code = "import sys, sqzmet.cli; assert 'sqzmet.validate' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.25 0.75\n")
+        out = str(tmp_path / "out")
+        code = f"""
+import sys
+import sqzmet.cli as cli
+
+def loaded():
+    return sorted(m for m in ("gaussian", "fock", "validate") if "sqzmet." + m in sys.modules)
+
+assert loaded() == [], loaded()
+assert cli.main(["synthesize", {str(weights)!r}, "--out", {out!r}]) == 0
+assert cli.main(["sweep", "--config", {config_file!r}, "--repetitions", "10", "--out", {out!r}]) == 0
+assert loaded() == [], loaded()
+assert cli.main(["simulate", "--config", {config_file!r}, "--out", {out!r}]) == 0
+assert loaded() == ["gaussian"], loaded()
+"""
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True
+        )
 
     def test_corrupted_engine_is_caught(self, capsys, monkeypatch):
         # simulate a sign flip in the covariance engine; the cross-engine

@@ -151,6 +151,12 @@ class TestAmplitudes:
         with pytest.raises(ValueError, match=r"r = 5\.5 \(nbar = 1\.497e\+04\)"):
             recommend_cutoff(SqueezeParameter(5.5), 1e-12)
 
+    @pytest.mark.parametrize("tail", [math.ulp(0.0), 1e-16, 1.0])
+    @pytest.mark.parametrize("power", range(MAX_SERIES_ORDER + 1))
+    def test_vacuum_needs_no_photons(self, tail, power):
+        # at r = 0 the first missing term and its ratio bound are both 0
+        assert recommend_cutoff(SqueezeParameter(0.0), tail, moment_power=power) == 0
+
     def test_photon_moment_reconstruction(self):
         # mean 1 and mean square 5 for the unit-photon squeezer
         cutoff = recommend_cutoff(SQ_UNIT, 1e-12, moment_power=2)

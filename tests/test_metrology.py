@@ -545,6 +545,23 @@ class TestRunProtocol:
             assert run_protocol(config).phi_hat == pytest.approx(phi, rel=0, abs=1e-12)
 
 
+def _assert_sweep_matches_loop(nbars, shots, reps, seed, bias_product, baseline):
+    """Check each point against its counts inverted and reduced on their own; return the counts."""
+    result = scaling_sweep(nbars, shots, reps, seed, bias_product=bias_product, baseline=baseline)
+    all_counts = []
+    for i, (nbar, point) in enumerate(zip(nbars, result.results)):
+        p = sweep_point_probability(nbar, bias_product / nbar, baseline)
+        scale = 2.0 * nbar ** 2 if baseline == "squeezed" else nbar
+        counts = np.random.default_rng([seed, i]).binomial(shots, p, size=reps)
+        # the reference clamps the deficit; the sweep does not need to
+        estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)
+        assert point.p_hat == sum(counts.tolist()) / (reps * shots)
+        assert point.phi_hat == float(estimates.mean())
+        assert point.delta_phi_sq == float(estimates.var(ddof=1))
+        all_counts.append(counts)
+    return all_counts
+
+
 class TestScalingSweep:
     def test_refuses_outside_regime(self):
         with pytest.raises(RegimeError, match="force=True .sqzmet sweep --force."):
@@ -603,16 +620,14 @@ class TestScalingSweep:
         # points along the rows of one array; the CSV bytes need the same bits,
         # and sums reordered around numpy's pairwise block (128) or buffer
         # (8192) sizes would not give them
-        shots, seed = 10 ** 5, 7
-        result = scaling_sweep(nbars, shots, reps, seed, baseline=baseline)
-        for i, (nbar, point) in enumerate(zip(nbars, result.results)):
-            p = sweep_point_probability(nbar, 0.05 / nbar, baseline)
-            scale = 2.0 * nbar ** 2 if baseline == "squeezed" else nbar
-            counts = np.random.default_rng([seed, i]).binomial(shots, p, size=reps)
-            estimates = np.sqrt(np.maximum(0.0, 1.0 - counts / shots) / scale)
-            assert point.p_hat == sum(counts.tolist()) / (reps * shots)
-            assert point.phi_hat == float(estimates.mean())
-            assert point.delta_phi_sq == float(estimates.var(ddof=1))
+        _assert_sweep_matches_loop(nbars, 10 ** 5, reps, 7, 0.05, baseline)
+
+    @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
+    def test_vectorised_inversion_matches_loop_at_full_survival(self, baseline):
+        # 1000 shots at bias 0.01 lose 0.1 to 0.6 shots per repetition on
+        # average, so some repetitions, but not all, see count == shots
+        counts = _assert_sweep_matches_loop([0.5, 1.0], 1000, 200, 7, 0.01, baseline)
+        assert all(0 < np.count_nonzero(row == 1000) < row.size for row in counts)
 
     def test_survival_fraction_at_the_largest_shot_count(self):
         # repetitions x shots is far past int64; the fraction must not wrap
@@ -672,7 +687,6 @@ class TestScalingSweep:
             raise AssertionError("the sweep called an engine")
 
         monkeypatch.setattr(sqzmet.metrology, "exact_survival_probability", refuse)
-        monkeypatch.setattr(sqzmet.metrology, "squeezed_probe", refuse)
         monkeypatch.setattr(sqzmet.gaussian, "squeezed_probe", refuse)
         monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", refuse)
         assert scaling_sweep([0.5, 1.0, 2.0], 5000, 20, 3) == expected

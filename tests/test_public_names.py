@@ -1,9 +1,12 @@
-"""The package exports only names that its own code, the demos or the acceptance suite use."""
+"""The package exports only names that its own code, the demos or the acceptance suite use,
+and serves each from the module that defines it."""
 
 import ast
+import typing
 from pathlib import Path
 
 import sqzmet
+import sqzmet.gaussian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +31,21 @@ def test_every_exported_name_has_a_caller():
     callers.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*(_used_names(path) for path in callers))
     assert sorted(set(sqzmet.__all__) - used) == []
+
+
+def test_every_export_resolves_with_its_type_hints(monkeypatch):
+    # every name resolves through the package's table, type hints included
+    for name in sqzmet.__all__:
+        obj = getattr(sqzmet, name)
+        if callable(obj):
+            typing.get_type_hints(obj)
+    assert set(sqzmet.__all__) <= set(dir(sqzmet))
+    namespace = {}
+    exec("from sqzmet import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sqzmet.__all__)
+    assert len(sqzmet.__all__) == 50
+    assert sqzmet.gaussian.SqueezeParameter is sqzmet.SqueezeParameter
+    # a name read once is not cached: a function replaced in its module shows
+    replaced = object()
+    monkeypatch.setattr(sqzmet.metrology, "run_protocol", replaced)
+    assert sqzmet.run_protocol is replaced
