@@ -159,12 +159,16 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
         via a Cholesky factorisation.
 
     Raises:
-        ValueError: if either state is not pure within ``OVERLAP_PURITY_TOL``.
+        ValueError: if either state is not pure within ``OVERLAP_PURITY_TOL``, naming
+            the argument, its purity defect and the bound.
     """
-    for candidate in (state, probe):
+    for name, candidate in (("state", state), ("probe", probe)):
         defect = purity_defect(candidate)
         if defect > OVERLAP_PURITY_TOL:
-            raise ValueError(f"state is not pure (purity defect {defect:.3e})")
+            raise ValueError(
+                f"{name} is not pure (purity defect {defect:.3e}) "
+                f"beyond OVERLAP_PURITY_TOL = {OVERLAP_PURITY_TOL}"
+            )
     chol = np.linalg.cholesky(probe.covariance + state.covariance)
     overlap = math.exp(-float(np.sum(np.log(np.diag(chol)))))
     if overlap > 1.0 + 1e-12:

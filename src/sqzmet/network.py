@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +67,8 @@ def _real_vector(name: str, values) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
+    if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise ValueError(f"{name} must be real numbers, got a bool entry")
     return np.asarray(array, dtype=float)
 
 
@@ -335,45 +336,44 @@ def mesh_to_netlist(mesh: RotationMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PAIR_LINE = re.compile(r"\s*pair\s+(\d+)\s+(\d+)\s*/\s*(\S+)\s*/\s*(\S+)\s*")
-
-
 def parse_netlist(text: str) -> RotationMesh:
-    """Inverse of :func:`mesh_to_netlist`.
+    """Inverse of :func:`mesh_to_netlist`; each line is split on whitespace into tokens.
 
     Raises:
-        ValueError: on malformed lines, a missing, empty or repeated phase
-            line, or a pair outside the phase line's modes; each names the line.
+        ValueError: naming the line, on a line that is not blank, a ``#`` comment, a ``phases``
+            line or exactly ``pair i j / theta / phase`` with decimal-digit modes, on an empty or
+            repeated phase line, or on a pair outside its modes; also on a missing phase line.
     """
     lines = text.splitlines()
-    elements, element_linenos = [], []
-    phases = None
+    modes, thetas, pair_phases, pair_linenos, phases = [], [], [], [], None
     for lineno, raw in enumerate(lines, 1):
-        match = _PAIR_LINE.fullmatch(raw)
+        tokens = raw.split()
         try:
-            if match is not None:
-                i, j, theta, phase = match.groups()
-                if int(j) != int(i) + 1:
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            pair = len(tokens) == 7 and tokens[0] == "pair" and tokens[3] == tokens[5] == "/"
+            if pair and tokens[1].isdecimal() and tokens[2].isdecimal():
+                if int(tokens[2]) != int(tokens[1]) + 1:
                     raise ValueError(f"non-adjacent pair: {raw!r}")
-                elements.append((int(i), float(theta), float(phase)))
-                element_linenos.append(lineno)
-            elif (tokens := raw.split()) and not tokens[0].startswith("#"):
-                if tokens[0] != "phases":
-                    raise ValueError(f"not a pair or phase line: {raw!r}")
-                if phases is not None:
-                    raise ValueError(f"second phase line: {raw!r}")
+                thetas.append(float(tokens[4]))
+                pair_phases.append(float(tokens[6]))
+                modes.append(int(tokens[1]))
+                pair_linenos.append(lineno)
+            elif tokens[0] != "phases":
+                raise ValueError(f"not a pair or phase line: {raw!r}")
+            elif phases is not None:
+                raise ValueError(f"second phase line: {raw!r}")
+            elif len(tokens) == 1:
+                raise ValueError(f"empty phase line: {raw!r}")
+            else:
                 phases = np.array([float(tok) for tok in tokens[1:]], dtype=float)
-                if phases.size == 0:
-                    raise ValueError(f"empty phase line: {raw!r}")
         except ValueError as exc:
             # a number float() cannot read raises here too
             raise ValueError(f"netlist line {lineno}: {exc}") from None
     if phases is None:
         raise ValueError("netlist is missing the trailing phase line")
-    for (mode, _, _), lineno in zip(elements, element_linenos):
+    for mode, lineno in zip(modes, pair_linenos):
         if mode + 1 >= phases.size:
-            raise ValueError(
-                f"netlist line {lineno}: pair outside the {phases.size} modes "
-                f"of the phase line: {lines[lineno - 1]!r}"
-            )
-    return RotationMesh(elements, phases)
+            where = f"netlist line {lineno}: pair outside the {phases.size} modes"
+            raise ValueError(f"{where} of the phase line: {lines[lineno - 1]!r}")
+    return RotationMesh(zip(modes, thetas, pair_phases), phases)

@@ -312,6 +312,17 @@ class TestVacuumOverlap:
         with pytest.raises(ValueError, match=re.escape("not pure (purity defect 3.000e+00)")):
             vacuum_overlap_probability(squeezed_probe(1, SqueezeParameter(0.0)), thermal)
 
+    @pytest.mark.parametrize("impure", ["state", "probe"])
+    def test_purity_refusal_names_the_argument_and_the_bound(self, impure):
+        from sqzmet import GaussianState
+
+        pure, thermal = squeezed_probe(1, SqueezeParameter(0.0)), GaussianState(np.eye(2))
+        state, probe = (thermal, pure) if impure == "state" else (pure, thermal)
+        message = f"{impure} is not pure (purity defect 3.000e+00) beyond OVERLAP_PURITY_TOL = "
+        message += "1e-06"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vacuum_overlap_probability(state, probe)
+
     def test_overflowing_purity_defect_is_inf(self):
         from sqzmet import GaussianState
 

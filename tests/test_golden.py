@@ -1,19 +1,28 @@
-"""Golden outputs: the sweep CSVs of ``sqzmet sweep``, compared byte for byte.
+"""Golden outputs: the sweep CSVs and ``synthesize`` netlists, compared byte for byte.
 
-Each file under ``tests/golden/`` is what ``sqzmet sweep`` writes for one
-baseline and repetition count at the default nbars, 1e5 shots and the
-acceptance seed.  A change that alters one must regenerate it and say which
-file changed and why.  Regenerate every file, from the root of a checkout:
+Each ``sweep-*.csv`` under ``tests/golden/`` is what ``sqzmet sweep`` writes
+for one baseline and repetition count at the default nbars, 1e5 shots and the
+acceptance seed.  Each ``synthesize-M<M>.weights`` is a stored Dirichlet draw
+of M weights, and ``synthesize-M<M>.netlist`` and ``.out`` are the netlist and
+stdout ``sqzmet synthesize`` writes for it.  The weight files are inputs: the
+regeneration command writes one only where it is missing, so a change in
+numpy's random stream cannot move them.  A change that alters an output must
+regenerate it and say which file changed and why.  Regenerate every output,
+from the root of a checkout:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
+import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
-from sqzmet import cli
+from sqzmet import cli, mesh_to_netlist, parse_netlist
 from test_acceptance import MASTER_SEED
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -67,7 +76,111 @@ def test_sweep_csv_matches_golden(tmp_path, baseline, repetitions):
     assert float(slope) == pytest.approx(float(golden_slope), rel=SLOPE_REL_TOL)
 
 
+SYNTHESIZE_MODES = (2, 8, 16, 64)
+# the netlist angles come from np.arctan2, whose SIMD kernel is not libm's
+# atan2: on an AVX-512 Xeon with numpy 2.4.6 the two differed on about 5% of
+# 200000 random inputs, by at most 1 ulp, so an angle may move by 1 ulp between
+# hosts; every other netlist byte is exact
+ANGLE_ULPS = 1
+# the three residuals printed on stdout are computed from those angles, so
+# their last bits may move with them; each must stay within this bound
+RESIDUAL_BOUND = 1e-12
+RESIDUAL_NAMES = (b"first-column residual", b"unitarity residual", b"mesh round-trip residual")
+
+
+def _synthesize_path(modes: int, suffix: str, directory: str = GOLDEN_DIR) -> str:
+    return os.path.join(directory, f"synthesize-M{modes}.{suffix}")
+
+
+def _synthesize(out_dir: str, modes: int) -> bytes:
+    # run inside out_dir with a relative prefix, so stdout's "wrote" line
+    # names no directory; return that stdout
+    argv = ["synthesize", _synthesize_path(modes, "weights"), "--out", f"synthesize-M{modes}"]
+    stdout, cwd = io.StringIO(), os.getcwd()
+    os.chdir(out_dir)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"sqzmet {' '.join(argv)} exited with {code}")
+    return stdout.getvalue().encode()
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _assert_netlist_matches(got: bytes, want: bytes):
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    assert len(got_lines) == len(want_lines)
+    for got_line, want_line in zip(got_lines, want_lines):
+        if not want_line.startswith(b"pair "):
+            assert got_line == want_line
+            continue
+        got_tokens, want_tokens = got_line.split(b" "), want_line.split(b" ")
+        # every token but the angle, the fifth of "pair i j / angle / phase"
+        assert got_tokens[:4] + got_tokens[5:] == want_tokens[:4] + want_tokens[5:]
+        angle, golden = float(got_tokens[4]), float(want_tokens[4])
+        assert got_tokens[4] == repr(angle).encode()
+        assert abs(angle - golden) <= ANGLE_ULPS * math.ulp(golden)
+
+
+def _assert_stdout_matches(got: bytes, want: bytes):
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    assert len(got_lines) == len(want_lines)
+    for got_line, want_line in zip(got_lines, want_lines):
+        name, _, value = want_line.partition(b" = ")
+        if name not in RESIDUAL_NAMES:
+            assert got_line == want_line
+            continue
+        got_name, _, got_value = got_line.partition(b" = ")
+        assert got_name == name
+        assert float(got_value) <= RESIDUAL_BOUND and float(value) <= RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("modes", SYNTHESIZE_MODES)
+def test_synthesize_matches_golden(tmp_path, modes):
+    stdout = _synthesize(str(tmp_path), modes)
+    _assert_stdout_matches(stdout, _read(_synthesize_path(modes, "out")))
+    _assert_netlist_matches(
+        _read(_synthesize_path(modes, "netlist", str(tmp_path))),
+        _read(_synthesize_path(modes, "netlist")),
+    )
+
+
+@pytest.mark.parametrize("modes", SYNTHESIZE_MODES)
+def test_golden_netlist_parses_back_to_its_bytes(modes):
+    # a host-independent check: parsing and rendering are exact both ways
+    with open(_synthesize_path(modes, "netlist"), encoding="utf-8") as handle:
+        body = "".join(line for line in handle if not line.startswith("#"))
+    mesh = parse_netlist(body)
+    assert len(mesh.elements) == modes - 1 and mesh.output_phases.size == modes
+    assert mesh_to_netlist(mesh) == body
+
+
+def _write_missing_weights():
+    # one generator for every size, seeded once; an existing file is kept
+    rng = np.random.default_rng(MASTER_SEED)
+    for modes in SYNTHESIZE_MODES:
+        weights = rng.dirichlet(np.ones(modes)).tolist()
+        path = _synthesize_path(modes, "weights")
+        if not os.path.exists(path):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(" ".join(map(repr, weights)) + "\n")
+            print(path)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for sweep in SWEEPS:
         print(_write_sweep(GOLDEN_DIR, *sweep))
+    _write_missing_weights()
+    for modes in SYNTHESIZE_MODES:
+        stdout = _synthesize(GOLDEN_DIR, modes)
+        with open(_synthesize_path(modes, "out"), "wb") as handle:
+            handle.write(stdout)
+        print(_synthesize_path(modes, "netlist"))
+        print(_synthesize_path(modes, "out"))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestWeightValidation:
         # number is not a real number
         call = validate_weights if name == "weights" else lambda v: network.validate_phases(v, 2)
         with pytest.raises(ValueError, match=f"^{name} must be real numbers, got dtype {dtype}$"):
+            call(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[True, 0.0], [0.5, np.True_], [1, False], (0.0, True)],
+        ids=["bool-float", "float-numpy-bool", "int-bool", "tuple"],
+    )
+    @pytest.mark.parametrize("name", ["weights", "phases"])
+    def test_bool_inside_a_number_list_is_refused(self, name, bad):
+        # numpy casts these to float64 or int64 before the dtype check sees them
+        call = validate_weights if name == "weights" else lambda v: network.validate_phases(v, 2)
+        with pytest.raises(ValueError, match=f"^{name} must be real numbers, got a bool entry$"):
             call(bad)
 
     @pytest.mark.parametrize(
@@ -356,6 +369,34 @@ class TestNetlist:
         for line in ("phases0.0 0.0 0.0", "phasesX"):
             with pytest.raises(ValueError, match=f"line 1: not a pair or phase line: '{line}'"):
                 parse_netlist(line + "\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pair 0 1/0.5/0.0",
+            "pair 0 1 / 0.5/ 0.0",
+            "pair 0 1 /0.5 / 0.0",
+            "pair +0 1 / 0.5 / 0.0",
+            "pair 1_0 11 / 0.5 / 0.0",
+            "pair 0 1 / 0.5 / 0.0 / 0.0",
+            "pair 0 1 / 0.5",
+        ],
+        ids=["slashes-touch", "slash-touches-angle", "slash-touches-angle-left", "plus-mode",
+             "underscore-mode", "eight-tokens", "five-tokens"],
+    )
+    def test_pair_line_is_exactly_seven_tokens(self, line):
+        # the only pair layout is the one mesh_to_netlist writes; int() alone
+        # would read "+0" as 0 and "1_0" as 10
+        text = f"{line}\nphases {' '.join(['0.0'] * 12)}\n"
+        message = f"netlist line 1: not a pair or phase line: '{line}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_netlist(text)
+
+    def test_pair_line_tolerates_any_whitespace(self):
+        mesh = parse_netlist("\t pair  0\t1 /  0.5 /\t-0.0  \n  # note\n\n phases 0.0  1.0 \n")
+        assert mesh.elements.tolist() == [(0, 0.5, -0.0)]
+        assert math.copysign(1.0, mesh.elements["phase"][0]) == -1.0
+        assert mesh.output_phases.tolist() == [0.0, 1.0]
 
     def test_empty_mesh_netlist(self):
         mesh = RotationMesh((), np.zeros(3))
