@@ -69,14 +69,14 @@ def _read_config_file(path: str, required: tuple[str, ...]) -> dict[str, str]:
     return values
 
 
-def _parse_floats(text: str, key: str) -> list[float]:
+def _parse_floats(text: str, key: str) -> np.ndarray:
     values = []
     for tok in text.replace(",", " ").split():
         try:
             values.append(float(tok))
         except ValueError as exc:
             raise ValueError(f"bad value for {key}: {tok!r}") from exc
-    return values
+    return np.array(values, dtype=float)
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -86,19 +86,10 @@ def _parse_int(text: str, key: str) -> int:
         raise ValueError(f"bad value for {key}: {text!r}") from exc
 
 
-def load_experiment_config(path: str, args) -> metrology.ExperimentConfig:
-    """Assemble an ExperimentConfig from the config file; ``--seed`` overrides its seed."""
-    values = _read_config_file(path, CONFIG_KEYS)
-    squeeze_parts = _parse_floats(values["squeeze"], "squeeze")
-    if len(squeeze_parts) not in (1, 2):
-        raise ValueError("squeeze takes one or two comma-separated numbers (r[,theta])")
-    return metrology.ExperimentConfig(
-        weights=np.array(_parse_floats(values["weights"], "weights")),
-        true_phases=np.array(_parse_floats(values["true_phases"], "true_phases")),
-        squeeze=SqueezeParameter(*squeeze_parts),
-        shots=_parse_int(values["shots"], "shots"),
-        seed=args.seed if args.seed is not None else _parse_int(values["seed"], "seed"),
-    )
+def _shots_and_seed(values: dict[str, str], args) -> tuple[int, int]:
+    # --seed replaces the file's seed, which the file must still hold
+    shots = _parse_int(values["shots"], "shots")
+    return shots, args.seed if args.seed is not None else _parse_int(values["seed"], "seed")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -107,6 +98,14 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+
+
+def _write_table(args, entries, columns: str, rows: list[str], elapsed: float) -> int:
+    # the CSV layout of simulate and sweep: manifest, column line, rows
+    lines = _manifest_lines(args.command, entries) + [columns] + rows
+    _write_text(args.out, "\n".join(lines) + "\n")
+    print(f"{args.command} finished in {elapsed:.3f} s", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
@@ -144,7 +143,16 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_experiment_config(args.config, args)
+    values = _read_config_file(args.config, CONFIG_KEYS)
+    squeeze = _parse_floats(values["squeeze"], "squeeze")
+    if len(squeeze) not in (1, 2):
+        raise ValueError("squeeze takes one or two comma-separated numbers (r[,theta])")
+    config = metrology.ExperimentConfig(
+        _parse_floats(values["weights"], "weights"),
+        _parse_floats(values["true_phases"], "true_phases"),
+        SqueezeParameter(*squeeze),
+        *_shots_and_seed(values, args),
+    )
     started = time.perf_counter()
     run = metrology.run_protocol(config)
     elapsed = time.perf_counter() - started
@@ -154,33 +162,21 @@ def cmd_simulate(args) -> int:
             f"small-phase expansion (threshold {metrology.REGIME_THRESHOLD})",
             file=sys.stderr,
         )
-    lines = _manifest_lines(
-        "simulate",
-        [
-            ("weights", _fmt_list(config.weights)),
-            ("true_phases", _fmt_list(config.true_phases)),
-            ("squeeze", _fmt_list([config.squeeze.r, config.squeeze.theta])),
-            ("shots", str(config.shots)),
-            ("seed", str(config.seed)),
-        ],
-    )
-    lines.append("phiBar_true,p_exact,p_hat,phi_hat,regime_ratio")
-    lines.append(
-        ",".join(
-            _fmt(v)
-            for v in (run.phi_bar_true, run.p_exact, run.p_hat, run.phi_hat, run.regime_ratio)
-        )
-    )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"simulate finished in {elapsed:.3f} s", file=sys.stderr)
-    return EXIT_OK
+    entries = [
+        ("weights", _fmt_list(config.weights)),
+        ("true_phases", _fmt_list(config.true_phases)),
+        ("squeeze", _fmt_list([config.squeeze.r, config.squeeze.theta])),
+        ("shots", str(config.shots)),
+        ("seed", str(config.seed)),
+    ]
+    row = _fmt_list([run.phi_bar_true, run.p_exact, run.p_hat, run.phi_hat, run.regime_ratio])
+    columns = "phiBar_true,p_exact,p_hat,phi_hat,regime_ratio"
+    return _write_table(args, entries, columns, [row], elapsed)
 
 
 def cmd_sweep(args) -> int:
-    values = _read_config_file(args.config, ("shots", "seed"))
-    shots = _parse_int(values["shots"], "shots")
-    seed = args.seed if args.seed is not None else _parse_int(values["seed"], "seed")
-    nbars = _parse_floats(args.nbars, "--nbars") if args.nbars is not None else [0.5, 1.0, 2.0, 4.0]
+    shots, seed = _shots_and_seed(_read_config_file(args.config, ("shots", "seed")), args)
+    nbars = _parse_floats(args.nbars, "--nbars")
     started = time.perf_counter()
     result = metrology.scaling_sweep(
         nbars,
@@ -192,34 +188,22 @@ def cmd_sweep(args) -> int:
         force=args.force,
     )
     elapsed = time.perf_counter() - started
-    lines = _manifest_lines(
-        "sweep",
-        [
-            ("nbars", _fmt_list(nbars)),
-            ("shots", str(shots)),
-            ("repetitions", str(args.repetitions)),
-            ("bias_product", _fmt(args.bias_product)),
-            ("baseline", args.baseline),
-            ("seed", str(seed)),
-        ],
-    )
-    lines.append("nbar,nu,delta_phi_sq_empirical,heisenberg_prediction,ratio")
-    for nbar, point in zip(result.nbars, result.results):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(nbar),
-                    str(shots),
-                    _fmt(point.delta_phi_sq),
-                    _fmt(point.heisenberg_bound),
-                    _fmt(point.delta_phi_sq / point.heisenberg_bound),
-                ]
-            )
-        )
-    lines.append(f"slope={_fmt(result.slope)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"sweep finished in {elapsed:.3f} s", file=sys.stderr)
-    return EXIT_OK
+    entries = [
+        ("nbars", _fmt_list(nbars)),
+        ("shots", str(shots)),
+        ("repetitions", str(args.repetitions)),
+        ("bias_product", _fmt(args.bias_product)),
+        ("baseline", args.baseline),
+        ("seed", str(seed)),
+    ]
+    rows = [
+        f"{_fmt(nbar)},{shots},"
+        + _fmt_list([pt.delta_phi_sq, pt.heisenberg_bound, pt.delta_phi_sq / pt.heisenberg_bound])
+        for nbar, pt in zip(result.nbars, result.results)
+    ]
+    rows.append(f"slope={_fmt(result.slope)}")
+    columns = "nbar,nu,delta_phi_sq_empirical,heisenberg_prediction,ratio"
+    return _write_table(args, entries, columns, rows, elapsed)
 
 
 def cmd_validate(args) -> int:
@@ -227,7 +211,7 @@ def cmd_validate(args) -> int:
     from . import validate
 
     suite = validate.full_suite if args.level == "full" else validate.quick_suite
-    results = suite(args.seed if args.seed is not None else 0)
+    results = suite(args.seed)
     failed = [r for r in results if not r.passed]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -258,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp = sub.add_parser("sweep", help="scaling sweep of the estimation variance")
     p_swp.add_argument("--config", required=True, help="supplies shots and seed")
     p_swp.add_argument("--seed", type=int)
-    p_swp.add_argument("--nbars", help="comma-separated mean photon numbers")
+    p_swp.add_argument("--nbars", default="0.5,1,2,4", help="comma-separated mean photon numbers")
     p_swp.add_argument("--repetitions", type=int, default=200)
     p_swp.add_argument("--bias-product", type=float, default=0.05, dest="bias_product")
     p_swp.add_argument("--baseline", choices=("squeezed", "coherent"), default="squeezed")
@@ -268,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the self-validation suites")
     p_val.add_argument("level", choices=("quick", "full"))
-    p_val.add_argument("--seed", type=int)
+    p_val.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -290,16 +274,14 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except metrology.RegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except (ValueError, OSError, MemoryError) as exc:
-        # bad input: the library's validation and truncation errors, inputs
-        # too large for the host's memory (simulate builds dense M x M
-        # arrays, sweep holds --repetitions counts per point), and files
-        # that cannot be read or written
+        # a RegimeError (a ValueError) is the small-phase refusal; the rest
+        # is bad input: the library's validation and truncation errors,
+        # inputs too large for the host's memory (simulate builds dense
+        # M x M arrays, sweep holds --repetitions counts per point), and
+        # files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_REGIME if isinstance(exc, metrology.RegimeError) else EXIT_BAD_INPUT
 
 
 def entry_point() -> None:

@@ -24,6 +24,10 @@ from .metrology import _LOG_FLOAT_MAX, PhotonMoments, SqueezeParameter
 from .network import validate_count
 
 OVERLAP_PURITY_TOL = 1e-6
+# a purity defect within OVERLAP_PURITY_TOL still admits a covariance just
+# below the vacuum's, whose overlap exceeds 1; an overlap may round above 1 by
+# at most this much before it is refused
+OVERLAP_EXCESS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +164,9 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
 
     Raises:
         ValueError: if either state is not pure within ``OVERLAP_PURITY_TOL``, naming
-            the argument, its purity defect and the bound.
+            the argument, its purity defect and the bound; or if the overlap
+            exceeds 1 by more than ``OVERLAP_EXCESS_TOL``, naming the overlap
+            and the bound.
     """
     for name, candidate in (("state", state), ("probe", probe)):
         defect = purity_defect(candidate)
@@ -171,6 +177,8 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
             )
     chol = np.linalg.cholesky(probe.covariance + state.covariance)
     overlap = math.exp(-float(np.sum(np.log(np.diag(chol)))))
-    if overlap > 1.0 + 1e-12:
-        raise ValueError(f"overlap {overlap} exceeds 1 beyond tolerance")
+    if overlap > 1.0 + OVERLAP_EXCESS_TOL:
+        raise ValueError(
+            f"overlap {overlap} exceeds 1 beyond OVERLAP_EXCESS_TOL = {OVERLAP_EXCESS_TOL}"
+        )
     return min(overlap, 1.0)

@@ -236,11 +236,18 @@ class TestSimulate:
                 cli.main(["simulate", "--config", config_file] + flag)
             assert info.value.code == 2
 
-    def test_seed_flag_overrides_config(self, tmp_path, config_file):
-        out = tmp_path / "s.csv"
-        cli.main(["simulate", "--config", config_file, "--seed", "7", "--out", str(out)])
-        manifest, _, _ = read_csv(out)
-        assert any("seed = 7" in line for line in manifest)
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_seed_flag_overrides_config(self, tmp_path, config_file, command):
+        # --seed 7 on the fixture's seed = 42 runs exactly as a file with seed = 7
+        flagged, seven = tmp_path / "flagged.csv", tmp_path / "seven.csv"
+        argv = [command, "--config", config_file, "--seed", "7", "--out", str(flagged)]
+        assert cli.main(argv) == 0
+        manifest, _, _ = read_csv(flagged)
+        assert "# seed = 7" in manifest
+        cfg = tmp_path / "seven.cfg"
+        cfg.write_text(Path(config_file).read_text().replace("seed = 42", "seed = 7"))
+        assert cli.main([command, "--config", str(cfg), "--out", str(seven)]) == 0
+        assert flagged.read_bytes() == seven.read_bytes()
 
     def test_regime_warning_still_succeeds(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"

@@ -323,6 +323,18 @@ class TestVacuumOverlap:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             vacuum_overlap_probability(state, probe)
 
+    def test_overlap_above_one_is_refused_naming_the_bound(self):
+        from sqzmet import GaussianState
+
+        # just below the vacuum: purity defect 2e-7 passes OVERLAP_PURITY_TOL,
+        # but the overlap with the vacuum is 1 + 5e-8
+        state = GaussianState(0.5 * (1 - 1e-7) * np.eye(2))
+        probe = squeezed_probe(1, SqueezeParameter(0.0))
+        assert purity_defect(state) <= 1e-6
+        message = "overlap 1.0000000500000024 exceeds 1 beyond OVERLAP_EXCESS_TOL = 1e-12"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vacuum_overlap_probability(state, probe)
+
     def test_overflowing_purity_defect_is_inf(self):
         from sqzmet import GaussianState
 

@@ -1,10 +1,15 @@
-"""Golden outputs: the sweep CSVs and ``synthesize`` netlists, compared byte for byte.
+"""Golden outputs: the sweep and ``simulate`` CSVs and ``synthesize`` netlists.
 
 Each ``sweep-*.csv`` under ``tests/golden/`` is what ``sqzmet sweep`` writes
 for one baseline and repetition count at the default nbars, 1e5 shots and the
-acceptance seed.  Each ``synthesize-M<M>.weights`` is a stored Dirichlet draw
-of M weights, and ``synthesize-M<M>.netlist`` and ``.out`` are the netlist and
-stdout ``sqzmet synthesize`` writes for it.  The weight files are inputs: the
+acceptance seed.  Each ``simulate-*.csv`` is what ``sqzmet simulate`` writes
+for one of the configs in ``SIMULATE_CONFIGS``.  Each
+``synthesize-M<M>.weights`` is a stored Dirichlet draw of M weights, and
+``synthesize-M<M>.netlist`` and ``.out`` are the netlist and stdout
+``sqzmet synthesize`` writes for it.  ``validate`` stdout has no golden file:
+its detail numbers are the rounding noise of the same BLAS and libm kernels
+the tolerances below allow for, so a stored copy would pin one host's last
+bits, not the program's output.  The weight files are inputs: the
 regeneration command writes one only where it is missing, so a change in
 numpy's random stream cannot move them.  A change that alters an output must
 regenerate it and say which file changed and why.  Regenerate every output,
@@ -44,17 +49,22 @@ def _file_name(baseline: str, repetitions: int) -> str:
     return f"sweep-{baseline}-R{repetitions}.csv"
 
 
-def _write_sweep(out_dir: str, baseline: str, repetitions: int) -> str:
-    out = os.path.join(out_dir, _file_name(baseline, repetitions))
+def _run_with_config(argv: list[str], config_text: str) -> None:
+    # run sqzmet with argv plus --config, a temporary file holding config_text
     with tempfile.TemporaryDirectory() as config_dir:
-        config = os.path.join(config_dir, "sweep.cfg")
+        config = os.path.join(config_dir, "run.cfg")
         with open(config, "w", encoding="utf-8") as handle:
-            handle.write(f"shots = {SHOTS}\nseed = {MASTER_SEED}\n")
-        argv = ["sweep", "--config", config, "--repetitions", str(repetitions),
-                "--baseline", baseline, "--out", out]
+            handle.write(config_text)
+        argv = argv + ["--config", config]
         code = cli.main(argv)
     if code != cli.EXIT_OK:
         raise RuntimeError(f"sqzmet {' '.join(argv)} exited with {code}")
+
+
+def _write_sweep(out_dir: str, baseline: str, repetitions: int) -> str:
+    out = os.path.join(out_dir, _file_name(baseline, repetitions))
+    argv = ["sweep", "--repetitions", str(repetitions), "--baseline", baseline, "--out", out]
+    _run_with_config(argv, f"shots = {SHOTS}\nseed = {MASTER_SEED}\n")
     return out
 
 
@@ -74,6 +84,60 @@ def test_sweep_csv_matches_golden(tmp_path, baseline, repetitions):
     # the value may move within the tolerance; the line keeps its format
     assert slope == repr(float(slope)).encode() + b"\n"
     assert float(slope) == pytest.approx(float(golden_slope), rel=SLOPE_REL_TOL)
+
+
+SIMULATE_CONFIGS = {
+    # acceptance criterion 9's config
+    "criterion9": (
+        "weights = 0.25,0.75\n"
+        "true_phases = 0.08,0.02\n"
+        f"squeeze = {math.asinh(1.0)!r}\n"
+        "shots = 20000\n"
+        f"seed = {MASTER_SEED}\n"
+    ),
+    # three modes, a negative phase and a squeezing phase
+    "M3": (
+        "weights = 0.2, 0.3, 0.5\n"
+        "true_phases = 0.03, -0.01, 0.02\n"
+        "squeeze = 1.1, 0.7\n"
+        "shots = 50000\n"
+        f"seed = {MASTER_SEED}\n"
+    ),
+}
+SIMULATE_COLUMNS = b"phiBar_true,p_exact,p_hat,phi_hat,regime_ratio"
+# p_hat is a count over shots, exact on any host.  p_exact and phiBar_true
+# come from numpy reductions whose BLAS kernel may differ between hosts (one
+# OpenBLAS build rounds the M = 16 product without fused multiply-add and the
+# other sizes with it), and phi_hat and regime_ratio go through libm's sinh
+# and asin, whose last bit may differ between C libraries
+SIMULATE_REL_TOL = 1e-15
+
+
+def _simulate_path(name: str, directory: str = GOLDEN_DIR) -> str:
+    return os.path.join(directory, f"simulate-{name}.csv")
+
+
+def _write_simulate(out_dir: str, name: str) -> str:
+    out = _simulate_path(name, out_dir)
+    _run_with_config(["simulate", "--out", out], SIMULATE_CONFIGS[name])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CONFIGS))
+def test_simulate_csv_matches_golden(tmp_path, name):
+    got = _read(_write_simulate(str(tmp_path), name)).split(b"\n")
+    want = _read(_simulate_path(name)).split(b"\n")
+    # the manifest, the column line, one row and the final newline
+    assert len(got) == len(want)
+    assert got[:-2] == want[:-2] and got[-1] == want[-1] == b""
+    assert want[-3] == SIMULATE_COLUMNS
+    got_row, want_row = got[-2].split(b","), want[-2].split(b",")
+    assert len(got_row) == len(want_row) == 5
+    # p_hat, the third column, byte for byte; the others within the tolerance
+    assert got_row[2] == want_row[2]
+    for got_value, want_value in zip(got_row[:2] + got_row[3:], want_row[:2] + want_row[3:]):
+        assert got_value == repr(float(got_value)).encode()
+        assert float(got_value) == pytest.approx(float(want_value), rel=SIMULATE_REL_TOL)
 
 
 SYNTHESIZE_MODES = (2, 8, 16, 64)
@@ -177,6 +241,8 @@ if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for sweep in SWEEPS:
         print(_write_sweep(GOLDEN_DIR, *sweep))
+    for name in SIMULATE_CONFIGS:
+        print(_write_simulate(GOLDEN_DIR, name))
     _write_missing_weights()
     for modes in SYNTHESIZE_MODES:
         stdout = _synthesize(GOLDEN_DIR, modes)
