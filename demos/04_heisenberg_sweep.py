@@ -2,9 +2,9 @@
 
 Monte-Carlo estimation runs at a fixed operating bias while the probe's
 mean photon number doubles point by point.  For the squeezed probe the
-estimation variance drops with the square of the photon number; swapping
-in Poissonian photon statistics (a coherent probe) only buys the linear
-shot-noise improvement.
+estimation variance drops with the square of the photon number; a
+coherent probe of the same mean photon number, sent through the same
+scheme, only buys the linear shot-noise improvement.
 """
 
 from sqzmet import heisenberg_sensitivity, scaling_sweep

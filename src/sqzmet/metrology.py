@@ -306,9 +306,10 @@ def sweep_point_probability(
     ``squeezed`` is the one-mode closed form of the squeezed probe,
     ``P = (1 + 4 nbar (nbar + 1) sin^2 phi_bar)^(-1/2)``, which the
     engines of :func:`exact_survival_probability` reproduce.
-    ``coherent`` substitutes Poissonian photon-number statistics (variance
-    equal to the mean) into the quadratic expansion, which is the
-    shot-noise-limited reference.
+    ``coherent`` is the exact survival probability of a coherent probe
+    ``|a>`` with ``|a|^2 = nbar`` sent through the same scheme,
+    ``P = |<a|a e^(-i phi_bar)>|^2 = exp(-4 nbar sin^2(phi_bar / 2))``,
+    the shot-noise-limited reference.  Both lie in ``[0, 1]``.
 
     Raises:
         ValueError: on an unknown baseline; unless ``nbar`` lies in
@@ -320,9 +321,7 @@ def sweep_point_probability(
     phi_bar = validate_real("phi_bar", phi_bar, -PHASE_MAX, PHASE_MAX)
     if baseline == "squeezed":
         return 1.0 / math.sqrt(1.0 + 4.0 * nbar * (nbar + 1.0) * math.sin(phi_bar) ** 2)
-    # quadratic expansion 1 - v, with the generator variance v of equal
-    # phases under Poissonian statistics: phi_bar^2 * var_n = phi_bar^2 * nbar
-    return 1.0 - phi_bar ** 2 * nbar
+    return math.exp(-4.0 * nbar * math.sin(0.5 * phi_bar) ** 2)
 
 
 def _sweep_inversion_scale(nbar: float, baseline: str) -> float:
@@ -345,15 +344,16 @@ def scaling_sweep(
 
     Every point operates at the same bias ``phi_bar * nbar = bias_product``
     with all phases equal, so :func:`check_regime`'s ratio
-    ``max|phi| * nbar`` is ``|bias_product|`` everywhere.  A point's survival
-    probability is :func:`sweep_point_probability`.  Per repetition the shot
-    fraction is inverted through the leading-order model (survival deficit
-    ``2 nbar^2 phi^2`` for the squeezed probe, ``nbar phi^2`` for the
-    coherent baseline); the reported ``delta_phi_sq`` is the sample variance
-    of those estimates, which is directly comparable to the
-    ``1 / (8 nbar^2 shots)`` reference.  The exact inversion of
-    :func:`estimate_phase` would rescale it by ``nbar / (nbar + 1)`` to
-    leading order in the phase.
+    ``max|phi| * nbar`` is ``|bias_product|`` everywhere.  A point's shots
+    are drawn from the exact survival probability of its probe,
+    :func:`sweep_point_probability`, which lies in ``[0, 1]`` at every
+    finite bias.  Per repetition the shot fraction is inverted through the
+    leading-order survival deficit (``2 nbar^2 phi^2`` for the squeezed
+    probe, ``nbar phi^2`` for the coherent baseline); the reported
+    ``delta_phi_sq`` is the sample variance of those estimates, which is
+    directly comparable to the ``1 / (8 nbar^2 shots)`` reference.  For the
+    squeezed probe, the exact inversion of :func:`estimate_phase` would
+    rescale it by ``nbar / (nbar + 1)`` to leading order in the phase.
 
     The counts of all points form one ``(points, repetitions)`` array that
     is inverted at once and reduced along its rows, which gives the same
@@ -378,10 +378,10 @@ def scaling_sweep(
         RegimeError: if ``|bias_product|`` violates the small-phase regime
             and ``force`` is not set.
         ValueError: on bad arguments; before any draw, if the nbars leave
-            no spread to fit or a point's probability lies outside [0, 1]
-            (the coherent model at a forced large bias); or if a point's
-            estimates have zero sample variance (every repetition saw the
-            same count), which leaves nothing to fit.
+            no spread to fit or a point's phase ``bias_product / nbar`` lies
+            past ``PHASE_MAX``; or if a point's estimates have zero sample
+            variance (every repetition saw the same count), which leaves
+            nothing to fit.
     """
     nbars = [validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX) for nbar in nbars]
     if not nbars:
@@ -407,12 +407,6 @@ def scaling_sweep(
     probabilities = [
         sweep_point_probability(nbar, bias_product / nbar, baseline) for nbar in nbars
     ]
-    for nbar, p in zip(nbars, probabilities):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(
-                f"{baseline} model gives p = {p} outside [0, 1] at nbar = {nbar} "
-                f"(bias_product {bias_product})"
-            )
     # row i holds point i's repetitions; every reduction below runs along rows
     counts = np.empty((len(nbars), repetitions), dtype=np.int64)
     for i, p in enumerate(probabilities):

@@ -392,10 +392,6 @@ class TestSweep:
             (["--nbars", "1e200,1e201"], "nbar = 1e+200"),
             (["--nbars", "1e-300,1e-299"], "nbar = 1e-300"),
             (["--nbars", "1,1"], "nbars [1.0, 1.0] have no spread"),
-            (
-                ["--baseline", "coherent", "--force", "--bias-product", "2"],
-                "at nbar = 0.5 (bias_product 2.0)",
-            ),
         ],
     )
     def test_unfittable_sweep_exits_two_and_writes_nothing(
@@ -406,6 +402,16 @@ class TestSweep:
         assert cli.main(argv + flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_forced_coherent_sweep_at_a_large_bias_writes_finite_rows(self, tmp_path, config_file):
+        # the coherent law stays in [0, 1] far outside the small-phase regime
+        out = tmp_path / "coh.csv"
+        argv = ["sweep", "--config", config_file, "--repetitions", "10", "--out", str(out)]
+        assert cli.main(argv + ["--baseline", "coherent", "--force", "--bias-product", "2"]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 5
+        assert all(math.isfinite(float(value)) for row in rows[:-1] for value in row.split(","))
+        assert math.isfinite(float(rows[-1].split("=", 1)[1]))
 
     def test_coherent_baseline_slope(self, tmp_path, config_file):
         out = tmp_path / "coh.csv"

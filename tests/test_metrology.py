@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sqzmet import (
     ExperimentConfig,
@@ -735,20 +736,54 @@ class TestScalingSweep:
         with pytest.raises(ValueError, match=re.escape(f"nbars {nbars} have no spread")):
             scaling_sweep(nbars, 1000, 10, 0)
 
-    def test_coherent_model_outside_unit_interval_is_refused(self):
-        # 1 - bias^2 / nbar = -7 at nbar 0.5 and a forced bias of 2
-        with pytest.raises(
-            ValueError,
-            match=re.escape("p = -7.0 outside [0, 1] at nbar = 0.5 (bias_product 2.0)"),
-        ):
-            scaling_sweep(
-                [0.5, 1.0], 1000, 10, 0, bias_product=2.0, baseline="coherent", force=True
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        # each number from the whole envelope or from where a sweep answers
+        nbars=st.lists(
+            st.floats(0.1, 10.0) | st.floats(sqzmet.network.NBAR_MIN, sqzmet.network.NBAR_MAX),
+            min_size=2,
+            max_size=3,
+        ),
+        bias_product=st.floats(-3.0, 3.0) | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_forced_coherent_sweep_answers_or_names_its_input(self, nbars, bias_product):
+        # the coherent law lies in [0, 1] at every finite bias, so a forced
+        # sweep either answers with finite rows or refuses by naming a point
+        # that every repetition saw alike, or a phase past PHASE_MAX
+        logs = [math.log(nbar) for nbar in nbars]
+        assume(min(logs) < max(logs))
+        for nbar in nbars:
+            phi_bar = bias_product / nbar
+            if abs(phi_bar) <= sqzmet.network.PHASE_MAX:
+                assert 0.0 <= sweep_point_probability(nbar, phi_bar, "coherent") <= 1.0
+        try:
+            result = scaling_sweep(
+                nbars, 10 ** 5, 10, 0, bias_product=bias_product, baseline="coherent", force=True
             )
+        except ValueError as error:
+            assert re.search(r"zero sample variance|phi_bar = .* outside \[", str(error))
+            return
+        assert math.isfinite(result.slope)
+        for point in result.results:
+            assert 0.0 <= point.p_hat <= 1.0
+            assert math.isfinite(point.phi_hat)
+            assert math.isfinite(point.delta_phi_sq) and point.delta_phi_sq > 0
 
-    def test_coherent_point_probability(self):
-        # Poissonian statistics in the quadratic model: 1 - nbar * phi^2
-        p = sweep_point_probability(2.0, 0.025, baseline="coherent")
-        assert p == pytest.approx(1.0 - 2.0 * 0.025 ** 2, abs=1e-15)
+    def test_coherent_point_probability_is_the_poisson_phase_sum(self):
+        # <a|a e^(-i phi)> sums the Poisson photon-number weights of |a>,
+        # each with the phase n phi: P = |sum_n e^-nbar nbar^n / n! e^(-i n phi)|^2.
+        # Terms past nbar + 40 sqrt(nbar) + 40 are below double precision
+        for nbar in np.geomspace(1e-3, 1e2, 16):
+            nbar = float(nbar)
+            for phi in np.linspace(-math.pi, math.pi, 25):
+                weight, real, imag = math.exp(-nbar), [], []
+                for n in range(int(nbar + 40.0 * math.sqrt(nbar) + 40.0)):
+                    real.append(weight * math.cos(n * phi))
+                    imag.append(-weight * math.sin(n * phi))
+                    weight *= nbar / (n + 1)
+                expected = math.fsum(real) ** 2 + math.fsum(imag) ** 2
+                p = sweep_point_probability(nbar, float(phi), baseline="coherent")
+                assert p == pytest.approx(expected, rel=0, abs=1e-12), (nbar, phi)
 
     def test_rejects_unknown_baseline(self):
         with pytest.raises(ValueError):
@@ -757,8 +792,10 @@ class TestScalingSweep:
     @pytest.mark.parametrize("baseline", ["squeezed", "coherent"])
     @pytest.mark.parametrize(
         "nbar, phi_bar",
-        # both models answer a negative nbar with a "probability" >= 1 and a
-        # NaN with NaN; 1e200 is past NBAR_MAX, and inf * 0 is NaN.  The
+        # unchecked, both laws would answer a negative nbar with a
+        # "probability" >= 1, a NaN with NaN and an infinite nbar with 0, and
+        # math.sin would refuse an infinite phase without naming it; 1e200 is
+        # past NBAR_MAX, where the squeezed law forms inf * 0 = NaN.  The
         # cases with nbar = 1.0 have the bad phi_bar
         [(-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan),
          (1.0, math.inf), (1e200, 0.0)],
@@ -768,7 +805,9 @@ class TestScalingSweep:
         with pytest.raises(ValueError, match=re.escape(f"{name} = {value} outside [")):
             sweep_point_probability(nbar, phi_bar, baseline=baseline)
 
-    def test_coherent_phase_square_overflow_is_refused(self):
+    def test_coherent_phase_past_phase_max_is_refused(self):
+        # at nbar = 0 the law would answer 1 for any phase; the phase
+        # envelope still names the input
         with pytest.raises(ValueError, match=re.escape("phi_bar = 1e+200")):
             sweep_point_probability(0.0, 1e200, baseline="coherent")
 
