@@ -53,12 +53,14 @@ print()
 
 # The survival deficit is the generator variance to second order:
 # number fluctuations scaled by the squared phase average, plus the
-# weighted phase spread scaled by the photon number.
-from sqzmet import generator_variance, phase_moments, photon_moments
+# weighted phase spread scaled by the photon number.  The expansion holds
+# while the regime ratio max|phi| * nbar stays below REGIME_THRESHOLD (0.3).
+from sqzmet import check_regime, generator_variance, phase_moments, photon_moments
 
 probe_stats = photon_moments(probe)
-print("scale   1 - survival   generator variance")
+print("scale   1 - survival   generator variance   regime ratio")
 for scale in (0.25, 0.5, 1.0, 2.0):
     p, _ = exact_survival_probability(weights, phases * scale, squeeze)
     variance = generator_variance(phase_moments(weights, phases * scale), probe_stats)
-    print(f"{scale:5.2f}   {1 - p:12.6e}   {variance:12.6e}")
+    regime = check_regime(phases * scale, squeeze.mean_photon_number)
+    print(f"{scale:5.2f}   {1 - p:12.6e}   {variance:18.6e}   {regime.ratio:12.3f}")

@@ -23,6 +23,9 @@ import numpy as np
 from .metrology import _LOG_FLOAT_MAX, PhotonMoments, SqueezeParameter
 from .network import validate_count
 
+# a covariance that went through apply_network is symmetric only to rounding,
+# a few ulps of its largest entry; this bound is relative to max|V|
+SYMMETRY_TOL = 1e-10
 OVERLAP_PURITY_TOL = 1e-6
 # a purity defect within OVERLAP_PURITY_TOL still admits a covariance just
 # below the vacuum's, whose overlap exceeds 1; an overlap may round above 1 by
@@ -37,9 +40,9 @@ class GaussianState:
     Attributes:
         covariance: real symmetric ``(2M, 2M)`` array in interleaved
             quadrature ordering, refused unless ``max|V - V^T|`` is at most
-            ``1e-10 * max|V|`` (so also when an entry is NaN or inf).
-            Stored read-only; operations return new states instead of
-            mutating.
+            ``SYMMETRY_TOL * max|V|`` (so also when an entry is NaN or inf).
+            Stored as a read-only copy, so the caller's array is left as it
+            is; operations return new states instead of mutating.
 
     Instances compare and hash by identity: an array field has no single truth value.
     """
@@ -50,11 +53,18 @@ class GaussianState:
         cov = np.array(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.shape[0] == 0:
             raise ValueError(f"covariance must be square with even dimension, got shape {cov.shape}")
-        # one scale-relative comparison; written negated so NaN and inf fail it
+        # one scratch array: V - V^T is antisymmetric, so its largest entry
+        # is max|V - V^T|; then |V| overwrites it.  One scale-relative
+        # comparison, written negated so NaN and inf fail it
         with np.errstate(invalid="ignore", over="ignore"):
-            asymmetry = np.max(np.abs(cov - cov.T))
-        if not asymmetry <= 1e-10 * np.max(np.abs(cov)):
-            raise ValueError(f"covariance must be symmetric, got max |V - V^T| = {asymmetry:.3e}")
+            scratch = cov - cov.T
+        asymmetry = scratch.max()
+        scale = np.abs(cov, out=scratch).max()
+        if not asymmetry <= SYMMETRY_TOL * scale:
+            raise ValueError(
+                f"covariance must be symmetric, got max |V - V^T| = {asymmetry:.3e} "
+                f"beyond SYMMETRY_TOL = {SYMMETRY_TOL} times max |V| = {scale:.3e}"
+            )
         cov.flags.writeable = False
         object.__setattr__(self, "covariance", cov)
 
@@ -70,7 +80,7 @@ def _rotation(angle: float) -> np.ndarray:
 
 def _squeeze_block(squeeze: SqueezeParameter) -> np.ndarray:
     # rotate by -theta/2, scale the quadratures, rotate back
-    scale = np.diag([math.exp(squeeze.r), math.exp(-squeeze.r)])
+    scale = np.array([[math.exp(squeeze.r), 0.0], [0.0, math.exp(-squeeze.r)]])
     return _rotation(squeeze.theta / 2.0) @ scale @ _rotation(-squeeze.theta / 2.0)
 
 
@@ -88,9 +98,10 @@ def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
         ValueError: unless ``modes`` is an integer >= 1.
     """
     modes = validate_count("modes", modes, 1)
-    cov = 0.5 * np.eye(2 * modes)
+    cov = np.eye(2 * modes)
     block = _squeeze_block(squeeze)
-    cov[:2, :2] = 0.5 * (block @ block.T)
+    cov[:2, :2] = block @ block.T
+    cov *= 0.5
     return GaussianState(cov)
 
 
@@ -145,7 +156,9 @@ def photon_moments(state: GaussianState) -> PhotonMoments:
 
 def purity_defect(state: GaussianState) -> float:
     """``|det(2V) - 1|``; zero for pure states, ``inf`` where it is not a finite float."""
-    sign, logdet = np.linalg.slogdet(2.0 * state.covariance)
+    # log det(2V) = log det(V) + 2M log 2, without a scaled copy of V
+    sign, logdet = np.linalg.slogdet(state.covariance)
+    logdet += state.covariance.shape[0] * math.log(2.0)
     if sign <= 0 or logdet > _LOG_FLOAT_MAX:
         return math.inf
     return abs(math.expm1(logdet))
@@ -176,7 +189,7 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
                 f"beyond OVERLAP_PURITY_TOL = {OVERLAP_PURITY_TOL}"
             )
     chol = np.linalg.cholesky(probe.covariance + state.covariance)
-    overlap = math.exp(-float(np.sum(np.log(np.diag(chol)))))
+    overlap = math.exp(-float(np.log(chol.diagonal()).sum()))
     if overlap > 1.0 + OVERLAP_EXCESS_TOL:
         raise ValueError(
             f"overlap {overlap} exceeds 1 beyond OVERLAP_EXCESS_TOL = {OVERLAP_EXCESS_TOL}"

@@ -26,6 +26,9 @@ ENGINES = ("gaussian", "fock")
 MAX_SHOTS = 2 ** 63 - 1
 # exp(x) and expm1(x) are finite floats only up to this x
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# probability the Fock oracle's truncation may leave out: a thousandth of the
+# 1e-9 to which the tests hold the two engines to each other
+ORACLE_TAIL_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,8 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
 class ExperimentConfig:
     """Everything needed to reproduce one protocol run.
 
+    The one place a protocol run's weights and phases are checked:
+    :func:`run_protocol` does not check them again.
     Instances compare and hash by identity: an array field has no single truth value.
     """
 
@@ -220,7 +225,7 @@ def exact_survival_probability(
     network) and takes the overlap with the probe.  The ``fock`` engine
     resums the occupation-number distribution sector by sector at the
     cutoff that :func:`fock.recommend_cutoff` certifies for a tail below
-    ``1e-12``.
+    ``ORACLE_TAIL_BOUND``.
 
     Each engine is a verifier, imported only when its branch runs.
 
@@ -230,20 +235,25 @@ def exact_survival_probability(
     """
     w = network.validate_weights(weights)
     if engine == "gaussian":
-        from .gaussian import apply_network, squeezed_probe, vacuum_overlap_probability
-
-        phases = network.validate_phases(phases, w.size)
-        unitary = network.embed_weights_unitary(w)
-        passive = unitary.conj().T @ (np.exp(-1j * phases)[:, None] * unitary)
-        probe = squeezed_probe(w.size, squeeze)
-        return vacuum_overlap_probability(apply_network(probe, passive), probe), None
+        return _survival_probability(w, network.validate_phases(phases, w.size), squeeze), None
     if engine == "fock":
         from . import fock
 
-        cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-12)
+        cutoff = fock.recommend_cutoff(squeeze, tail_bound=ORACLE_TAIL_BOUND)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         return fock.survival_probability_sectors(amps, w, phases), cutoff
     raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+
+
+def _survival_probability(weights: np.ndarray, phases: np.ndarray, squeeze: SqueezeParameter) -> float:
+    # the production route to P, on arrays its callers have already checked;
+    # today it is the covariance engine of exact_survival_probability
+    from .gaussian import apply_network, squeezed_probe, vacuum_overlap_probability
+
+    unitary = network.embed_weights_unitary(weights)
+    passive = unitary.conj().T @ (np.exp(-1j * phases)[:, None] * unitary)
+    probe = squeezed_probe(weights.size, squeeze)
+    return vacuum_overlap_probability(apply_network(probe, passive), probe)
 
 
 @dataclass(frozen=True)
@@ -259,16 +269,24 @@ class ProtocolRun:
 
 
 def run_protocol(config: ExperimentConfig) -> ProtocolRun:
-    """Evaluate, sample, and invert one experiment configuration."""
-    moments = phase_moments(config.weights, config.true_phases)
+    """Evaluate, sample, and invert one experiment configuration.
+
+    ``ExperimentConfig`` has checked the weights and phases, so they are not
+    checked again: ``phi_bar_true``, ``p_exact`` and the regime fields are
+    the bits of :func:`phase_moments`, :func:`exact_survival_probability`
+    and :func:`check_regime` on the same arrays.
+    """
+    weights, phases = config.weights, config.true_phases
     nbar = config.squeeze.mean_photon_number
-    p_exact, _ = exact_survival_probability(config.weights, config.true_phases, config.squeeze)
+    p_exact = _survival_probability(weights, phases, config.squeeze)
     count = simulate_shots(p_exact, config.shots, config.seed)
     p_hat = count / config.shots
+    # estimate_phase refuses an nbar outside [NBAR_MIN, NBAR_MAX], so the
+    # regime ratio below reads an nbar that check_regime would accept
     phi_hat = estimate_phase(count, config.shots, nbar) if nbar > 0 else 0.0
-    regime = check_regime(config.true_phases, nbar)
+    regime = _regime_check(float(np.max(np.abs(phases))) * nbar)
     return ProtocolRun(
-        phi_bar_true=moments.mean,
+        phi_bar_true=float(weights @ phases),
         p_exact=p_exact,
         p_hat=p_hat,
         phi_hat=phi_hat,

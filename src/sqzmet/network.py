@@ -117,9 +117,10 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def _chain_angles(weights) -> np.ndarray:
-    # theta_k of weight_chain for k = 0..M-2, tail sums from one reversed cumsum
+    # theta_k of weight_chain for k = 0..M-2, tail sums from one reversed
+    # running sum (np.add.accumulate: np.cumsum without its Python wrapper)
     w = validate_weights(weights)
-    return np.arctan2(np.sqrt(np.cumsum(w[::-1])[::-1][1:]), np.sqrt(w[:-1]))
+    return np.arctan2(np.sqrt(np.add.accumulate(w[::-1])[::-1][1:]), np.sqrt(w[:-1]))
 
 
 def embed_weights_unitary(weights) -> np.ndarray:
@@ -131,11 +132,14 @@ def embed_weights_unitary(weights) -> np.ndarray:
     """
     thetas = _chain_angles(weights)
     dim = thetas.size + 1
-    s, c = np.ones(dim), np.ones(dim)
+    s, c = np.ones((2, dim))
     s[1:], c[:-1] = np.sin(thetas), np.cos(thetas)  # s_{i-1} on row i; c_{M-1} = 1
-    # the column-wise cumprod of s_{i-1} below the diagonal is s_j ... s_{i-1}
+    # the column-wise running product of s_{i-1} below the diagonal is
+    # s_j ... s_{i-1}; np.multiply.accumulate is np.cumprod without its Python
+    # wrapper, which costs more than the product itself at small M
     below = np.tri(dim, k=-1, dtype=bool)
-    unitary = np.cumprod(np.where(below, s[:, None], 1.0), axis=0) * c[:, None]
+    unitary = np.multiply.accumulate(np.where(below, s[:, None], 1.0), axis=0)
+    unitary *= c[:, None]
     unitary[:, 1:] *= c[:-1]
     unitary[below.T] = 0.0
     unitary.flat[1::dim + 1] = -s[1:]
@@ -162,8 +166,9 @@ class RotationMesh:
     """Ordered rotations plus a trailing diagonal phase layer.
 
     ``elements`` is a read-only ``ELEMENT_DTYPE`` array, one ``(mode, theta, phase)``
-    record per rotation of modes ``(mode, mode + 1)``, converted once from any
-    iterable of such tuples or records.  ``recompose`` multiplies the element blocks
+    record per rotation of modes ``(mode, mode + 1)``: a one-dimensional
+    ``ELEMENT_DTYPE`` array is copied once, any other iterable of such tuples or
+    records is converted once.  ``recompose`` multiplies the element blocks
     in listed order and then the phase diagonal, reproducing the decomposed unitary.
     Instances compare and hash by identity: an array field has no single truth value.
 
@@ -176,8 +181,12 @@ class RotationMesh:
     output_phases: np.ndarray
 
     def __post_init__(self):
-        # fromiter, not np.array: numpy reads a tuple, even (), as one record
-        elements = np.fromiter(self.elements, dtype=ELEMENT_DTYPE)
+        elements = self.elements
+        if isinstance(elements, np.ndarray) and elements.dtype == ELEMENT_DTYPE and elements.ndim == 1:
+            elements = np.array(elements, dtype=ELEMENT_DTYPE)
+        else:
+            # fromiter, not np.array: numpy reads a tuple, even (), as one record
+            elements = np.fromiter(elements, dtype=ELEMENT_DTYPE)
         phases = np.array(self.output_phases, dtype=float)
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError(f"phase layer must be a non-empty vector, got shape {phases.shape}")

@@ -204,6 +204,23 @@ class TestCovarianceSymmetry:
         with pytest.raises(ValueError, match=r"max \|V - V\^T\| = 1\.000e-01"):
             GaussianState(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
+    def test_refusal_names_the_bound(self):
+        message = (
+            "covariance must be symmetric, got max |V - V^T| = 1.000e-01 "
+            "beyond SYMMETRY_TOL = 1e-10 times max |V| = 5.000e-01"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianState(np.array([[0.5, 0.1], [0.0, -0.5]]))
+
+    def test_caller_array_is_left_unchanged(self):
+        cov = squeezed_probe(3, SqueezeParameter(0.7, 1.3)).covariance.copy()
+        cov[0, 1] += 1e-12  # asymmetric within the bound
+        before = cov.copy()
+        state = GaussianState(cov)
+        assert cov.tobytes() == before.tobytes() and cov.flags.writeable
+        assert state.covariance is not cov and not state.covariance.flags.writeable
+        assert state.covariance.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_tolerance_is_relative_to_the_largest_entry(self, scale):
         cov = scale * np.array([[0.5, 0.0], [0.0, 0.5]])

@@ -546,6 +546,40 @@ class TestRunProtocol:
             assert run_protocol(config).phi_hat == pytest.approx(phi, rel=0, abs=1e-12)
 
 
+class TestRunProtocolChecksOnce:
+    """``ExperimentConfig`` is the one place a protocol run's arrays are checked."""
+
+    def test_arrays_are_checked_at_most_once_per_run(self, monkeypatch):
+        config = ExperimentConfig(
+            np.array([0.25, 0.25, 0.5]), np.array([0.02, -0.01, 0.03]), SqueezeParameter(R_UNIT), 1000, 4
+        )
+        calls = {"validate_weights": 0, "validate_phases": 0}
+        for name in calls:
+            original = getattr(sqzmet.network, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(sqzmet.network, name, counted)
+        run_protocol(config)
+        # the weight network's own check of its argument is the one left
+        assert calls["validate_weights"] <= 1 and calls["validate_phases"] <= 1, calls
+
+    @pytest.mark.parametrize("modes", [1, 2, 8, 32, 128])
+    def test_fields_are_the_bits_of_the_public_functions(self, modes):
+        rng = np.random.default_rng(2700 + modes)
+        for r, theta, spread in [(0.0, 0.0, 0.1), (0.3, 1.1, 1e-6), (1.5, 4.0, 0.02), (2.5, 6.0, 2.0)]:
+            weights = rng.dirichlet(np.ones(modes))
+            phases = rng.uniform(-spread, spread, modes)
+            squeeze = SqueezeParameter(r, theta)
+            run = run_protocol(ExperimentConfig(weights, phases, squeeze, 10 ** 6, int(rng.integers(2 ** 31))))
+            nbar = squeeze.mean_photon_number
+            assert run.phi_bar_true == phase_moments(weights, phases).mean
+            assert run.p_exact == exact_survival_probability(weights, phases, squeeze)[0]
+            assert (run.regime_ratio, run.regime_ok) == tuple(check_regime(phases, nbar))
+
+
 def _assert_sweep_matches_loop(nbars, shots, reps, seed, bias_product, baseline):
     """Check each point against its counts inverted and reduced on their own; return the counts."""
     result = scaling_sweep(nbars, shots, reps, seed, bias_product=bias_product, baseline=baseline)

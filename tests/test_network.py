@@ -261,6 +261,16 @@ class TestRotationMesh:
         with pytest.raises(ValueError, match="read-only"):
             mesh.elements["theta"][0] = 0.0
 
+    def test_record_array_is_copied_once_as_it_is(self):
+        rows = [(2, 0.5, -0.0), (0, 5e-324, 1.0), (1, -1e308, math.pi)]
+        records = np.array(rows, dtype=ELEMENT_DTYPE)
+        mesh = RotationMesh(records, np.zeros(4))
+        assert mesh.elements.tobytes() == RotationMesh(rows, np.zeros(4)).elements.tobytes()
+        assert mesh.elements.dtype == ELEMENT_DTYPE and not mesh.elements.flags.writeable
+        assert records.flags.writeable and not np.shares_memory(records, mesh.elements)
+        # a strided view is read in its own order
+        assert mesh.elements[::-1].tolist() == RotationMesh(records[::-1], np.zeros(4)).elements.tolist()
+
     @pytest.mark.parametrize("mode", [-1, 2])
     def test_mode_outside_the_phase_layer_is_refused(self, mode):
         # first_column used to rotate modes (-1, 0) as if they were (M - 1, 0)
