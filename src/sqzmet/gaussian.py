@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,42 +51,65 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.shape[0] == 0:
-            raise ValueError(f"covariance must be square with even dimension, got shape {cov.shape}")
-        # one scratch array: V - V^T is antisymmetric, so its largest entry
-        # is max|V - V^T|; then |V| overwrites it.  One scale-relative
-        # comparison, written negated so NaN and inf fail it
-        with np.errstate(invalid="ignore", over="ignore"):
-            scratch = cov - cov.T
-        asymmetry = scratch.max()
-        scale = np.abs(cov, out=scratch).max()
-        if not asymmetry <= SYMMETRY_TOL * scale:
-            raise ValueError(
-                f"covariance must be symmetric, got max |V - V^T| = {asymmetry:.3e} "
-                f"beyond SYMMETRY_TOL = {SYMMETRY_TOL} times max |V| = {scale:.3e}"
-            )
-        cov.flags.writeable = False
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "covariance", _checked(np.array(self.covariance, dtype=float)))
 
     @property
     def modes(self) -> int:
         return self.covariance.shape[0] // 2
 
+    @cached_property
+    def _occupied_modes(self) -> tuple[int, int]:
+        # (first, stop): modes outside this span have exact vacuum rows, 1/2
+        # on the diagonal and exact zeros elsewhere.  Found by looking, it runs
+        # from the first to the last mode with a row unlike the vacuum's, and
+        # is (0, 0) for the vacuum
+        cov = self.covariance
+        if cov[0, 0] != 0.5 and cov[-1, -1] != 0.5:
+            return 0, self.modes  # first and last rows unlike the vacuum's
+        n = cov.shape[0]
+        unlike = (cov != 0).ravel()
+        unlike[:: n + 1] = cov.diagonal() != 0.5
+        first = int(unlike.argmax())
+        if not unlike[first]:
+            return 0, 0
+        return first // (2 * n), self.modes - int(unlike[::-1].argmax()) // (2 * n)
 
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+
+def _checked(cov: np.ndarray) -> np.ndarray:
+    # GaussianState's checks on a float array it owns, which is then made read-only
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.shape[0] == 0:
+        raise ValueError(f"covariance must be square with even dimension, got shape {cov.shape}")
+    # one scratch array: V - V^T is antisymmetric, so its largest entry
+    # is max|V - V^T|; then |V| overwrites it.  One scale-relative
+    # comparison, written negated so NaN and inf fail it
+    with np.errstate(invalid="ignore", over="ignore"):
+        scratch = cov - cov.T
+    asymmetry = scratch.max()
+    scale = np.abs(cov, out=scratch).max()
+    if not asymmetry <= SYMMETRY_TOL * scale:
+        raise ValueError(
+            f"covariance must be symmetric, got max |V - V^T| = {asymmetry:.3e} "
+            f"beyond SYMMETRY_TOL = {SYMMETRY_TOL} times max |V| = {scale:.3e}"
+        )
+    cov.flags.writeable = False
+    return cov
+
+
+def _adopt(cov: np.ndarray) -> GaussianState:
+    # a state around a float array built here and referenced nowhere else:
+    # GaussianState's checks, without its copy
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "covariance", _checked(cov))
+    return state
 
 
 def _squeeze_block(squeeze: SqueezeParameter) -> np.ndarray:
-    # rotate by -theta/2, scale the quadratures, rotate back
-    scale = np.array([[math.exp(squeeze.r), 0.0], [0.0, math.exp(-squeeze.r)]])
-    return _rotation(squeeze.theta / 2.0) @ scale @ _rotation(-squeeze.theta / 2.0)
-
-
-def _conjugate(state: GaussianState, sympl: np.ndarray) -> GaussianState:
-    return GaussianState(sympl @ state.covariance @ sympl.T)
+    # rotate by -theta/2, scale the quadratures, rotate back; the first
+    # product has one nonzero term per entry, so it is written out
+    c, s = math.cos(squeeze.theta / 2.0), math.sin(squeeze.theta / 2.0)
+    stretch, squash = math.exp(squeeze.r), math.exp(-squeeze.r)
+    rotated = np.array([[c * stretch, -s * squash], [s * stretch, c * squash]])
+    return rotated @ np.array([[c, s], [-s, c]])
 
 
 def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
@@ -98,11 +122,20 @@ def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
         ValueError: unless ``modes`` is an integer >= 1.
     """
     modes = validate_count("modes", modes, 1)
-    cov = np.eye(2 * modes)
+    cov = np.zeros((2 * modes, 2 * modes))
+    cov.ravel()[:: 2 * modes + 1] = 0.5
     block = _squeeze_block(squeeze)
-    cov[:2, :2] = block @ block.T
-    cov *= 0.5
-    return GaussianState(cov)
+    cov[:2, :2] = 0.5 * (block @ block.T)
+    probe = _adopt(cov)
+    object.__setattr__(probe, "_occupied_modes", (0, 1))  # only mode 0 can differ from the vacuum
+    return probe
+
+
+# i^t for the x (t = 0) and p (t = 1) row of a mode: row 2j + t of the
+# interleaved real form of a complex matrix A is i^t conj(A[j]), read as
+# (x, p) pairs
+_ROW_PHASES = np.array([[1.0], [1j]])
+_HALF_ROW_PHASES = 0.5 * _ROW_PHASES
 
 
 def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
@@ -112,6 +145,13 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
     ``(i, j)`` is the transition amplitude from input mode ``j`` to output
     mode ``i``.  Passive networks conserve the total photon number.
 
+    With ``S = R(U)`` the interleaved real form of ``unitary``, the output
+    covariance ``S V S^T`` is computed as the image of the vacuum,
+    ``R(U U^dag) / 2``, plus ``S (V - I/2) S^T`` over the rows of ``V``
+    unlike the vacuum's, which exact vacuum rows leave out.  This holds for
+    any matrix, unitary or not; for the probe only mode 0 is occupied, so the
+    cost is one ``M x M`` complex product.
+
     Raises:
         ValueError: if the matrix dimension does not match the state.
     """
@@ -119,12 +159,18 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
     m = state.modes
     if unitary.shape != (m, m):
         raise ValueError(f"network is {unitary.shape}, state has {m} modes")
-    sympl = np.zeros((2 * m, 2 * m))
-    sympl[0::2, 0::2] = unitary.real
-    sympl[0::2, 1::2] = -unitary.imag
-    sympl[1::2, 0::2] = unitary.imag
-    sympl[1::2, 1::2] = unitary.real
-    return _conjugate(state, sympl)
+    ut = unitary.T
+    # conj(U U^dag) = conj(U) U^T; its rows times i^t / 2 are R(U U^dag) / 2
+    out = ((unitary.conj() @ ut)[:, None] * _HALF_ROW_PHASES).reshape(2 * m, m).view(float)
+    first, stop = state._occupied_modes
+    dev = state.covariance[2 * first : 2 * stop].copy()  # those rows of V - I/2
+    diag = dev.ravel()[2 * first :: 2 * m + 1]
+    diag -= 0.5
+    # the rows of S^T = R(U^dag) for those modes are i^t U^T[j]; a real row
+    # times S^T is the row read as complex times U^T, read back as (x, p)
+    lead = (ut[first:stop, None] * _ROW_PHASES).reshape(-1, m).view(float)
+    out += lead.T @ (dev.view(complex) @ ut).view(float)
+    return _adopt(out)
 
 
 def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +201,19 @@ def photon_moments(state: GaussianState) -> PhotonMoments:
 
 
 def purity_defect(state: GaussianState) -> float:
-    """``|det(2V) - 1|``; zero for pure states, ``inf`` where it is not a finite float."""
-    # log det(2V) = log det(V) + 2M log 2, without a scaled copy of V
-    sign, logdet = np.linalg.slogdet(state.covariance)
-    logdet += state.covariance.shape[0] * math.log(2.0)
+    """``|det(2V) - 1|``; zero for pure states, ``inf`` where it is not a finite float.
+
+    A Laplace expansion along an exact vacuum row (1/2 on the diagonal, exact
+    zeros elsewhere) takes a factor 1/2 out of ``det(V)`` whatever its column
+    holds, so the determinant runs over the occupied modes only: the probe's
+    is 2 x 2, and a vacuum reads exactly 0.0.
+    """
+    first, stop = state._occupied_modes
+    rows = slice(2 * first, 2 * stop)
+    # log det(2V) = log det(V) + n log 2 over the n occupied rows, without a
+    # scaled copy of V
+    sign, logdet = np.linalg.slogdet(state.covariance[rows, rows])
+    logdet += (rows.stop - rows.start) * math.log(2.0)
     if sign <= 0 or logdet > _LOG_FLOAT_MAX:
         return math.inf
     return abs(math.expm1(logdet))
@@ -177,9 +232,10 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
 
     Raises:
         ValueError: if either state is not pure within ``OVERLAP_PURITY_TOL``, naming
-            the argument, its purity defect and the bound; or if the overlap
-            exceeds 1 by more than ``OVERLAP_EXCESS_TOL``, naming the overlap
-            and the bound.
+            the argument, its purity defect and the bound; if the sum of the
+            two covariances is not positive definite, which a pure but
+            indefinite covariance allows; or if the overlap exceeds 1 by more
+            than ``OVERLAP_EXCESS_TOL``, naming the overlap and the bound.
     """
     for name, candidate in (("state", state), ("probe", probe)):
         defect = purity_defect(candidate)
@@ -188,7 +244,11 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
                 f"{name} is not pure (purity defect {defect:.3e}) "
                 f"beyond OVERLAP_PURITY_TOL = {OVERLAP_PURITY_TOL}"
             )
-    chol = np.linalg.cholesky(probe.covariance + state.covariance)
+    try:
+        chol = np.linalg.cholesky(probe.covariance + state.covariance)
+    except np.linalg.LinAlgError:
+        # purity does not rule it out: det(2V) = 1 also holds for an indefinite V
+        raise ValueError("state + probe covariance is not positive definite") from None
     overlap = math.exp(-float(np.log(chol.diagonal()).sum()))
     if overlap > 1.0 + OVERLAP_EXCESS_TOL:
         raise ValueError(

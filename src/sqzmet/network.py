@@ -137,12 +137,13 @@ def embed_weights_unitary(weights) -> np.ndarray:
     # the column-wise running product of s_{i-1} below the diagonal is
     # s_j ... s_{i-1}; np.multiply.accumulate is np.cumprod without its Python
     # wrapper, which costs more than the product itself at small M
-    below = np.tri(dim, k=-1, dtype=bool)
+    row = np.arange(dim)
+    below = row[:, None] > row
     unitary = np.multiply.accumulate(np.where(below, s[:, None], 1.0), axis=0)
     unitary *= c[:, None]
     unitary[:, 1:] *= c[:-1]
     unitary[below.T] = 0.0
-    unitary.flat[1::dim + 1] = -s[1:]
+    unitary.ravel()[1::dim + 1] = -s[1:]
     return unitary.astype(complex)
 
 

@@ -436,6 +436,20 @@ class TestValidate:
         full_only = ("PASS mach-zehnder factorization", "PASS series convergence order")
         assert all((check in out) == (level == "full") for check in full_only)
 
+    def test_each_detail_names_its_bound(self, capsys):
+        from sqzmet import validate
+
+        assert cli.main(["validate", "full", "--seed", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bounds = [
+            "CROSS_ENGINE_TOL", "TABLE_ROUTE_TOL", "ODD_TERM_TOL",
+            "VARIANCE_IDENTITY_TOL", "MZ_FACTORIZATION_TOL", "SERIES_ORDER_MIN",
+        ]
+        assert len(lines) == len(bounds)
+        for line, name in zip(lines, bounds):
+            assert line.startswith("PASS ")
+            assert line.endswith(f" {name} = {getattr(validate, name)})"), line
+
     def test_importing_the_cli_leaves_the_suites_unloaded(self, tmp_path, config_file):
         # only `sqzmet validate` runs the suites, so only cmd_validate imports
         # them; synthesize and sweep load no verifier, and simulate loads the

@@ -15,7 +15,7 @@ from sqzmet import (
     squeezed_probe,
     vacuum_overlap_probability,
 )
-from sqzmet.gaussian import _squeeze_block
+from sqzmet.gaussian import SYMMETRY_TOL, _squeeze_block
 from conftest import random_unitary
 
 R_UNIT = math.asinh(1.0)  # one mean photon
@@ -36,6 +36,23 @@ def brute_force_survival(r, phi, terms=200):
         prob = math.comb(2 * n, n) * (math.tanh(r) ** 2 / 4.0) ** n / math.cosh(r)
         total += prob * np.exp(-2j * n * phi)
     return abs(total) ** 2
+
+
+def dense_real_form(unitary):
+    """Reference: the interleaved real form ``S`` of a complex matrix, block by block."""
+    m = unitary.shape[0]
+    sympl = np.zeros((2 * m, 2 * m))
+    sympl[0::2, 0::2] = unitary.real
+    sympl[0::2, 1::2] = -unitary.imag
+    sympl[1::2, 0::2] = unitary.imag
+    sympl[1::2, 1::2] = unitary.real
+    return sympl
+
+
+def dense_purity_defect(cov):
+    """Reference: ``|det(2V) - 1|`` over the whole matrix."""
+    sign, logdet = np.linalg.slogdet(2 * cov)
+    return math.inf if sign <= 0 else abs(math.expm1(logdet))
 
 
 class TestStatePreparation:
@@ -179,6 +196,85 @@ class TestNetworkAndPhases:
         state = phase_shift(state, rng.uniform(-1, 1, size=4))
         state = apply_network(state, random_unitary(rng, 4))
         assert purity_defect(state) <= 1e-9
+
+
+def vacuum_row_cases(rng):
+    """(name, state, matrix) inputs for the vacuum-row tests: every kind of row span."""
+    cases = []
+    for modes in (1, 2, 3, 5, 8, 16, 33, 64):
+        probe = squeezed_probe(modes, SqueezeParameter(rng.uniform(0.0, 2.5), rng.uniform(0, 6)))
+        cases.append((f"probe-M{modes}", probe, random_unitary(rng, modes)))
+    for modes in (2, 7):
+        probe = squeezed_probe(modes, SqueezeParameter(1.1, 0.4))
+        mixed = apply_network(probe, random_unitary(rng, modes))  # every row occupied
+        cases.append((f"occupied-M{modes}", mixed, random_unitary(rng, modes)))
+    general = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) / 4.0
+    cases.append(("non-unitary", squeezed_probe(6, SqueezeParameter(0.9, 2.0)), general))
+    # modes 0 and 3 squeezed: the vacuum rows of modes 1 and 2 lie inside the span
+    cov = 0.5 * np.eye(10)
+    cov[:2, :2] = squeezed_probe(1, SqueezeParameter(0.7, 1.0)).covariance
+    cov[6:8, 6:8] = squeezed_probe(1, SqueezeParameter(1.6, 4.0)).covariance
+    cases.append(("two-squeezers", GaussianState(cov), random_unitary(rng, 5)))
+    # only mode 2 squeezed: the span starts and stops inside the state
+    cov = 0.5 * np.eye(8)
+    cov[4:6, 4:6] = squeezed_probe(1, SqueezeParameter(2.0, 5.0)).covariance
+    cases.append(("inner-mode", GaussianState(cov), random_unitary(rng, 4)))
+    # row 5 stays an exact vacuum row, while its column carries an asymmetry
+    # within SYMMETRY_TOL in the occupied row 0
+    cov = squeezed_probe(4, SqueezeParameter(1.2, 0.3)).covariance.copy()
+    cov[0, 5] = 0.5 * SYMMETRY_TOL * np.max(np.abs(cov))
+    cases.append(("asymmetric-column", GaussianState(cov), random_unitary(rng, 4)))
+    return cases
+
+
+class TestVacuumRows:
+    """apply_network and purity_defect skip exact vacuum rows; the answer is the dense one."""
+
+    def test_network_matches_the_dense_conjugation(self, rng):
+        for name, state, matrix in vacuum_row_cases(rng):
+            sympl = dense_real_form(matrix)
+            dense = sympl @ state.covariance @ sympl.T
+            gap = np.max(np.abs(apply_network(state, matrix).covariance - dense))
+            assert gap <= 1e-13 * np.max(np.abs(state.covariance)), name
+
+    def test_purity_defect_matches_the_full_determinant(self, rng):
+        for name, state, matrix in vacuum_row_cases(rng):
+            for candidate in (state, apply_network(state, matrix)):
+                dense = dense_purity_defect(candidate.covariance)
+                assert abs(purity_defect(candidate) - dense) <= 1e-10 * max(1.0, dense), name
+
+    @pytest.mark.parametrize("modes", [1, 8, 128])
+    def test_vacuum_is_exactly_pure(self, modes):
+        # an LU of the whole 2M x 2M vacuum rounds to about 3e-13 at M = 128
+        assert purity_defect(squeezed_probe(modes, SqueezeParameter(0.0, 1.0))) == 0.0
+        assert purity_defect(GaussianState(0.5 * np.eye(2 * modes))) == 0.0
+
+    @pytest.mark.parametrize("build", ["probe", "copy"])
+    def test_probe_purity_is_a_two_by_two_determinant(self, monkeypatch, build):
+        # "copy" rebuilds the state from its covariance, so the rows are
+        # found by looking at them rather than known from squeezed_probe
+        probe = squeezed_probe(64, SqueezeParameter(1.3, 0.4))
+        if build == "copy":
+            probe = GaussianState(probe.covariance)
+        seen = []
+        real = np.linalg.slogdet
+
+        def recording(a):
+            seen.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recording)
+        assert purity_defect(probe) <= 1e-12
+        assert seen == [(2, 2)]
+
+    def test_vacuum_passes_through_any_network_as_its_image(self, rng):
+        # no row is occupied, so the output is R(U U^dag)/2 alone
+        for modes in (1, 4, 9):
+            matrix = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+            after = apply_network(squeezed_probe(modes, SqueezeParameter(0.0)), matrix)
+            expected = 0.5 * dense_real_form(matrix @ matrix.conj().T)
+            gap = np.max(np.abs(after.covariance - expected))
+            assert gap <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestCovarianceSymmetry:
@@ -349,6 +445,15 @@ class TestVacuumOverlap:
         probe = squeezed_probe(1, SqueezeParameter(0.0))
         assert purity_defect(state) <= 1e-6
         message = "overlap 1.0000000500000024 exceeds 1 beyond OVERLAP_EXCESS_TOL = 1e-12"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vacuum_overlap_probability(state, probe)
+
+    def test_indefinite_sum_is_refused_by_name(self):
+        # det(2V) = 1, so the purity check passes, but V + V_probe is singular
+        state = GaussianState(np.diag([-0.5, -0.5, 0.5, 0.5]))
+        probe = squeezed_probe(2, SqueezeParameter(0.0))
+        assert purity_defect(state) == 0.0
+        message = "state + probe covariance is not positive definite"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             vacuum_overlap_probability(state, probe)
 
