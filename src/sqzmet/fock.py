@@ -34,6 +34,9 @@ from . import network
 from .metrology import SqueezeParameter
 
 MAX_SERIES_ORDER = 8
+# recommend_cutoff's default certified tail: a tenth of the 1e-9 to which the
+# tests hold the two engines to each other
+DEFAULT_TAIL_BOUND = 1e-10
 # largest missing weight a table may have for :func:`survival_probability`
 MAX_TABLE_TAIL = 1e-6
 # largest cutoff mach_zehnder_factorization_residual accepts.  Its cache holds
@@ -83,7 +86,7 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
 
 def recommend_cutoff(
     squeeze: SqueezeParameter,
-    tail_bound: float = 1e-10,
+    tail_bound: float = DEFAULT_TAIL_BOUND,
     moment_power: int = 0,
 ) -> int:
     """Smallest even cutoff whose certified tail is below ``tail_bound``.

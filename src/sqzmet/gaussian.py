@@ -211,8 +211,9 @@ def purity_defect(state: GaussianState) -> float:
     first, stop = state._occupied_modes
     rows = slice(2 * first, 2 * stop)
     # log det(2V) = log det(V) + n log 2 over the n occupied rows, without a
-    # scaled copy of V
-    sign, logdet = np.linalg.slogdet(state.covariance[rows, rows])
+    # scaled copy of V; the block is symmetric, and its transpose is already in
+    # the Fortran order LAPACK's copy-in wants, so that copy is contiguous
+    sign, logdet = np.linalg.slogdet(state.covariance[rows, rows].T)
     logdet += (rows.stop - rows.start) * math.log(2.0)
     if sign <= 0 or logdet > _LOG_FLOAT_MAX:
         return math.inf
@@ -245,7 +246,8 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
                 f"beyond OVERLAP_PURITY_TOL = {OVERLAP_PURITY_TOL}"
             )
     try:
-        chol = np.linalg.cholesky(probe.covariance + state.covariance)
+        # the transpose of the symmetric sum, in Fortran order like det above
+        chol = np.linalg.cholesky((probe.covariance + state.covariance).T)
     except np.linalg.LinAlgError:
         # purity does not rule it out: det(2V) = 1 also holds for an indefinite V
         raise ValueError("state + probe covariance is not positive definite") from None

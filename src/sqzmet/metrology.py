@@ -192,8 +192,11 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
 class ExperimentConfig:
     """Everything needed to reproduce one protocol run.
 
-    The one place a protocol run's weights and phases are checked:
-    :func:`run_protocol` does not check them again.
+    The one place a protocol run's inputs are checked: :func:`run_protocol`
+    does not check them again.  The squeeze's mean photon number
+    ``sinh(r)**2`` must be 0 or lie in ``[NBAR_MIN, NBAR_MAX]``, the range
+    the estimator inverts over; a ValueError names ``r``, ``nbar`` and the
+    bound it misses.
     Instances compare and hash by identity: an array field has no single truth value.
     """
 
@@ -204,6 +207,15 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.squeeze, SqueezeParameter):
+            raise ValueError(f"squeeze must be a SqueezeParameter, got {self.squeeze!r}")
+        nbar = self.squeeze.mean_photon_number
+        if nbar != 0 and not NBAR_MIN <= nbar <= NBAR_MAX:
+            side = f"below NBAR_MIN = {NBAR_MIN}" if nbar < NBAR_MIN else f"above NBAR_MAX = {NBAR_MAX}"
+            raise ValueError(
+                f"squeeze r = {self.squeeze.r} gives nbar = sinh(r)^2 = {nbar:.3e}, {side}; "
+                "nbar must be 0 or lie in [NBAR_MIN, NBAR_MAX]"
+            )
         # copies, so freezing them leaves the caller's arrays writable
         w = network.validate_weights(self.weights).copy()
         phi = network.validate_phases(self.true_phases, w.size).copy()
@@ -251,7 +263,11 @@ def _survival_probability(weights: np.ndarray, phases: np.ndarray, squeeze: Sque
     from .gaussian import apply_network, squeezed_probe, vacuum_overlap_probability
 
     unitary = network.embed_weights_unitary(weights)
-    passive = unitary.conj().T @ (np.exp(-1j * phases)[:, None] * unitary)
+    # the weight network is real, so U^dag = U^T and U^T diag(exp(-i phi)) U
+    # is A - iB with A = U^T (cos(phi) U), B = U^T (sin(phi) U): one real
+    # product against exp(-i phi) U read as (cos, -sin) pairs, read back as complex
+    scaled = (np.exp(-1j * phases)[:, None] * unitary).view(float)
+    passive = (unitary.T @ scaled).view(complex)
     probe = squeezed_probe(weights.size, squeeze)
     return vacuum_overlap_probability(apply_network(probe, passive), probe)
 
@@ -281,8 +297,8 @@ def run_protocol(config: ExperimentConfig) -> ProtocolRun:
     p_exact = _survival_probability(weights, phases, config.squeeze)
     count = simulate_shots(p_exact, config.shots, config.seed)
     p_hat = count / config.shots
-    # estimate_phase refuses an nbar outside [NBAR_MIN, NBAR_MAX], so the
-    # regime ratio below reads an nbar that check_regime would accept
+    # ExperimentConfig has held nbar to 0 or [NBAR_MIN, NBAR_MAX], which
+    # estimate_phase and check_regime both accept
     phi_hat = estimate_phase(count, config.shots, nbar) if nbar > 0 else 0.0
     regime = _regime_check(float(np.max(np.abs(phases))) * nbar)
     return ProtocolRun(

@@ -124,9 +124,9 @@ def _chain_angles(weights) -> np.ndarray:
 
 
 def embed_weights_unitary(weights) -> np.ndarray:
-    """Matrix of :func:`weight_chain` as a complex ``(M, M)`` array; first column ``sqrt(weights)``.
+    """Matrix of :func:`weight_chain` as a float ``(M, M)`` array; first column ``sqrt(weights)``.
 
-    With ``c_k, s_k = cos, sin(theta_k)`` and ``c_{-1} = c_{M-1} = 1`` it is real,
+    With ``c_k, s_k = cos, sin(theta_k)`` and ``c_{-1} = c_{M-1} = 1`` it is
     orthogonal and lower Hessenberg: ``U[i, j] = c_{j-1} s_j ... s_{i-1} c_i`` for
     ``i >= j`` and ``U[j-1, j] = -s_{j-1}``; ``(1, 0, ..., 0)`` gives exactly the identity.
     """
@@ -144,7 +144,7 @@ def embed_weights_unitary(weights) -> np.ndarray:
     unitary[:, 1:] *= c[:-1]
     unitary[below.T] = 0.0
     unitary.ravel()[1::dim + 1] = -s[1:]
-    return unitary.astype(complex)
+    return unitary
 
 
 def mach_zehnder_unitary(w1: float) -> np.ndarray:

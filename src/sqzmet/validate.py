@@ -22,16 +22,30 @@ from .metrology import SqueezeParameter
 # each check's pass bound, with its reason
 # exact-to-rounding engine against an oracle whose tail is below ORACLE_TAIL_BOUND = 1e-12: loose by design
 CROSS_ENGINE_TOL = 1e-6
-# both routes resum the same amplitudes (tail below 1e-10), so they differ by rounding: loose by design
+# both routes resum the same amplitudes (tail below TABLE_ROUTE_TAIL), so they differ by rounding:
+# loose by design
 TABLE_ROUTE_TOL = 1e-6
 # an odd term vanishes identically; what is left is rounding in sums of terms of order one
 ODD_TERM_TOL = 1e-10
-# the analytic side is exact; the oracle's moment carries a tail below 1e-14 and rounding at order nbar^2
+# the analytic side is exact; the oracle's moment carries a tail below VARIANCE_IDENTITY_TAIL and
+# rounding at order nbar^2
 VARIANCE_IDENTITY_TOL = 1e-9
 # both sides are the same unitary at a 12-photon cutoff, so the residual is rounding at order one
 MZ_FACTORIZATION_TOL = 1e-9
 # odd terms vanish, so the remainder after order six is of order eight; 7 leaves one order for fit noise
 SERIES_ORDER_MIN = 7.0
+
+# each check's certified truncation tail (fock.recommend_cutoff's tail_bound), with its reason
+# both routes resum the same truncated amplitudes, so the tail drops out of their gap; it only has to
+# leave the table well inside fock.MAX_TABLE_TAIL = 1e-6
+TABLE_ROUTE_TAIL = 1e-10
+# the tail of every moment up to order eight, a thousandth of ODD_TERM_TOL
+ODD_TERM_TAIL = 1e-13
+# the tail of the second moment, five orders below VARIANCE_IDENTITY_TOL
+VARIANCE_IDENTITY_TAIL = 1e-14
+# the order-8 tail must sit far below the smallest residual the fit reads (1e-9 to 3e-8 at the
+# smallest phase scale on seeds 0, 1, 7, 123), so that truncation does not bend the fitted exponent
+SERIES_CONVERGENCE_TAIL = 1e-16
 
 
 class CheckResult(NamedTuple):
@@ -77,7 +91,7 @@ def check_table_route(seed: int) -> CheckResult:
     """Explicit amplitude table vs sector resummation at moderate cutoffs."""
     worst = 0.0
     for weights, phases, squeeze in _random_cases(_stream(seed, 1), 5, max_modes=3, max_r=0.8):
-        cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-10)
+        cutoff = fock.recommend_cutoff(squeeze, tail_bound=TABLE_ROUTE_TAIL)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         unitary = network.embed_weights_unitary(weights)
         table = fock.propagate_through_network(amps, unitary)
@@ -95,7 +109,7 @@ def check_odd_terms(seed: int) -> CheckResult:
     """Odd survival-series terms must vanish identically."""
     worst = 0.0
     for weights, phases, squeeze in _random_cases(_stream(seed, 2), 20):
-        cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-13, moment_power=8)
+        cutoff = fock.recommend_cutoff(squeeze, tail_bound=ODD_TERM_TAIL, moment_power=8)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=8)
         worst = max(worst, float(np.max(np.abs(series.terms[1::2]))))
@@ -110,7 +124,7 @@ def check_variance_identity(seed: int) -> CheckResult:
     """Analytic generator variance against the oracle's second moment."""
     worst = 0.0
     for weights, phases, squeeze in _random_cases(_stream(seed, 3), 20):
-        cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-14, moment_power=2)
+        cutoff = fock.recommend_cutoff(squeeze, tail_bound=VARIANCE_IDENTITY_TAIL, moment_power=2)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
         series = fock.generator_moments_sectors(amps, weights, phases, max_order=2)
         oracle = series.moments[2] - series.moments[1] ** 2
@@ -150,7 +164,7 @@ def check_series_convergence(seed: int) -> CheckResult:
     weights = weights / weights.sum()
     base = rng.uniform(0.5, 1.0, size=3) * np.sign(rng.uniform(-1, 1, size=3))
     squeeze = SqueezeParameter(math.asinh(1.0))
-    cutoff = fock.recommend_cutoff(squeeze, tail_bound=1e-16, moment_power=8)
+    cutoff = fock.recommend_cutoff(squeeze, tail_bound=SERIES_CONVERGENCE_TAIL, moment_power=8)
     amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
     scales = np.geomspace(0.05, 0.2, 8)
     residuals = []

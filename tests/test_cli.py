@@ -261,7 +261,9 @@ class TestSimulate:
         "squeeze, message",
         [
             ("800", "r = 800.0 outside [0, 354.8913"),
-            ("300", "purity defect inf"),
+            ("300", "nbar = sinh(r)^2 = 9.433e+259, above NBAR_MAX = 1e+100"),
+            ("1e-60", "nbar = sinh(r)^2 = 1.000e-120, below NBAR_MIN = 1e-100"),
+            ("100", "purity defect inf"),
             ("1, nan", "squeezing phase must be finite"),
             ("1, 0, 2", "squeeze takes one or two comma-separated numbers"),
         ],

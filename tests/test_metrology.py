@@ -329,6 +329,30 @@ class TestEngines:
             p, _ = exact_survival_probability(weights, phases, squeeze)
             assert abs(p - closed) <= 1e-9
 
+    @pytest.mark.parametrize("modes", [2, 8, 32, 128])
+    def test_passive_network_is_the_dense_product(self, monkeypatch, modes):
+        # the route forms U^dag diag(exp(-i phi)) U in real arithmetic; the
+        # network it hands apply_network is that complex product within 1e-14
+        # (Frobenius norm), for random and equal weights and phases up to pi
+        seen = []
+        real_apply = sqzmet.gaussian.apply_network
+
+        def recording(state, unitary):
+            seen.append(unitary)
+            return real_apply(state, unitary)
+
+        monkeypatch.setattr(sqzmet.gaussian, "apply_network", recording)
+        rng = np.random.default_rng(2900 + modes)
+        for weights in (random_weights(rng, modes), np.full(modes, 1.0 / modes)):
+            for spread in (0.05, math.pi):
+                phases = rng.uniform(-spread, spread, modes)
+                exact_survival_probability(weights, phases, SqueezeParameter(R_UNIT))
+                unitary = sqzmet.network.embed_weights_unitary(weights).astype(complex)
+                dense = unitary.conj().T @ np.diag(np.exp(-1j * phases)) @ unitary
+                assert seen[-1].dtype == np.complex128
+                assert np.linalg.norm(seen[-1] - dense) <= 1e-14
+        assert len(seen) == 4
+
     @pytest.mark.parametrize("engine", ["gaussian", "fock"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_phases(self, engine, bad):
@@ -396,6 +420,46 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**base)
 
+    @pytest.mark.parametrize(
+        "r, side",
+        [
+            (1e-60, "below NBAR_MIN = 1e-100"),
+            (1e-51, "below NBAR_MIN = 1e-100"),
+            (116.0, "above NBAR_MAX = 1e+100"),
+            (354.0, "above NBAR_MAX = 1e+100"),
+        ],
+    )
+    def test_squeeze_outside_the_nbar_envelope_is_refused_before_the_route(
+        self, monkeypatch, r, side
+    ):
+        # SqueezeParameter accepts these r, but the estimator cannot invert at
+        # their nbar: the config refuses by naming r, nbar and the bound,
+        # before any covariance-route call
+        def refuse(*args, **kwargs):
+            raise AssertionError("the covariance route ran")
+
+        monkeypatch.setattr(sqzmet.metrology, "_survival_probability", refuse)
+        monkeypatch.setattr(sqzmet.gaussian, "squeezed_probe", refuse)
+        nbar = math.sinh(r) ** 2
+        message = f"squeeze r = {r} gives nbar = sinh(r)^2 = {nbar:.3e}, {side}; "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            _config(squeeze=SqueezeParameter(r))
+
+    @pytest.mark.parametrize("squeeze", [0.5, None, (0.5, 0.0)])
+    def test_squeeze_must_be_a_squeeze_parameter(self, squeeze):
+        # a bare number used to pass the config and fail in run_protocol with
+        # an AttributeError that named no argument
+        with pytest.raises(ValueError, match=re.escape(f"squeeze must be a SqueezeParameter, got {squeeze!r}")):
+            _config(squeeze=squeeze)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-49, 1e-20, R_UNIT])
+    def test_squeeze_at_or_inside_the_nbar_envelope_runs(self, r):
+        # nbar = 0 (the vacuum) and nbar within [NBAR_MIN, NBAR_MAX] both run
+        run = run_protocol(_config(squeeze=SqueezeParameter(r)))
+        if r == 0:
+            assert run.p_exact == 1.0 and run.phi_hat == 0.0
+        assert math.isfinite(run.p_exact) and math.isfinite(run.phi_hat)
+
 
 CHECKS = [
     "check_cross_engine",
@@ -440,8 +504,8 @@ def test_shots_outside_the_sampler_range_are_refused_by_value(entry, shots):
         calls[entry]()
 
 
-def _config(shots=100, seed=1):
-    return ExperimentConfig(np.array([1.0]), np.array([0.1]), SqueezeParameter(0.5), shots, seed)
+def _config(shots=100, seed=1, squeeze=SqueezeParameter(0.5)):
+    return ExperimentConfig(np.array([1.0]), np.array([0.1]), squeeze, shots, seed)
 
 
 COUNT_ARGUMENTS = {
