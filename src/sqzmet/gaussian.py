@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,27 +51,13 @@ class GaussianState:
 
     def __post_init__(self):
         object.__setattr__(self, "covariance", _checked(np.array(self.covariance, dtype=float)))
+        # leading modes whose rows may differ from the vacuum's (every later
+        # row is an exact vacuum row); a caller's covariance may occupy any mode
+        object.__setattr__(self, "_occupied_modes", self.modes)
 
     @property
     def modes(self) -> int:
         return self.covariance.shape[0] // 2
-
-    @cached_property
-    def _occupied_modes(self) -> tuple[int, int]:
-        # (first, stop): modes outside this span have exact vacuum rows, 1/2
-        # on the diagonal and exact zeros elsewhere.  Found by looking, it runs
-        # from the first to the last mode with a row unlike the vacuum's, and
-        # is (0, 0) for the vacuum
-        cov = self.covariance
-        if cov[0, 0] != 0.5 and cov[-1, -1] != 0.5:
-            return 0, self.modes  # first and last rows unlike the vacuum's
-        n = cov.shape[0]
-        unlike = (cov != 0).ravel()
-        unlike[:: n + 1] = cov.diagonal() != 0.5
-        first = int(unlike.argmax())
-        if not unlike[first]:
-            return 0, 0
-        return first // (2 * n), self.modes - int(unlike[::-1].argmax()) // (2 * n)
 
 
 def _checked(cov: np.ndarray) -> np.ndarray:
@@ -95,11 +80,12 @@ def _checked(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _adopt(cov: np.ndarray) -> GaussianState:
+def _adopt(cov: np.ndarray, occupied: int) -> GaussianState:
     # a state around a float array built here and referenced nowhere else:
-    # GaussianState's checks, without its copy
+    # GaussianState's checks, without its copy, and the builder's occupied modes
     state = object.__new__(GaussianState)
     object.__setattr__(state, "covariance", _checked(cov))
+    object.__setattr__(state, "_occupied_modes", occupied)
     return state
 
 
@@ -126,9 +112,7 @@ def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
     cov.ravel()[:: 2 * modes + 1] = 0.5
     block = _squeeze_block(squeeze)
     cov[:2, :2] = 0.5 * (block @ block.T)
-    probe = _adopt(cov)
-    object.__setattr__(probe, "_occupied_modes", (0, 1))  # only mode 0 can differ from the vacuum
-    return probe
+    return _adopt(cov, 1)  # only mode 0 can differ from the vacuum
 
 
 # i^t for the x (t = 0) and p (t = 1) row of a mode: row 2j + t of the
@@ -147,10 +131,10 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
 
     With ``S = R(U)`` the interleaved real form of ``unitary``, the output
     covariance ``S V S^T`` is computed as the image of the vacuum,
-    ``R(U U^dag) / 2``, plus ``S (V - I/2) S^T`` over the rows of ``V``
-    unlike the vacuum's, which exact vacuum rows leave out.  This holds for
-    any matrix, unitary or not; for the probe only mode 0 is occupied, so the
-    cost is one ``M x M`` complex product.
+    ``R(U U^dag) / 2``, plus ``S (V - I/2) S^T`` over the modes the state's
+    builder counts as occupied; the exact vacuum rows after them drop out.
+    This holds for any matrix, unitary or not; for the probe only mode 0 is
+    occupied, so the cost is one ``M x M`` complex product.
 
     Raises:
         ValueError: if the matrix dimension does not match the state.
@@ -162,15 +146,15 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
     ut = unitary.T
     # conj(U U^dag) = conj(U) U^T; its rows times i^t / 2 are R(U U^dag) / 2
     out = ((unitary.conj() @ ut)[:, None] * _HALF_ROW_PHASES).reshape(2 * m, m).view(float)
-    first, stop = state._occupied_modes
-    dev = state.covariance[2 * first : 2 * stop].copy()  # those rows of V - I/2
-    diag = dev.ravel()[2 * first :: 2 * m + 1]
+    occupied = state._occupied_modes
+    dev = state.covariance[: 2 * occupied].copy()  # those rows of V - I/2
+    diag = dev.ravel()[:: 2 * m + 1]
     diag -= 0.5
     # the rows of S^T = R(U^dag) for those modes are i^t U^T[j]; a real row
     # times S^T is the row read as complex times U^T, read back as (x, p)
-    lead = (ut[first:stop, None] * _ROW_PHASES).reshape(-1, m).view(float)
+    lead = (ut[:occupied, None] * _ROW_PHASES).reshape(-1, m).view(float)
     out += lead.T @ (dev.view(complex) @ ut).view(float)
-    return _adopt(out)
+    return _adopt(out, m)
 
 
 def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
@@ -205,16 +189,15 @@ def purity_defect(state: GaussianState) -> float:
 
     A Laplace expansion along an exact vacuum row (1/2 on the diagonal, exact
     zeros elsewhere) takes a factor 1/2 out of ``det(V)`` whatever its column
-    holds, so the determinant runs over the occupied modes only: the probe's
-    is 2 x 2, and a vacuum reads exactly 0.0.
+    holds, so the determinant runs over the modes the state's builder counts
+    as occupied: the probe's is 2 x 2, and the probe's vacuum reads exactly 0.0.
     """
-    first, stop = state._occupied_modes
-    rows = slice(2 * first, 2 * stop)
+    n = 2 * state._occupied_modes
     # log det(2V) = log det(V) + n log 2 over the n occupied rows, without a
     # scaled copy of V; the block is symmetric, and its transpose is already in
     # the Fortran order LAPACK's copy-in wants, so that copy is contiguous
-    sign, logdet = np.linalg.slogdet(state.covariance[rows, rows].T)
-    logdet += (rows.stop - rows.start) * math.log(2.0)
+    sign, logdet = np.linalg.slogdet(state.covariance[:n, :n].T)
+    logdet += n * math.log(2.0)
     if sign <= 0 or logdet > _LOG_FLOAT_MAX:
         return math.inf
     return abs(math.expm1(logdet))

@@ -26,6 +26,9 @@ ENGINES = ("gaussian", "fock")
 MAX_SHOTS = 2 ** 63 - 1
 # exp(x) and expm1(x) are finite floats only up to this x
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# largest squeezing magnitude r: the probe's second photon-number moment
+# grows as exp(4r)/16, a finite float only up to about this r
+SQUEEZE_R_MAX = _LOG_FLOAT_MAX / 4
 # probability the Fock oracle's truncation may leave out: a thousandth of the
 # 1e-9 to which the tests hold the two engines to each other
 ORACLE_TAIL_BOUND = 1e-12
@@ -33,7 +36,7 @@ ORACLE_TAIL_BOUND = 1e-12
 
 @dataclass(frozen=True)
 class SqueezeParameter:
-    """Magnitude ``r >= 0`` and phase ``theta`` of a single-mode squeezer.
+    """Magnitude ``r`` in ``[0, SQUEEZE_R_MAX]`` and phase ``theta`` of a single-mode squeezer.
 
     The phase is normalised into ``[0, 2*pi)`` on construction.  The mean
     photon number of the squeezed vacuum it prepares is ``sinh(r)**2``.
@@ -43,8 +46,7 @@ class SqueezeParameter:
     theta: float = 0.0
 
     def __post_init__(self):
-        # exp(2r) must be a finite float
-        r = validate_real("squeezing magnitude r", self.r, 0, _LOG_FLOAT_MAX / 2)
+        r = validate_real("squeezing magnitude r", self.r, 0, SQUEEZE_R_MAX)
         theta = validate_real("squeezing phase", self.theta)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", theta % (2.0 * math.pi))
@@ -460,11 +462,7 @@ def scaling_sweep(
     np.divide(estimates, scales[:, None], out=estimates)
     np.sqrt(estimates, out=estimates)
     means = estimates.mean(axis=1)
-    # the steps of var(axis=1, ddof=1) on these means, so the same bits, with
-    # the deviations taken in place rather than in a second array
-    np.subtract(estimates, means[:, None], out=estimates)
-    np.square(estimates, out=estimates)
-    variances = (estimates.sum(axis=1) / (repetitions - 1)).tolist()
+    variances = estimates.var(axis=1, ddof=1).tolist()
     for nbar, delta_phi_sq in zip(nbars, variances):
         if not delta_phi_sq > 0:
             raise ValueError(

@@ -96,17 +96,25 @@ def validate_weights(weights) -> np.ndarray:
 
 
 def validate_phases(phases, modes: int) -> np.ndarray:
-    """Return ``phases`` as a float array of one finite phase per mode.
+    """Return ``phases`` as a float array of one phase in ``[-PHASE_MAX, PHASE_MAX]`` per mode.
 
     Raises:
         ValueError: on a dtype other than integer or float, if the shape is
-            not ``(modes,)``, or if an entry is not finite.
+            not ``(modes,)``, if an entry is not finite, or if one lies past
+            ``PHASE_MAX``, naming the bound.
     """
     phases = _real_vector("phases", phases)
     if phases.shape != (modes,):
         raise ValueError(f"expected {modes} phases, got shape {phases.shape}")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(f"phases must be finite, got {phases}")
+    # one accept test, which a NaN or an inf also fails
+    largest = np.abs(phases).max(initial=0.0)
+    if not largest <= PHASE_MAX:
+        if not np.all(np.isfinite(phases)):
+            raise ValueError(f"phases must be finite, got {phases}")
+        raise ValueError(
+            f"phases must lie in [-PHASE_MAX, PHASE_MAX] with PHASE_MAX = {PHASE_MAX}, "
+            f"got max |phi| = {largest}"
+        )
     return phases
 
 

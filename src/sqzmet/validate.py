@@ -55,8 +55,13 @@ class CheckResult(NamedTuple):
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
-    """A check's own random stream, ``seed + offset``; ``seed`` must be an integer >= 0."""
-    return np.random.default_rng(metrology.validate_count("seed", seed, 0) + offset)
+    """A check's own random stream, keyed ``[seed, offset]``; ``seed`` must be an integer >= 0.
+
+    Check ``k`` at seed ``s`` shares no stream with check 0 at seed ``s + k``.
+    Offset 0 is the stream of ``seed`` itself: numpy's seeding drops trailing
+    zero words of a key.
+    """
+    return np.random.default_rng([metrology.validate_count("seed", seed, 0), offset])
 
 
 def _random_cases(rng: np.random.Generator, count: int, max_modes: int = 5, max_r: float = 1.2):

@@ -27,6 +27,13 @@ def config_file(tmp_path):
     return str(path)
 
 
+def source_env():
+    """This process's environment, with this checkout's sources first on PYTHONPATH."""
+    source_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def read_csv(path):
     header = None
     rows = []
@@ -211,6 +218,29 @@ class TestSimulate:
         cli.main(["simulate", "--config", config_file, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("modes", [128, 512])
+    def test_many_modes_match_the_closed_form_byte_for_byte(self, tmp_path, modes):
+        # equal weights through the covariance route, at the benchmark's largest
+        # mode count and four times it: two runs write the same bytes, and
+        # p_exact is the closed form 1/|1 + nbar (1 - m^2)|, m = sum_j w_j e^(-i phi_j)
+        weights = np.full(modes, 1.0 / modes)
+        phases = [0.02 * ((7 * j) % 11 - 5) for j in range(modes)]
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text(
+            "weights = " + ", ".join(map(repr, weights.tolist())) + "\n"
+            "true_phases = " + ", ".join(map(repr, phases)) + "\n"
+            "squeeze = 0.8813735870195429\nshots = 20000\nseed = 20260808\n"
+        )
+        runs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in runs:
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert runs[0].read_bytes() == runs[1].read_bytes()
+        _, header, rows = read_csv(runs[0])
+        p_exact = float(dict(zip(header, rows[0].split(",")))["p_exact"])
+        m = np.sum(weights * np.exp(-1j * np.array(phases)))
+        nbar = math.sinh(0.8813735870195429) ** 2
+        assert abs(p_exact - 1.0 / abs(1.0 + nbar * (1.0 - m * m))) <= 1e-9
+
     def test_env_override(self, tmp_path, config_file, monkeypatch):
         # the config file and --seed are the only settings; the environment
         # changes nothing
@@ -260,8 +290,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "squeeze, message",
         [
-            ("800", "r = 800.0 outside [0, 354.8913"),
-            ("300", "nbar = sinh(r)^2 = 9.433e+259, above NBAR_MAX = 1e+100"),
+            ("800", "r = 800.0 outside [0, 177.4456"),
+            ("300", "r = 300.0 outside [0, 177.4456"),
+            ("177", "nbar = sinh(r)^2 = 1.375e+153, above NBAR_MAX = 1e+100"),
             ("1e-60", "nbar = sinh(r)^2 = 1.000e-120, below NBAR_MIN = 1e-100"),
             ("100", "purity defect inf"),
             ("1, nan", "squeezing phase must be finite"),
@@ -277,6 +308,18 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_phase_past_phase_max_exits_two(self, tmp_path, capsys):
+        # finite phases past PHASE_MAX used to exit 0 with regime_ratio inf
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(
+            "weights=0.5,0.5\ntrue_phases=1e308,-1e308\nsqueeze=1.5\nshots=100\nseed=1\n"
+        )
+        out = tmp_path / "row.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "PHASE_MAX = 1e+100, got max |phi| = 1e+308" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_bad_config_exits_two(self, tmp_path):
@@ -438,6 +481,21 @@ class TestValidate:
         full_only = ("PASS mach-zehnder factorization", "PASS series convergence order")
         assert all((check in out) == (level == "full") for check in full_only)
 
+    @pytest.mark.parametrize("seed", ["1", "7", "123"])
+    def test_full_suite_passes_on_other_seeds(self, capsys, seed):
+        assert cli.main(["validate", "full", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 6 and "FAIL" not in out
+
+    def test_check_streams_are_keyed_by_seed_and_offset(self):
+        # keyed seed + offset, check k at seed s drew check 0's stream at seed s + k
+        from sqzmet import validate
+
+        firsts = {validate._stream(seed, k).random() for seed in range(40) for k in range(6)}
+        assert len(firsts) == 240
+        # offset 0 is the seed's own stream, as before the keys changed
+        assert validate._stream(7, 0).random() == np.random.default_rng(7).random()
+
     def test_each_detail_names_its_bound(self, capsys):
         from sqzmet import validate
 
@@ -456,9 +514,7 @@ class TestValidate:
         # only `sqzmet validate` runs the suites, so only cmd_validate imports
         # them; synthesize and sweep load no verifier, and simulate loads the
         # covariance engine it runs on
-        source_root = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
+        env = source_env()
         weights = tmp_path / "w.txt"
         weights.write_text("0.25 0.75\n")
         out = str(tmp_path / "out")
@@ -653,6 +709,28 @@ class TestParser:
         assert "# repetitions = 200" in manifest
         assert cli.main(argv + ["--bias-product", "0.5"]) == 3
         assert "--force" in capsys.readouterr().err
+
+    def test_repeated_calls_write_what_a_fresh_process_writes(self, tmp_path, config_file):
+        # each command once in a fresh process with warnings as errors, then
+        # twice in this one, which shares one parser between the calls
+        env = source_env()
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.25 0.75\n")
+        commands = {
+            "net": (["synthesize", str(weights), "--out"], ".netlist"),
+            "row": (["simulate", "--config", config_file, "--out"], ""),
+            "sweep": (["sweep", "--config", config_file, "--repetitions", "50", "--out"], ""),
+        }
+        for name, (argv, suffix) in commands.items():
+            subprocess.run(
+                [sys.executable, "-W", "error", "-m", "sqzmet.cli", *argv, str(tmp_path / name)],
+                env=env, check=True, timeout=60, capture_output=True,
+            )
+        for run in ("1", "2"):
+            for name, (argv, suffix) in commands.items():
+                assert cli.main(argv + [str(tmp_path / (name + run))]) == 0
+                fresh = (tmp_path / (name + suffix)).read_bytes()
+                assert (tmp_path / (name + run + suffix)).read_bytes() == fresh, (name, run)
 
     def test_validate_seed_does_not_carry_to_the_next_call(self, capsys):
         assert cli.main(["validate", "quick", "--seed", "0"]) == 0

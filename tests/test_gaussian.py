@@ -16,6 +16,7 @@ from sqzmet import (
     vacuum_overlap_probability,
 )
 from sqzmet.gaussian import SYMMETRY_TOL, _squeeze_block
+from sqzmet.metrology import SQUEEZE_R_MAX
 from conftest import random_unitary
 
 R_UNIT = math.asinh(1.0)  # one mean photon
@@ -111,11 +112,17 @@ class TestStatePreparation:
         assert SqueezeParameter(0.3, -1.0).theta == pytest.approx(2 * math.pi - 1.0)
         assert SqueezeParameter(R_UNIT).mean_photon_number == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("r", [354.9, 800.0, math.nan, -0.5])
+    @pytest.mark.parametrize("r", [177.45, 354.89, 800.0, math.nan, -0.5])
     def test_squeeze_parameter_names_the_r_it_rejects(self, r):
-        with pytest.raises(ValueError, match=re.escape(f"r = {r} outside [0, 354.8913")):
+        with pytest.raises(ValueError, match=re.escape(f"r = {r} outside [0, 177.4456")):
             SqueezeParameter(r)
-        assert math.isfinite(SqueezeParameter(354.89).mean_photon_number)
+        assert math.isfinite(SqueezeParameter(177.44).mean_photon_number)
+
+    @pytest.mark.parametrize("r", [177.0, 177.44, SQUEEZE_R_MAX])
+    def test_photon_moments_are_finite_up_to_the_r_bound(self, r):
+        # var_n grows as exp(4r)/16; r = 200 used to give inf with a RuntimeWarning
+        moments = photon_moments(squeezed_probe(1, SqueezeParameter(r)))
+        assert math.isfinite(moments.mean_n) and math.isfinite(moments.var_n)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_squeeze_parameter_rejects_non_finite_phase(self, theta):
@@ -127,7 +134,7 @@ class TestStatePreparation:
         [
             (("1",), "squeezing magnitude r must be a real number, got '1'"),
             ((True,), "squeezing magnitude r must be a real number, got True"),
-            ((10 ** 400,), "squeezing magnitude r = inf outside [0, 354.8913"),
+            ((10 ** 400,), "squeezing magnitude r = inf outside [0, 177.4456"),
             ((1.0, "1"), "squeezing phase must be a real number, got '1'"),
             ((1.0, -10 ** 400), "squeezing phase must be finite, got -inf"),
         ],
@@ -245,17 +252,17 @@ class TestVacuumRows:
 
     @pytest.mark.parametrize("modes", [1, 8, 128])
     def test_vacuum_is_exactly_pure(self, modes):
-        # an LU of the whole 2M x 2M vacuum rounds to about 3e-13 at M = 128
+        # squeezed_probe counts one occupied mode, so its vacuum is one 2 x 2
+        # determinant; a caller's covariance counts every mode, and an LU of
+        # the whole 2M x 2M vacuum rounds to about 3e-13 at M = 128
         assert purity_defect(squeezed_probe(modes, SqueezeParameter(0.0, 1.0))) == 0.0
-        assert purity_defect(GaussianState(0.5 * np.eye(2 * modes))) == 0.0
+        assert purity_defect(GaussianState(0.5 * np.eye(2 * modes))) <= 1e-12
 
-    @pytest.mark.parametrize("build", ["probe", "copy"])
+    @pytest.mark.parametrize("build", ["probe", "route"])
     def test_probe_purity_is_a_two_by_two_determinant(self, monkeypatch, build):
-        # "copy" rebuilds the state from its covariance, so the rows are
-        # found by looking at them rather than known from squeezed_probe
-        probe = squeezed_probe(64, SqueezeParameter(1.3, 0.4))
-        if build == "copy":
-            probe = GaussianState(probe.covariance)
+        # the covariance route checks the network's image on its full matrix
+        # and the probe, which squeezed_probe built, on its 2 x 2 block
+        squeeze = SqueezeParameter(1.3, 0.4)
         seen = []
         real = np.linalg.slogdet
 
@@ -264,8 +271,12 @@ class TestVacuumRows:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "slogdet", recording)
-        assert purity_defect(probe) <= 1e-12
-        assert seen == [(2, 2)]
+        if build == "probe":
+            assert purity_defect(squeezed_probe(64, squeeze)) <= 1e-12
+            assert seen == [(2, 2)]
+        else:
+            exact_survival_probability(np.full(64, 1 / 64), np.full(64, 0.01), squeeze)
+            assert seen == [(128, 128), (2, 2)]
 
     def test_vacuum_passes_through_any_network_as_its_image(self, rng):
         # no row is occupied, so the output is R(U U^dag)/2 alone
@@ -462,6 +473,6 @@ class TestVacuumOverlap:
 
         # det(2V) = 4e600 is not a float, so expm1 of its log would overflow
         assert purity_defect(GaussianState(np.diag([1e300, 1e300]))) == math.inf
-        probe = squeezed_probe(1, SqueezeParameter(300.0))
+        probe = squeezed_probe(1, SqueezeParameter(100.0))
         with pytest.raises(ValueError, match="purity defect inf"):
             vacuum_overlap_probability(phase_shift(probe, [0.01]), probe)

@@ -67,6 +67,36 @@ class TestPhaseMoments:
             phase_moments([0.5, 0.5], [0.1, bad])
 
 
+PHASE_MAX = sqzmet.network.PHASE_MAX
+# every entry point that takes a phase vector, on two modes
+PHASE_CALLS = {
+    "config": lambda phases: ExperimentConfig(
+        weights=[0.5, 0.5], true_phases=phases, squeeze=SqueezeParameter(0.5), shots=100, seed=7
+    ),
+    "exact": lambda phases: exact_survival_probability([0.5, 0.5], phases, SqueezeParameter(0.5)),
+    "regime": lambda phases: check_regime(phases, 1.0),
+    "moments": lambda phases: phase_moments([0.5, 0.5], phases),
+}
+
+
+class TestPhaseEnvelope:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("call", sorted(PHASE_CALLS))
+    def test_one_ulp_past_phase_max_is_refused_by_name(self, call, sign):
+        # a phase of 1e308 used to pass, and simulate wrote regime_ratio inf
+        past = math.nextafter(PHASE_MAX, math.inf)
+        message = (
+            f"phases must lie in [-PHASE_MAX, PHASE_MAX] with PHASE_MAX = {PHASE_MAX}, "
+            f"got max |phi| = {past}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PHASE_CALLS[call]([0.0, sign * past])
+
+    @pytest.mark.parametrize("call", sorted(PHASE_CALLS))
+    def test_phase_max_itself_is_accepted(self, call):
+        PHASE_CALLS[call]([PHASE_MAX, -PHASE_MAX])
+
+
 class TestAnalyticFormulas:
     def test_generator_variance_reference_case(self):
         value = generator_variance(
@@ -426,7 +456,7 @@ class TestExperimentConfig:
             (1e-60, "below NBAR_MIN = 1e-100"),
             (1e-51, "below NBAR_MIN = 1e-100"),
             (116.0, "above NBAR_MAX = 1e+100"),
-            (354.0, "above NBAR_MAX = 1e+100"),
+            (177.0, "above NBAR_MAX = 1e+100"),
         ],
     )
     def test_squeeze_outside_the_nbar_envelope_is_refused_before_the_route(
