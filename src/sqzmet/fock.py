@@ -184,20 +184,17 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
 
     Args:
         amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
-        unitary: ``(M, M)`` network matrix; its first column must have unit
-            norm within ``network.WEIGHT_SUM_TOL`` (its squared moduli are
-            the weights).
+        unitary: ``(M, M)`` network matrix; the squared moduli of its first
+            column are the weights, checked by :func:`network.validate_weights`.
 
     Raises:
-        ValueError: on dimension problems or a non-normalised first column.
+        ValueError: on dimension problems, or a first column refused as weights.
     """
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1]:
         raise ValueError(f"network must be square, got shape {unitary.shape}")
     column = unitary[:, 0]
-    norm = float(np.sum(np.abs(column) ** 2))
-    if abs(norm - 1.0) > network.WEIGHT_SUM_TOL:
-        raise ValueError(f"first column norm {norm!r} is not 1 within {network.WEIGHT_SUM_TOL}")
+    network.validate_weights(np.abs(column) ** 2)
     modes = unitary.shape[0]
     cutoff = 2 * (len(amplitudes) - 1)
 
@@ -212,7 +209,7 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
         * root_multinomial
         * np.prod(powers[np.arange(modes), occupations], axis=1)
     )
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+    tail = float(np.maximum(0.0, 1.0 - np.sum(np.abs(amps) ** 2)))  # a NaN tail stays NaN
     return FockAmplitudes(modes, occupations, amps, tail)
 
 
@@ -223,11 +220,13 @@ def survival_probability(state: FockAmplitudes, phases) -> float:
     probability-weighted sum of ``exp(-i n . phi)`` over the table.
 
     Raises:
-        TruncationError: if the table's missing weight exceeds ``MAX_TABLE_TAIL``.
+        TruncationError: unless the table's missing weight is a number within ``MAX_TABLE_TAIL``.
     """
     phases = network.validate_phases(phases, state.modes)
-    if state.tail > MAX_TABLE_TAIL:
-        raise TruncationError(f"table tail {state.tail:.3e} exceeds {MAX_TABLE_TAIL:.3e}")
+    if not state.tail <= MAX_TABLE_TAIL:
+        raise TruncationError(
+            f"table tail {state.tail:.3e} beyond MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}"
+        )
     value = abs(np.sum(state.probabilities() * np.exp(-1j * (state.occupations @ phases)))) ** 2
     return min(float(value), 1.0)
 
@@ -360,21 +359,16 @@ def _sector_operators(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _arm_phases(name: str, value) -> np.ndarray:
     """One arm phase, or a 1-D sequence of them, as a vector reduced modulo ``2 pi``."""
-    entries = np.asarray(value, dtype=object)
-    if entries.ndim == 0:
-        entries = [value]
-    elif entries.ndim != 1 or entries.size == 0:
+    shape = np.shape(value)
+    if len(shape) > 1 or shape == (0,):
         raise ValueError(
-            f"{name} must be a real number or a non-empty 1-D sequence, got shape {entries.shape}"
+            f"{name} must be a real number or a non-empty 1-D sequence, got shape {shape}"
         )
+    # the phase rule under the argument's name; a number is a list of one, so a bool is refused
+    phases = network.validate_phases(value if shape else [value], np.size(value), name)
     # both sides are 2pi-periodic in each arm phase; reducing first keeps
     # phi * n from rounding apart on the two sides as |phi| grows
-    return np.array([
-        math.remainder(
-            network.validate_real(name, phase, -network.PHASE_MAX, network.PHASE_MAX), 2 * math.pi
-        )
-        for phase in entries
-    ])
+    return np.array([math.remainder(phase, 2 * math.pi) for phase in phases.tolist()])
 
 
 def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
@@ -415,7 +409,7 @@ def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
     difference = (phi1 - phi2)[:, None]
     half_sum = (-0.5j * (phi1 + phi2))[:, None, None]
     phi1, phi2 = phi1[:, None], phi2[:, None]
-    worst = 0.0
+    gaps = []
     for total in range(cutoff + 1):
         splitter, jy_values, jy_vectors = _sector_operators(total)
         n_first = np.arange(total + 1.0)
@@ -423,6 +417,5 @@ def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
         composed = (splitter * diag_phase[:, None, :]) @ splitter.conj().T
         mixing_phase = np.exp(1j * difference * jy_values)
         mixing = (jy_vectors * mixing_phase[:, None, :]) @ jy_vectors.conj().T
-        gap = composed - mixing * np.exp(half_sum * total)
-        worst = max(worst, float(np.linalg.norm(gap, axis=(1, 2)).max()))
-    return worst
+        gaps.append(np.linalg.norm(composed - mixing * np.exp(half_sum * total), axis=(1, 2)))
+    return float(np.max(gaps))  # np.max keeps a NaN gap

@@ -177,10 +177,20 @@ def photon_moments(state: GaussianState) -> PhotonMoments:
     The variance follows from Wick contractions of the ladder-operator
     covariances, so no Fock expansion is needed.  On vacuum both fields are
     exactly zero.
+
+    Raises:
+        ValueError: naming the moment, if the mean or the variance is not a
+            finite float.  A caller's covariance may hold entries whose squares
+            overflow; a probe built from a ``SqueezeParameter`` stays finite.
     """
-    alpha, beta = _ladder_covariances(state)
-    mean_n = float(np.trace(alpha).real)
-    var_n = float(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(alpha) ** 2) + mean_n)
+    # an overflow, or inf - inf after one, is refused below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = _ladder_covariances(state)
+        mean_n = float(np.trace(alpha).real)
+        var_n = float(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(alpha) ** 2) + mean_n)
+    for moment, value in (("mean", mean_n), ("variance", var_n)):
+        if not math.isfinite(value):
+            raise ValueError(f"photon-number {moment} is not a finite float, got {value}")
     return PhotonMoments(mean_n=mean_n, var_n=max(var_n, 0.0))
 
 

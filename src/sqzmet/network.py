@@ -95,31 +95,32 @@ def validate_weights(weights) -> np.ndarray:
     raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got sum {float(w.sum())!r}")
 
 
-def validate_phases(phases, modes: int) -> np.ndarray:
+def validate_phases(phases, modes: int, name: str = "phases") -> np.ndarray:
     """Return ``phases`` as a float array of one phase in ``[-PHASE_MAX, PHASE_MAX]`` per mode.
 
     Raises:
-        ValueError: on a dtype other than integer or float, if the shape is
-            not ``(modes,)``, if an entry is not finite, or if one lies past
-            ``PHASE_MAX``, naming the bound.
+        ValueError: naming ``name``, on a dtype other than integer or float, if
+            the shape is not ``(modes,)``, if an entry is not finite, or if one
+            lies past ``PHASE_MAX``, naming the bound.
     """
-    phases = _real_vector("phases", phases)
+    phases = _real_vector(name, phases)
     if phases.shape != (modes,):
-        raise ValueError(f"expected {modes} phases, got shape {phases.shape}")
+        raise ValueError(f"expected {modes} {name}, got shape {phases.shape}")
     # one accept test, which a NaN or an inf also fails
     largest = np.abs(phases).max(initial=0.0)
     if not largest <= PHASE_MAX:
         if not np.all(np.isfinite(phases)):
-            raise ValueError(f"phases must be finite, got {phases}")
+            raise ValueError(f"{name} must be finite, got {phases}")
         raise ValueError(
-            f"phases must lie in [-PHASE_MAX, PHASE_MAX] with PHASE_MAX = {PHASE_MAX}, "
+            f"{name} must lie in [-PHASE_MAX, PHASE_MAX] with PHASE_MAX = {PHASE_MAX}, "
             f"got max |phi| = {largest}"
         )
     return phases
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Frobenius norm of ``U^dag U - I``."""
+    """Frobenius norm of ``U^dag U - I``; NaN or inf, without a warning, past the float range."""
     matrix = np.asarray(matrix, dtype=complex)
     return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
 
@@ -182,7 +183,8 @@ class RotationMesh:
     Instances compare and hash by identity: an array field has no single truth value.
 
     Raises:
-        ValueError: unless the phase layer is a non-empty vector of ``M`` phases
+        ValueError: unless the phase layer is a non-empty vector of ``M`` real
+            numbers under :func:`_real_vector`'s rule (a non-finite phase is kept)
             and every element's mode lies in ``[0, M - 2]``.
     """
 
@@ -196,7 +198,8 @@ class RotationMesh:
         else:
             # fromiter, not np.array: numpy reads a tuple, even (), as one record
             elements = np.fromiter(elements, dtype=ELEMENT_DTYPE)
-        phases = np.array(self.output_phases, dtype=float)
+        # a copy, so freezing it leaves the caller's array writable
+        phases = _real_vector("phase layer", self.output_phases).copy()
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError(f"phase layer must be a non-empty vector, got shape {phases.shape}")
         modes = elements["mode"]
@@ -258,15 +261,15 @@ def reck_decompose(unitary: np.ndarray) -> RotationMesh:
     pivot is.
 
     Raises:
-        ValueError: if the input is not square or not unitary within
-            ``UNITARITY_TOL``.
+        ValueError: if the input is not square, or unless its unitarity
+            defect is a number within ``UNITARITY_TOL`` (a NaN entry fails).
     """
     work = np.array(unitary, dtype=complex)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {work.shape}")
     defect = unitarity_defect(work)
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARITY_TOL})")
+    if not defect <= UNITARITY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e}, bound {UNITARITY_TOL})")
     dim = work.shape[0]
     elements = []
     for col in range(dim - 1):

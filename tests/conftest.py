@@ -9,6 +9,16 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
+def nan_splitter_at(sector_operators, total):
+    """A stand-in for ``fock._sector_operators`` whose splitter in sector ``total`` is all NaN."""
+
+    def stand_in(sector):
+        splitter, jy_values, jy_vectors = sector_operators(sector)
+        return (np.full_like(splitter, np.nan) if sector == total else splitter), jy_values, jy_vectors
+
+    return stand_in
+
+
 def random_weights(rng, dim):
     w = rng.dirichlet(np.ones(dim))
     return w / w.sum()

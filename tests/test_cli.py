@@ -11,6 +11,7 @@ import pytest
 import sqzmet.metrology
 import sqzmet.network
 from sqzmet import RotationMesh, cli, parse_netlist, recompose
+from conftest import nan_splitter_at
 
 
 @pytest.fixture
@@ -471,7 +472,58 @@ class TestSweep:
         assert -1.4 < slope < -0.6
 
 
+def _nan_odd_terms(real):
+    def stand_in(*args, **kwargs):
+        series = real(*args, **kwargs)
+        terms = series.terms.copy()
+        terms[1::2] = math.nan
+        return series._replace(terms=terms)
+
+    return stand_in
+
+
+# per bounded check: its name, quantity and bound, and a stand-in that turns
+# its defect, and no other check's, into NaN
+NAN_DEFECTS = [
+    ("cross-engine equality", "max |gaussian - fock|", "CROSS_ENGINE_TOL",
+     "metrology", "_survival_probability", lambda real: lambda *args: math.nan),
+    ("table vs sector route", "max route gap", "TABLE_ROUTE_TOL",
+     "fock", "survival_probability", lambda real: lambda *args: math.nan),
+    ("odd series terms vanish", "max odd term", "ODD_TERM_TOL",
+     "fock", "generator_moments_sectors", _nan_odd_terms),
+    ("generator variance identity", "max defect", "VARIANCE_IDENTITY_TOL",
+     "metrology", "generator_variance", lambda real: lambda *args: math.nan),
+    ("mach-zehnder factorization", "max residual", "MZ_FACTORIZATION_TOL",
+     "fock", "_sector_operators", lambda real: nan_splitter_at(real, 3)),
+]
+
+
 class TestValidate:
+    @pytest.mark.parametrize(
+        "check, quantity, bound_name, module, attribute, stand_in",
+        NAN_DEFECTS,
+        ids=[entry[0].split()[0] for entry in NAN_DEFECTS],
+    )
+    def test_a_nan_defect_fails_its_check(
+        self, capsys, monkeypatch, check, quantity, bound_name, module, attribute, stand_in
+    ):
+        # a running max(worst, defect) dropped every NaN: PASS at 0.000e+00, exit 0
+        from sqzmet import fock, metrology, validate
+
+        module = {"fock": fock, "metrology": metrology}[module]
+        monkeypatch.setattr(module, attribute, stand_in(getattr(module, attribute)))
+        bound = getattr(validate, bound_name)
+        for level in ("quick", "full"):
+            code = cli.main(["validate", level])
+            captured = capsys.readouterr()
+            failed = [line for line in captured.out.splitlines() if not line.startswith("PASS ")]
+            if level == "quick" and check == "mach-zehnder factorization":
+                assert (code, failed) == (0, [])
+                continue
+            assert code == 1, captured.out
+            assert failed == [f"FAIL {check} ({quantity} = nan, bound {bound_name} = {bound})"]
+            assert captured.err == f"validation failed: {check}\n"
+
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_quick_suite_passes(self, capsys, level):
         assert cli.main(["validate", level]) == 0
@@ -610,6 +662,59 @@ def test_allocation_failure_exits_two_and_writes_nothing(
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+# run in a child under the address-space limit: the netlist parses back into one
+# record array, pair (0, 1) last, that renders to the same text
+PARSE_BACK = """
+import numpy as np
+import sqzmet
+text = "".join(line for line in open("big.netlist") if not line.startswith("#"))
+mesh = sqzmet.parse_netlist(text)
+assert len(mesh.elements) == 99999
+assert np.array_equal(mesh.elements["mode"], np.arange(99998, -1, -1))
+assert sqzmet.mesh_to_netlist(mesh) == text
+"""
+
+
+def test_large_synthesize_and_a_huge_sweep_under_a_3_gb_address_space(tmp_path, config_file):
+    # synthesize checks its netlist in O(M) memory, so 10^5 weights pass under
+    # `ulimit -v 3000000`; the limit is set in each child only, with one BLAS thread
+    resource = pytest.importorskip("resource")
+    limit = 3_000_000 * 1024
+
+    def limited():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = {**source_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, cwd=tmp_path, preexec_fn=limited,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    (tmp_path / "big.txt").write_text(" ".join(["1e-05"] * 100_000) + "\n")
+    plain = run("-m", "sqzmet.cli", "synthesize", "big.txt", "--out", "big")
+    assert plain.returncode == 0, plain.stderr
+    netlist = (tmp_path / "big.netlist").read_bytes()
+    assert sum(line.startswith(b"pair ") for line in netlist.splitlines()) == 99_999
+    printed = dict(line.split(" = ", 1) for line in plain.stdout.splitlines() if " = " in line)
+    for name in ("first-column residual", "unitarity residual", "mesh round-trip residual"):
+        assert float(printed[name]) <= 1e-9, printed
+    # the element blocks come from whole columns at once: a numpy warning
+    # there fails the run, and the bytes stay the same
+    strict = run("-W", "error", "-m", "sqzmet.cli", "synthesize", "big.txt", "--out", "big_w")
+    assert strict.returncode == 0, strict.stderr
+    assert (tmp_path / "big_w.netlist").read_bytes() == netlist
+    parsed = run("-c", PARSE_BACK)
+    assert parsed.returncode == 0, parsed.stderr
+    # an allocation the host cannot make is bad input: exit 2
+    sweep = run("-m", "sqzmet.cli", "sweep", "--config", config_file, "--repetitions", "1000000000")
+    assert sweep.returncode == 2, sweep.stderr
+    assert sweep.stderr.startswith("error: Unable to allocate"), sweep.stderr
 
 
 class TestConfigFile:

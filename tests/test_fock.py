@@ -29,7 +29,7 @@ from sqzmet.fock import (
     _sector_generators,
     _sector_operators,
 )
-from conftest import random_unitary, random_weights
+from conftest import nan_splitter_at, random_unitary, random_weights
 
 R_UNIT = math.asinh(1.0)
 SQ_UNIT = SqueezeParameter(R_UNIT)
@@ -261,9 +261,18 @@ class TestPropagation:
         assert len({table, twin}) == 2
 
     def test_rejects_unnormalized_first_column(self):
+        # the column's squared moduli are the weights, so validate_weights judges them
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        with pytest.raises(ValueError, match="first column"):
+        with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12, got sum 0\.81"):
             propagate_through_network(amps, 0.9 * np.eye(2))
+
+    def test_rejects_a_nan_network(self):
+        # a NaN column once passed the norm check, and the table read tail 0.0
+        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
+        network_matrix = np.eye(2)
+        network_matrix[1, 0] = math.nan
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            propagate_through_network(amps, network_matrix)
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,)])
     def test_rejects_non_square_network(self, shape):
@@ -303,6 +312,20 @@ class TestSurvivalProbability:
         squeeze = SqueezeParameter(1.2)
         amps = squeezed_vacuum_amplitudes(squeeze, 10)  # tail far above 1e-6
         table = propagate_through_network(amps, np.eye(1, dtype=complex))
+        with pytest.raises(TruncationError):
+            survival_probability(table, [0.1])
+
+    def test_nan_tail_is_refused(self):
+        # a NaN tail once compared False against the bound, and the table read 1.0
+        table = FockAmplitudes(1, [[0]], [1.0], math.nan)
+        with pytest.raises(TruncationError, match="^table tail nan beyond MAX_TABLE_TAIL"):
+            survival_probability(table, [0.0])
+
+    def test_nan_amplitude_gives_a_nan_tail(self):
+        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
+        amps[1] = math.nan
+        table = propagate_through_network(amps, np.eye(1))
+        assert math.isnan(table.tail)
         with pytest.raises(TruncationError):
             survival_probability(table, [0.1])
 
@@ -551,7 +574,7 @@ class TestMachZehnderFactorization:
     @pytest.mark.parametrize(
         "phi1, phi2, message",
         [
-            ([0.1, "1"], [0.2, 0.3], r"^phi1 must be a real number, got '1'$"),
+            ([0.1, "1"], [0.2, 0.3], r"^phi1 must be real numbers, got dtype <U32$"),
             ([0.1, 0.2, 0.3], [0.2, 0.3], r"^phi1 and phi2 must have equal lengths, got 3 and 2$"),
             (0.1, [0.2, 0.3], r"^phi1 and phi2 must have equal lengths, got 1 and 2$"),
             ([], [], r"^phi1 must be a real number or a non-empty 1-D sequence, got shape \(0,\)$"),
@@ -562,6 +585,22 @@ class TestMachZehnderFactorization:
     def test_malformed_phase_vectors_are_refused(self, phi1, phi2, message):
         with pytest.raises(ValueError, match=message):
             mach_zehnder_factorization_residual(phi1, phi2, 4)
+
+    def test_a_nan_sector_gap_gives_a_nan_residual(self, monkeypatch):
+        # a running max(worst, gap) dropped a NaN gap and read the other sectors
+        monkeypatch.setattr(fock, "_sector_operators", nan_splitter_at(fock._sector_operators, 3))
+        assert math.isnan(mach_zehnder_factorization_residual(0.4, -1.3, 6))
+        assert math.isnan(mach_zehnder_factorization_residual([0.4, 0.1], [-1.3, 2.0], 6))
+
+    def test_arm_phases_follow_the_phase_rule_by_name(self):
+        # the package's phase rule under the argument's name: a bool is not a
+        # phase, and a refusal past the envelope names PHASE_MAX
+        with pytest.raises(ValueError, match="^phi1 must be real numbers, got dtype bool$"):
+            mach_zehnder_factorization_residual(True, 0.2, 4)
+        with pytest.raises(ValueError, match="^phi2 must be real numbers, got a bool entry$"):
+            mach_zehnder_factorization_residual([0.1, 0.2], [0.3, np.True_], 4)
+        with pytest.raises(ValueError, match=r"^phi2 must lie in \[-PHASE_MAX, PHASE_MAX\] with PHASE_MAX"):
+            mach_zehnder_factorization_residual(0.1, 1e101, 4)
 
     def test_returned_operators_cannot_change_a_later_residual(self):
         # the residual reads the cached per-sector entries; none of them can be written

@@ -358,6 +358,18 @@ class TestPhotonMoments:
             assert moments.mean_n == pytest.approx(nbar, abs=1e-9)
             assert moments.var_n == pytest.approx(2 * nbar * (nbar + 1), abs=1e-9)
 
+    def test_overflowing_covariance_is_refused_by_moment(self):
+        # its squares once overflowed with a RuntimeWarning into var_n = inf
+        for diagonal, moment in (
+            ([1e200, 1e-200], "variance"), ([1e160, 1e-160], "variance"), ([-1e308, -1e308], "mean")
+        ):
+            with pytest.raises(ValueError, match=f"^photon-number {moment} is not a finite float"):
+                photon_moments(GaussianState(np.diag(diagonal)))
+        # a probe stays finite up to the squeezing cap
+        for modes in (1, 3):
+            moments = photon_moments(squeezed_probe(modes, SqueezeParameter(SQUEEZE_R_MAX, 0.7)))
+            assert math.isfinite(moments.mean_n) and math.isfinite(moments.var_n)
+
 
 class TestVacuumOverlap:
     def test_zero_phases_give_unity(self, rng):

@@ -262,6 +262,15 @@ class TestReckDecomposition:
         with pytest.raises(ValueError):
             reck_decompose(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e200])
+    def test_rejects_a_non_finite_defect(self, entry):
+        # a NaN defect once passed `defect > UNITARITY_TOL`, and the mesh came back
+        # all NaN; an inf entry warned in unitarity_defect first
+        unitary = np.eye(3, dtype=complex)
+        unitary[1, 2] = entry
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(defect (nan|inf), bound 1e-10\)$"):
+            reck_decompose(unitary)
+
 
 class TestRotationMesh:
     def test_elements_are_one_read_only_record_array(self):
@@ -296,6 +305,21 @@ class TestRotationMesh:
         # recompose used to return a 1 x 1 identity for it
         with pytest.raises(ValueError, match=r"phase layer .* got shape \(1, 2\)"):
             RotationMesh((), [[0.0, 0.0]])
+
+    def test_phase_layer_takes_only_real_numbers(self):
+        # numpy once cast strings and bools to float, and a complex raised a bare TypeError
+        for phases, message in (
+            (["0.5", "1e3"], r"dtype <U3$"), ([True, 0.0], r"a bool entry$"), ([1j, 0.0], r"dtype complex128$")
+        ):
+            with pytest.raises(ValueError, match="^phase layer must be real numbers, got " + message):
+                RotationMesh((), phases)
+        # non-finite phases are kept, in a copy of the caller's array
+        phases = np.array([math.nan, 0.5, -math.inf])
+        mesh = RotationMesh((), phases)
+        phases[1] = 7.0
+        assert phases.flags.writeable and not mesh.output_phases.flags.writeable
+        assert np.array_equal(mesh.output_phases, [math.nan, 0.5, -math.inf], equal_nan=True)
+        assert RotationMesh((), [1, 2]).output_phases.dtype == np.float64
 
     def test_equal_meshes_compare_by_identity(self):
         # == may not compare the array fields: an array has no single truth value
