@@ -31,13 +31,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network
-from .metrology import SqueezeParameter
+from .metrology import SqueezeParameter, validate_squeeze
 
 MAX_SERIES_ORDER = 8
 # recommend_cutoff's default certified tail: a tenth of the 1e-9 to which the
 # tests hold the two engines to each other
 DEFAULT_TAIL_BOUND = 1e-10
-# largest missing weight a table may have for :func:`survival_probability`
+# largest missing weight a table may have for :func:`survival_probability`, and
+# largest excess over 1 the probabilities of any amplitudes a route takes may sum to
 MAX_TABLE_TAIL = 1e-6
 # largest cutoff mach_zehnder_factorization_residual accepts.  Its cache holds
 # one entry per sector, shared by every cutoff: two complex (t + 1) x (t + 1)
@@ -56,7 +57,7 @@ _LAG = np.subtract.outer(_ORDERS, _ORDERS).clip(0)
 
 
 class TruncationError(ValueError):
-    """Raised when a table's missing probability weight exceeds the allowed tail."""
+    """Raised when a table's tail ``1 - sum |a|^2`` is not a number within ``MAX_TABLE_TAIL`` of 0."""
 
 
 def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
@@ -73,8 +74,10 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
         cutoff: largest total photon number kept, even and >= 0.
 
     Raises:
-        ValueError: unless ``cutoff`` is an even integer >= 0.
+        ValueError: unless ``squeeze`` is a :class:`SqueezeParameter` and
+            ``cutoff`` an even integer >= 0.
     """
+    squeeze = validate_squeeze(squeeze)
     cutoff = network.validate_count("cutoff", cutoff, 0)
     if cutoff % 2 != 0:
         raise ValueError(f"cutoff must be even, got {cutoff}")
@@ -98,10 +101,12 @@ def recommend_cutoff(
     single-mode series, so the result is conservative.
 
     Raises:
-        ValueError: unless ``tail_bound`` is a real number > 0 and
+        ValueError: unless ``squeeze`` is a :class:`SqueezeParameter`,
+            ``tail_bound`` a real number > 0 and
             ``moment_power`` an integer in ``[0, MAX_SERIES_ORDER]``; or if
             no cutoff below 400000 photons certifies the tail.
     """
+    squeeze = validate_squeeze(squeeze)
     tail_bound = network.validate_real("tail_bound", tail_bound, math.ulp(0.0))
     moment_power = network.validate_count("moment_power", moment_power, 0, MAX_SERIES_ORDER)
     t2 = math.tanh(squeeze.r) ** 2
@@ -125,27 +130,36 @@ class FockAmplitudes:
     """Truncated multimode amplitude table, sparse over even photon sectors.
 
     Attributes:
-        modes: number of optical modes.
-        occupations: ``(N, modes)`` integer array of occupation tuples.
-        amplitudes: ``(N,)`` complex amplitudes, same row order.
-        tail: probability weight missing above the cutoff.
+        occupations: ``(N, M)`` array of occupation tuples, ``M >= 1``.
+        amplitudes: ``(N,)`` amplitudes, one per occupation row; arrays that
+            do not pair up this way are refused.
 
-    Instances compare and hash by identity: an array field has no single truth value.
+    ``modes`` and ``tail`` are read off them.  Instances compare and hash by
+    identity: an array field has no single truth value.
     """
 
-    modes: int
     occupations: np.ndarray
     amplitudes: np.ndarray
-    tail: float
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writable
         occ = np.array(self.occupations)
         amp = np.array(self.amplitudes)
+        if occ.ndim != 2 or occ.shape[1] == 0 or amp.shape != occ.shape[:1]:
+            raise ValueError(f"occupations {occ.shape} and amplitudes {amp.shape} are not (N, M >= 1) and (N,)")
         occ.flags.writeable = False
         amp.flags.writeable = False
         object.__setattr__(self, "occupations", occ)
         object.__setattr__(self, "amplitudes", amp)
+
+    @property
+    def modes(self) -> int:
+        return self.occupations.shape[1]
+
+    @property
+    def tail(self) -> float:
+        # 1 - sum |a|^2, unclamped: negative on an over-full table, NaN on a NaN one
+        return 1.0 - float(np.sum(self.probabilities()))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -170,32 +184,24 @@ def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     return np.column_stack([occupations, left])
 
 
-def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> FockAmplitudes:
-    """Distribute single-mode amplitudes over the network's output modes.
+def propagate_through_network(amplitudes: np.ndarray, weights) -> FockAmplitudes:
+    """Distribute single-mode amplitudes over the weight network's output modes.
 
-    Only the first column of ``unitary`` matters, because only input mode 0
-    is populated: the ``2n``-photon component maps onto every occupation
-    tuple of total ``2n`` with the multinomial square-root weight times the
-    product of first-column entries raised to the occupations.  The table
+    Only input mode 0 is populated, so only the network's first column,
+    ``sqrt(weights)``, matters: the ``2n``-photon component maps onto every
+    occupation tuple of total ``2n`` with the multinomial square-root weight
+    times the product of column entries raised to the occupations.  The table
     is built as whole arrays: one ``(K, M)`` occupation array holding every
     even sector in turn, then the root-multinomials from a log-factorial
     table and the column products row by row, each factor looked up in a
-    table of every first-column entry's powers up to the cutoff.
+    table of every column entry's powers up to the cutoff.
 
     Args:
         amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
-        unitary: ``(M, M)`` network matrix; the squared moduli of its first
-            column are the weights, checked by :func:`network.validate_weights`.
-
-    Raises:
-        ValueError: on dimension problems, or a first column refused as weights.
+        weights: the probability weights, checked by :func:`network.validate_weights`.
     """
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1]:
-        raise ValueError(f"network must be square, got shape {unitary.shape}")
-    column = unitary[:, 0]
-    network.validate_weights(np.abs(column) ** 2)
-    modes = unitary.shape[0]
+    column = np.sqrt(network.validate_weights(weights))
+    modes = column.size
     cutoff = 2 * (len(amplitudes) - 1)
 
     lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
@@ -209,8 +215,7 @@ def propagate_through_network(amplitudes: np.ndarray, unitary: np.ndarray) -> Fo
         * root_multinomial
         * np.prod(powers[np.arange(modes), occupations], axis=1)
     )
-    tail = float(np.maximum(0.0, 1.0 - np.sum(np.abs(amps) ** 2)))  # a NaN tail stays NaN
-    return FockAmplitudes(modes, occupations, amps, tail)
+    return FockAmplitudes(occupations, amps)
 
 
 def survival_probability(state: FockAmplitudes, phases) -> float:
@@ -220,13 +225,12 @@ def survival_probability(state: FockAmplitudes, phases) -> float:
     probability-weighted sum of ``exp(-i n . phi)`` over the table.
 
     Raises:
-        TruncationError: unless the table's missing weight is a number within ``MAX_TABLE_TAIL``.
+        TruncationError: unless ``|tail| <= MAX_TABLE_TAIL``, which a NaN, an
+            over-full and an under-resolved table all fail.
     """
     phases = network.validate_phases(phases, state.modes)
-    if not state.tail <= MAX_TABLE_TAIL:
-        raise TruncationError(
-            f"table tail {state.tail:.3e} beyond MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}"
-        )
+    if not abs(state.tail) <= MAX_TABLE_TAIL:
+        raise TruncationError(f"table tail {state.tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
     value = abs(np.sum(state.probabilities() * np.exp(-1j * (state.occupations @ phases)))) ** 2
     return min(float(value), 1.0)
 
@@ -263,6 +267,21 @@ def series_partial_sum(terms: np.ndarray, max_term: int) -> float:
 # per-sector resummation
 # ---------------------------------------------------------------------------
 
+def _sector_probabilities(amplitudes) -> np.ndarray:
+    """``|amplitudes|^2``, refused unless they sum to a number at most ``1 + MAX_TABLE_TAIL``.
+
+    A truncated ladder sums to less than 1 and passes; a NaN or an infinite
+    amplitude fails the one comparison, as an over-full ladder does.
+    """
+    probs = np.abs(np.asarray(amplitudes)) ** 2
+    total = float(np.sum(probs))
+    if not total <= 1.0 + MAX_TABLE_TAIL:
+        raise ValueError(
+            "amplitudes' probabilities must be finite and sum to at most 1 + MAX_TABLE_TAIL "
+            f"(MAX_TABLE_TAIL = {MAX_TABLE_TAIL}), got sum {total!r}"
+        )
+    return probs
+
 def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> float:
     """Survival probability from per-sector resummation.
 
@@ -275,10 +294,15 @@ def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> flo
         amplitudes: single-mode amplitudes from :func:`squeezed_vacuum_amplitudes`.
         weights: squared magnitudes of the network's first column.
         phases: one phase per mode.
+
+    Raises:
+        ValueError: on amplitudes whose probabilities are not finite or sum
+            above ``1 + MAX_TABLE_TAIL`` (a truncated ladder passes), or on
+            weights or phases refused by their validators.
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    probs = np.abs(np.asarray(amplitudes)) ** 2
+    probs = _sector_probabilities(amplitudes)
     mixer = complex(np.sum(w * np.exp(-1j * phases)))
     value = abs(np.sum(probs * mixer ** (2 * np.arange(len(probs))))) ** 2
     return min(float(value), 1.0)
@@ -312,12 +336,13 @@ def generator_moments_sectors(
 
     Raises:
         ValueError: unless ``max_order`` is an integer in ``[0, MAX_SERIES_ORDER]``
-            (the series terms lose accuracy to cancellation beyond that).
+            (the series terms lose accuracy to cancellation beyond that); on
+            amplitudes, weights or phases refused as in :func:`survival_probability_sectors`.
     """
     max_order = network.validate_count("max_order", max_order, 0, MAX_SERIES_ORDER)
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    probs = np.abs(np.asarray(amplitudes)) ** 2
+    probs = _sector_probabilities(amplitudes)
     totals = 2.0 * np.arange(len(probs))
     per_sector = _multinomial_weighted_moments(w, phases, totals, max_order)
     moments = per_sector @ probs
@@ -359,13 +384,14 @@ def _sector_operators(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _arm_phases(name: str, value) -> np.ndarray:
     """One arm phase, or a 1-D sequence of them, as a vector reduced modulo ``2 pi``."""
-    shape = np.shape(value)
-    if len(shape) > 1 or shape == (0,):
+    # the package's vector rule under the argument's name: a ragged sequence, a
+    # bool or a string is refused before the shape is read
+    phases = network._real_vector(name, value)
+    if phases.ndim > 1 or phases.shape == (0,):
         raise ValueError(
-            f"{name} must be a real number or a non-empty 1-D sequence, got shape {shape}"
+            f"{name} must be a real number or a non-empty 1-D sequence, got shape {phases.shape}"
         )
-    # the phase rule under the argument's name; a number is a list of one, so a bool is refused
-    phases = network.validate_phases(value if shape else [value], np.size(value), name)
+    phases = network.validate_phases(phases.reshape(-1), phases.size, name)
     # both sides are 2pi-periodic in each arm phase; reducing first keeps
     # phi * n from rounding apart on the two sides as |phi| grows
     return np.array([math.remainder(phase, 2 * math.pi) for phase in phases.tolist()])

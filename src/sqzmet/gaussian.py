@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrology import _LOG_FLOAT_MAX, PhotonMoments, SqueezeParameter
+from .metrology import _LOG_FLOAT_MAX, PhotonMoments, SqueezeParameter, validate_squeeze
 from .network import validate_count
 
 # a covariance that went through apply_network is symmetric only to rounding,
@@ -105,12 +105,13 @@ def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
     ``r = 0`` the probe is the vacuum.
 
     Raises:
-        ValueError: unless ``modes`` is an integer >= 1.
+        ValueError: unless ``modes`` is an integer >= 1 and ``squeeze`` a
+            :class:`SqueezeParameter`.
     """
     modes = validate_count("modes", modes, 1)
+    block = _squeeze_block(validate_squeeze(squeeze))
     cov = np.zeros((2 * modes, 2 * modes))
     cov.ravel()[:: 2 * modes + 1] = 0.5
-    block = _squeeze_block(squeeze)
     cov[:2, :2] = 0.5 * (block @ block.T)
     return _adopt(cov, 1)  # only mode 0 can differ from the vacuum
 

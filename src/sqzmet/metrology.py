@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,7 @@ class SqueezeParameter:
     theta: float = 0.0
 
     def __post_init__(self):
-        r = validate_real("squeezing magnitude r", self.r, 0, SQUEEZE_R_MAX)
+        r = validate_real("squeezing magnitude r", self.r, 0, SQUEEZE_R_MAX, "[0, SQUEEZE_R_MAX]")
         theta = validate_real("squeezing phase", self.theta)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", theta % (2.0 * math.pi))
@@ -56,8 +56,14 @@ class SqueezeParameter:
         return math.sinh(self.r) ** 2
 
 
-@dataclass(frozen=True)
-class PhotonMoments:
+def validate_squeeze(squeeze) -> SqueezeParameter:
+    """``squeeze`` itself if it is a :class:`SqueezeParameter`; otherwise a ValueError naming it."""
+    if not isinstance(squeeze, SqueezeParameter):
+        raise ValueError(f"squeeze must be a SqueezeParameter, got {squeeze!r}")
+    return squeeze
+
+
+class PhotonMoments(NamedTuple):
     """Mean and variance of the total photon number."""
 
     mean_n: float
@@ -112,7 +118,7 @@ def check_regime(phases, nbar: float) -> RegimeCheck:
         ValueError: unless ``nbar`` lies in ``[0, NBAR_MAX]`` and every phase
             is finite.
     """
-    nbar = validate_real("nbar", nbar, 0, NBAR_MAX)
+    nbar = validate_real("nbar", nbar, 0, NBAR_MAX, "[0, NBAR_MAX]")
     phases = network.validate_phases(phases, np.size(phases))
     return _regime_check(float(np.max(np.abs(phases))) * nbar if phases.size else 0.0)
 
@@ -144,7 +150,7 @@ def heisenberg_sensitivity(nbar: float) -> float:
     Raises:
         ValueError: unless ``nbar`` lies in ``[NBAR_MIN, NBAR_MAX]``.
     """
-    nbar = validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX)
+    nbar = validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX, "[NBAR_MIN, NBAR_MAX]")
     return 1.0 / (8.0 * nbar ** 2)
 
 
@@ -183,7 +189,7 @@ def estimate_phase(count: int, shots: int, nbar: float) -> float:
     """
     shots = validate_count("shots", shots, 1, MAX_SHOTS)
     count = validate_count("count", count, 0, shots)
-    nbar = validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX)
+    nbar = validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX, "[NBAR_MIN, NBAR_MAX]")
     if count == 0:
         return math.pi / 2.0
     sin_sq = ((count / shots) ** -2 - 1.0) / (4.0 * nbar * (nbar + 1.0))
@@ -209,9 +215,7 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.squeeze, SqueezeParameter):
-            raise ValueError(f"squeeze must be a SqueezeParameter, got {self.squeeze!r}")
-        nbar = self.squeeze.mean_photon_number
+        nbar = validate_squeeze(self.squeeze).mean_photon_number
         if nbar != 0 and not NBAR_MIN <= nbar <= NBAR_MAX:
             side = f"below NBAR_MIN = {NBAR_MIN}" if nbar < NBAR_MIN else f"above NBAR_MAX = {NBAR_MAX}"
             raise ValueError(
@@ -274,8 +278,7 @@ def _survival_probability(weights: np.ndarray, phases: np.ndarray, squeeze: Sque
     return vacuum_overlap_probability(apply_network(probe, passive), probe)
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
+class ProtocolRun(NamedTuple):
     """Outcome of a single simulated run, ready for one CSV row."""
 
     phi_bar_true: float
@@ -313,8 +316,7 @@ def run_protocol(config: ExperimentConfig) -> ProtocolRun:
     )
 
 
-@dataclass(frozen=True)
-class EstimationResult:
+class EstimationResult(NamedTuple):
     """Aggregate of repeated runs at one sweep point."""
 
     p_hat: float
@@ -323,14 +325,13 @@ class EstimationResult:
     heisenberg_bound: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Scaling-sweep table plus the fitted log-log slope."""
 
     nbars: tuple[float, ...]
     shots: int
     repetitions: int
-    results: tuple[EstimationResult, ...] = field(repr=False)
+    results: tuple[EstimationResult, ...]
     slope: float = math.nan
 
 
@@ -353,8 +354,8 @@ def sweep_point_probability(
     """
     if baseline not in ("squeezed", "coherent"):
         raise ValueError(f"baseline must be 'squeezed' or 'coherent', got {baseline!r}")
-    nbar = validate_real("nbar", nbar, 0, NBAR_MAX)
-    phi_bar = validate_real("phi_bar", phi_bar, -PHASE_MAX, PHASE_MAX)
+    nbar = validate_real("nbar", nbar, 0, NBAR_MAX, "[0, NBAR_MAX]")
+    phi_bar = validate_real("phi_bar", phi_bar, -PHASE_MAX, PHASE_MAX, "[-PHASE_MAX, PHASE_MAX]")
     if baseline == "squeezed":
         return 1.0 / math.sqrt(1.0 + 4.0 * nbar * (nbar + 1.0) * math.sin(phi_bar) ** 2)
     return math.exp(-4.0 * nbar * math.sin(0.5 * phi_bar) ** 2)
@@ -419,7 +420,7 @@ def scaling_sweep(
             variance (every repetition saw the same count), which leaves
             nothing to fit.
     """
-    nbars = [validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX) for nbar in nbars]
+    nbars = [validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX, "[NBAR_MIN, NBAR_MAX]") for nbar in nbars]
     if not nbars:
         raise ValueError("nbars must not be empty")
     references = [heisenberg_sensitivity(nbar) for nbar in nbars]

@@ -39,11 +39,15 @@ def validate_count(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def validate_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+def validate_real(
+    name: str, value, low: float = -math.inf, high: float = math.inf, bounds: str | None = None
+) -> float:
     """Return ``value`` as a float if it is a finite real number in ``[low, high]``.
 
-    Otherwise raise ValueError naming ``name``; a bool or ``"1"`` is not a real
-    number, and an int past the float range counts as +-inf.
+    Otherwise raise ValueError naming ``name``, and the interval's constants
+    ``bounds`` (say ``"[NBAR_MIN, NBAR_MAX]"``) where the limits have names; a
+    bool or ``"1"`` is not a real number, and an int past the float range
+    counts as +-inf.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -55,16 +59,21 @@ def validate_real(name: str, value, low: float = -math.inf, high: float = math.i
         return number
     if low == -math.inf and high == math.inf:
         raise ValueError(f"{name} must be finite, got {number}")
-    raise ValueError(f"{name} = {number} outside [{low}, {high}]")
+    named = f" = {bounds}" if bounds else ""
+    raise ValueError(f"{name} = {number} outside [{low}, {high}]{named}")
 
 
 def _real_vector(name: str, values) -> np.ndarray:
     """``values`` as a float array, if its dtype is integer or float.
 
     Strings, bools, complex numbers and any other dtype are refused,
-    naming ``name``, as the scalar rule of :func:`validate_real` refuses them.
+    naming ``name``, as the scalar rule of :func:`validate_real` refuses them;
+    so is a ragged sequence, which numpy cannot make an array of.
     """
-    array = np.asarray(values)
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be real numbers, got a ragged sequence") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):

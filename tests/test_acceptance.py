@@ -162,7 +162,7 @@ def test_criterion_5_cross_engine_equality():
         )
         cutoff = recommend_cutoff(squeeze, 1e-11)
         amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-        table = propagate_through_network(amps, embed_weights_unitary(weights))
+        table = propagate_through_network(amps, weights)
         assert table.tail < 1e-10
         p_table = survival_probability(table, phases)
         p_gauss, _ = exact_survival_probability(weights, phases, squeeze)

@@ -9,10 +9,8 @@ import pytest
 from sqzmet import (
     SqueezeParameter,
     TruncationError,
-    embed_weights_unitary,
     generator_moments_sectors,
     mach_zehnder_factorization_residual,
-    mach_zehnder_unitary,
     propagate_through_network,
     recommend_cutoff,
     series_partial_sum,
@@ -24,12 +22,13 @@ from sqzmet import fock
 from sqzmet.fock import (
     MAX_MZ_CUTOFF,
     MAX_SERIES_ORDER,
+    MAX_TABLE_TAIL,
     FockAmplitudes,
     _multinomial_weighted_moments,
     _sector_generators,
     _sector_operators,
 )
-from conftest import nan_splitter_at, random_unitary, random_weights
+from conftest import nan_splitter_at, random_weights
 
 R_UNIT = math.asinh(1.0)
 SQ_UNIT = SqueezeParameter(R_UNIT)
@@ -69,9 +68,9 @@ def squeezed_amplitudes_closed_form(r, theta, cutoff):
     ])
 
 
-def propagate_by_enumeration(amplitudes, unitary):
+def propagate_by_enumeration(amplitudes, weights):
     """One occupation tuple at a time, as ``itertools`` enumerates them; the slow oracle."""
-    column = np.asarray(unitary, dtype=complex)[:, 0]
+    column = np.sqrt(weights)
     modes = column.size
     lgamma = [math.lgamma(k + 1) for k in range(2 * len(amplitudes) - 1)]
     occ_rows, amp_rows = [], []
@@ -169,14 +168,14 @@ class TestAmplitudes:
 class TestPropagation:
     def test_identity_network_occupies_first_mode(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 8)
-        table = propagate_through_network(amps, np.eye(3, dtype=complex))
+        table = propagate_through_network(amps, [1.0, 0.0, 0.0])
         populated = table.occupations[np.abs(table.amplitudes) > 0]
         assert np.all(populated[:, 1:] == 0)
         assert np.all(populated[:, 0] % 2 == 0)
 
     def test_balanced_two_photon_sector(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        table = propagate_through_network(amps, mach_zehnder_unitary(0.5))
+        table = propagate_through_network(amps, [0.5, 0.5])
         pair_prob = abs(amps[1]) ** 2
         probs = dict(zip(map(tuple, table.occupations.tolist()), table.probabilities()))
         assert probs[(2, 0)] == pytest.approx(0.25 * pair_prob, rel=1e-12)
@@ -187,7 +186,7 @@ class TestPropagation:
     def test_sector_norms_preserved(self, rng):
         squeeze = SqueezeParameter(0.7, 2.0)
         amps = squeezed_vacuum_amplitudes(squeeze, 20)
-        table = propagate_through_network(amps, embed_weights_unitary(random_weights(rng, 4)))
+        table = propagate_through_network(amps, random_weights(rng, 4))
         totals = table.occupations.sum(axis=1)
         probs = table.probabilities()
         for half, amp in enumerate(amps):
@@ -196,41 +195,37 @@ class TestPropagation:
 
     def test_only_even_sectors_materialized(self, rng):
         amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.5), 12)
-        table = propagate_through_network(amps, embed_weights_unitary([0.5, 0.5]))
+        table = propagate_through_network(amps, [0.5, 0.5])
         assert np.all(table.occupations.sum(axis=1) % 2 == 0)
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
     def test_table_matches_tuple_enumeration(self, rng, modes):
         squeeze = SqueezeParameter(0.6, 1.1)
-        phased = embed_weights_unitary(random_weights(rng, modes)) * np.exp(
-            1j * rng.uniform(-math.pi, math.pi, size=modes)
-        )[:, None]
-        for unitary in (np.eye(modes, dtype=complex), phased):
+        for weights in (np.eye(modes)[0], random_weights(rng, modes)):
             for cutoff in range(0, 21, 2):
                 amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-                table = propagate_through_network(amps, unitary)
-                occupations, amplitudes = propagate_by_enumeration(amps, unitary)
+                table = propagate_through_network(amps, weights)
+                occupations, amplitudes = propagate_by_enumeration(amps, weights)
                 assert table.occupations.dtype == np.int64
                 np.testing.assert_array_equal(table.occupations, occupations)
                 np.testing.assert_allclose(table.amplitudes, amplitudes, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
     def test_power_table_matches_elementwise_powers(self, modes):
-        # complex first columns, one with a zero entry, up to r = 1.2 (the
-        # tail is irrelevant here): the looked-up powers must be the very
-        # bits of column ** occupations
-        unitary = random_unitary(np.random.default_rng(modes), modes)
-        networks = [unitary]
+        # weight vectors, one with a zero entry, up to r = 1.2 (the tail is
+        # irrelevant here): the looked-up powers must be the very bits of
+        # sqrt(weights) ** occupations
+        weights = random_weights(np.random.default_rng(modes), modes)
+        weight_sets = [weights]
         if modes > 1:
-            zeroed = unitary.copy()
-            zeroed[-1, 0] = 0.0
-            zeroed[:, 0] /= np.linalg.norm(zeroed[:, 0])
-            networks.append(zeroed)
-        for network_matrix in networks:
-            column = network_matrix[:, 0]
+            zeroed = weights.copy()
+            zeroed[-1] = 0.0
+            weight_sets.append(zeroed / zeroed.sum())
+        for w in weight_sets:
+            column = np.sqrt(w)
             for r, cutoff in ((0.3, 12), (0.8, 24), (1.2, 24)):
                 amps = squeezed_vacuum_amplitudes(SqueezeParameter(r, 0.7), cutoff)
-                table = propagate_through_network(amps, network_matrix)
+                table = propagate_through_network(amps, w)
                 occupations = table.occupations
                 totals = occupations.sum(axis=1)
                 lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
@@ -244,7 +239,7 @@ class TestPropagation:
     def test_caller_arrays_stay_writable_and_detached(self):
         occupations = np.array([[0, 0], [2, 0]])
         amplitudes = np.array([0.9, 0.1j])
-        table = FockAmplitudes(2, occupations, amplitudes, 0.0)
+        table = FockAmplitudes(occupations, amplitudes)
         assert occupations.flags.writeable and amplitudes.flags.writeable
         assert not table.occupations.flags.writeable
         assert not table.amplitudes.flags.writeable
@@ -256,41 +251,57 @@ class TestPropagation:
     def test_equal_tables_compare_by_identity(self):
         # == may not compare the array fields: an array has no single truth value
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        table, twin = (propagate_through_network(amps, np.eye(2)) for _ in range(2))
+        table, twin = (propagate_through_network(amps, [1.0, 0.0]) for _ in range(2))
         assert table == table and table != twin
         assert len({table, twin}) == 2
 
-    def test_rejects_unnormalized_first_column(self):
-        # the column's squared moduli are the weights, so validate_weights judges them
+    def test_rejects_unnormalized_weights(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12, got sum 0\.81"):
-            propagate_through_network(amps, 0.9 * np.eye(2))
+            propagate_through_network(amps, [0.81, 0.0])
 
-    def test_rejects_a_nan_network(self):
-        # a NaN column once passed the norm check, and the table read tail 0.0
+    def test_rejects_nan_weights(self):
+        # a NaN weight once passed the norm check, and the table read tail 0.0
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        network_matrix = np.eye(2)
-        network_matrix[1, 0] = math.nan
         with pytest.raises(ValueError, match="^weights must be finite$"):
-            propagate_through_network(amps, network_matrix)
+            propagate_through_network(amps, [1.0, math.nan])
 
-    @pytest.mark.parametrize("shape", [(2, 3), (2,)])
-    def test_rejects_non_square_network(self, shape):
+    def test_a_network_matrix_is_refused_as_weights(self):
+        # the route takes the weights, not the network whose first column they square
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        with pytest.raises(ValueError, match=re.escape(f"network must be square, got shape {shape}")):
-            propagate_through_network(amps, np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape("weights must be a non-empty vector, got shape (2, 2)")):
+            propagate_through_network(amps, np.eye(2))
+
+    def test_modes_and_tail_are_read_off_the_arrays(self):
+        amps = squeezed_vacuum_amplitudes(SqueezeParameter(1.2), 10)
+        table = propagate_through_network(amps, [0.25, 0.5, 0.25])
+        assert table.modes == 3
+        assert table.tail == 1.0 - float(np.sum(np.abs(table.amplitudes) ** 2))
+        assert table.tail > MAX_TABLE_TAIL
+        # unclamped: an over-full table reads a negative tail
+        assert FockAmplitudes([[0], [2]], [1.0, 1.0]).tail == -1.0
+
+    @pytest.mark.parametrize(
+        "occupations, amplitudes",
+        [([[0], [2]], [1.0]), ([[0]], [1.0, 0.0]), ([0, 2], [1.0, 0.0]), (np.zeros((2, 0)), [1.0, 0.0]),
+         ([[0]], [[1.0]])],
+        ids=["short-amplitudes", "long-amplitudes", "1-d-occupations", "no-modes", "2-d-amplitudes"],
+    )
+    def test_arrays_that_do_not_pair_are_refused(self, occupations, amplitudes):
+        with pytest.raises(ValueError, match=r"^occupations \(.*\) and amplitudes \(.*\) are not \(N, M >= 1\) and \(N,\)$"):
+            FockAmplitudes(occupations, amplitudes)
 
 
 class TestSurvivalProbability:
     def test_zero_phases_is_unity_up_to_tail(self):
         amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.6), 30)
-        table = propagate_through_network(amps, embed_weights_unitary([0.4, 0.6]))
+        table = propagate_through_network(amps, [0.4, 0.6])
         assert survival_probability(table, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_spot_value_at_cutoff_forty(self):
         # frozen closed-form value 0.962369108664265; cutoff 40 leaves ~6e-8
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 40)
-        table = propagate_through_network(amps, np.eye(1, dtype=complex))
+        table = propagate_through_network(amps, [1.0])
         assert survival_probability(table, [0.1]) == pytest.approx(
             0.962369108664265, abs=1e-7
         )
@@ -303,7 +314,7 @@ class TestSurvivalProbability:
             squeeze = SqueezeParameter(rng.uniform(0.1, 0.8), rng.uniform(0, 6))
             cutoff = recommend_cutoff(squeeze, 1e-10)
             amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-            table = propagate_through_network(amps, embed_weights_unitary(weights))
+            table = propagate_through_network(amps, weights)
             assert survival_probability(table, phases) == pytest.approx(
                 survival_probability_sectors(amps, weights, phases), abs=1e-12
             )
@@ -311,27 +322,38 @@ class TestSurvivalProbability:
     def test_truncation_error_raised(self):
         squeeze = SqueezeParameter(1.2)
         amps = squeezed_vacuum_amplitudes(squeeze, 10)  # tail far above 1e-6
-        table = propagate_through_network(amps, np.eye(1, dtype=complex))
+        table = propagate_through_network(amps, [1.0])
         with pytest.raises(TruncationError):
             survival_probability(table, [0.1])
 
-    def test_nan_tail_is_refused(self):
-        # a NaN tail once compared False against the bound, and the table read 1.0
-        table = FockAmplitudes(1, [[0]], [1.0], math.nan)
-        with pytest.raises(TruncationError, match="^table tail nan beyond MAX_TABLE_TAIL"):
+    @pytest.mark.parametrize(
+        "amplitudes, tail",
+        [([math.nan], "nan"), ([2.0], "-3.000e+00"), ([1.0, math.inf], "-inf"), ([0.5, 0.5], "5.000e-01")],
+        ids=["nan", "over-full", "inf", "under-resolved"],
+    )
+    def test_one_tail_rule_refuses_every_bad_table(self, amplitudes, tail):
+        # |1 - sum |a|^2| <= MAX_TABLE_TAIL: a stored tail once could be set
+        # against the arrays, and an over-full table read 1.0
+        table = FockAmplitudes([[2 * k] for k in range(len(amplitudes))], amplitudes)
+        with pytest.raises(TruncationError, match=f"^table tail {re.escape(tail)} beyond \\+-MAX_TABLE_TAIL"):
             survival_probability(table, [0.0])
+
+    def test_a_tail_within_the_bound_either_side_is_accepted(self):
+        for excess in (-MAX_TABLE_TAIL / 2, MAX_TABLE_TAIL / 2):
+            table = FockAmplitudes([[0]], [math.sqrt(1.0 - excess)])
+            assert survival_probability(table, [0.3]) == pytest.approx(1.0, abs=1e-5)
 
     def test_nan_amplitude_gives_a_nan_tail(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
         amps[1] = math.nan
-        table = propagate_through_network(amps, np.eye(1))
+        table = propagate_through_network(amps, [1.0])
         assert math.isnan(table.tail)
         with pytest.raises(TruncationError):
             survival_probability(table, [0.1])
 
     def test_phase_length_checked(self):
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 6)
-        table = propagate_through_network(amps, np.eye(2, dtype=complex))
+        table = propagate_through_network(amps, [1.0, 0.0])
         with pytest.raises(ValueError):
             survival_probability(table, [0.1])
 
@@ -359,7 +381,7 @@ class TestGeneratorMoments:
         squeeze = SqueezeParameter(0.6, 1.0)
         cutoff = recommend_cutoff(squeeze, 1e-12, moment_power=4)
         amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-        table = propagate_through_network(amps, embed_weights_unitary(weights))
+        table = propagate_through_network(amps, weights)
         # the table route: plain diagonal sums over the explicit amplitude table
         generator = table.occupations @ phases
         from_table = [float(table.probabilities() @ generator ** k) for k in range(5)]
@@ -440,6 +462,28 @@ class TestGeneratorMoments:
         amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         with pytest.raises(ValueError, match="weights must"):
             route(amps, weights, [0.1, 0.0])
+
+    @pytest.mark.parametrize(
+        "amplitudes, total",
+        [([1.0, math.nan], "nan"), ([2.0, 1.0], "5.0"), ([1.0, math.inf], "inf")],
+        ids=["nan", "over-full", "inf"],
+    )
+    @pytest.mark.parametrize("route", [survival_probability_sectors, generator_moments_sectors])
+    def test_sector_routes_reject_bad_amplitudes(self, route, amplitudes, total):
+        # the first two once returned nan and 1.0, and the moments of the
+        # second summed to 5.0
+        message = rf"^amplitudes' probabilities must be finite and sum to at most 1 \+ MAX_TABLE_TAIL .* got sum {total}$"
+        with pytest.raises(ValueError, match=message):
+            route(amplitudes, [1.0], [0.1])
+
+    @pytest.mark.parametrize("route", [survival_probability_sectors, generator_moments_sectors])
+    def test_sector_routes_take_truncated_amplitudes(self, route):
+        # a fixed cutoff far below the certified one leaves weight out, and
+        # rounding may overfill a ladder by less than MAX_TABLE_TAIL: both pass
+        amps = squeezed_vacuum_amplitudes(SqueezeParameter(1.2), 4)
+        assert float(np.sum(np.abs(amps) ** 2)) < 0.9
+        route(amps, [1.0], [0.1])
+        route([math.sqrt(1.0 + MAX_TABLE_TAIL / 2)], [1.0], [0.1])
 
 
 AMPS_UNIT = squeezed_vacuum_amplitudes(SQ_UNIT, 10)

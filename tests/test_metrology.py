@@ -979,6 +979,26 @@ class TestFitSlope:
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda s: exact_survival_probability([1.0], [0.1], s), id="exact-gaussian"),
+        pytest.param(
+            lambda s: exact_survival_probability([1.0], [0.1], s, engine="fock"), id="exact-fock"
+        ),
+        pytest.param(lambda s: recommend_cutoff(s), id="recommend-cutoff"),
+        pytest.param(lambda s: squeezed_vacuum_amplitudes(s, 4), id="fock-amplitudes"),
+        pytest.param(lambda s: squeezed_probe(2, s), id="squeezed-probe"),
+    ],
+)
+@pytest.mark.parametrize("squeeze", [0.5, (0.5, 0.0), None], ids=["float", "tuple", "none"])
+def test_verifier_entry_points_refuse_a_squeeze_by_name(call, squeeze):
+    # each raised a bare AttributeError ('float' object has no attribute
+    # 'theta' or 'r'); now ExperimentConfig's one check and its message
+    with pytest.raises(ValueError, match=re.escape(f"squeeze must be a SqueezeParameter, got {squeeze!r}")):
+        call(squeeze)
+
+
+@pytest.mark.parametrize(
     "name, call",
     [
         pytest.param("nbar", lambda: heisenberg_sensitivity(10 ** 400), id="heisenberg-huge"),

@@ -1,11 +1,14 @@
 """Every tolerance and certified tail in the package has a module-level name."""
 
 import ast
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from sqzmet import fock, validate
+from sqzmet import fock, metrology, validate
+from sqzmet.metrology import NBAR_MAX, NBAR_MIN, PHASE_MAX, SQUEEZE_R_MAX
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqzmet"
 
@@ -45,3 +48,59 @@ def test_certified_tails_keep_their_values():
     assert validate.ODD_TERM_TAIL < validate.ODD_TERM_TOL
     assert validate.VARIANCE_IDENTITY_TAIL < validate.VARIANCE_IDENTITY_TOL
     assert validate.TABLE_ROUTE_TAIL < fock.MAX_TABLE_TAIL
+
+
+# a limit, the interval its refusal names, the side it bounds and a call at a value
+NAMED_LIMITS = {
+    "SqueezeParameter.r": (
+        SQUEEZE_R_MAX, "[0, SQUEEZE_R_MAX]", math.inf,
+        lambda v: metrology.SqueezeParameter(v).mean_photon_number,
+    ),
+    "sweep_point_probability.phi_bar.high": (
+        PHASE_MAX, "[-PHASE_MAX, PHASE_MAX]", math.inf,
+        lambda v: metrology.sweep_point_probability(1.0, v),
+    ),
+    "sweep_point_probability.phi_bar.low": (
+        -PHASE_MAX, "[-PHASE_MAX, PHASE_MAX]", -math.inf,
+        lambda v: metrology.sweep_point_probability(1.0, v),
+    ),
+    "sweep_point_probability.nbar": (
+        NBAR_MAX, "[0, NBAR_MAX]", math.inf, lambda v: metrology.sweep_point_probability(v, 0.0),
+    ),
+    "check_regime.nbar": (
+        NBAR_MAX, "[0, NBAR_MAX]", math.inf, lambda v: metrology.check_regime([0.0], v).ratio,
+    ),
+    "heisenberg_sensitivity.nbar.low": (
+        NBAR_MIN, "[NBAR_MIN, NBAR_MAX]", 0.0, metrology.heisenberg_sensitivity,
+    ),
+    "heisenberg_sensitivity.nbar.high": (
+        NBAR_MAX, "[NBAR_MIN, NBAR_MAX]", math.inf, metrology.heisenberg_sensitivity,
+    ),
+    "estimate_phase.nbar.low": (
+        NBAR_MIN, "[NBAR_MIN, NBAR_MAX]", 0.0, lambda v: metrology.estimate_phase(5, 10, v),
+    ),
+    "estimate_phase.nbar.high": (
+        NBAR_MAX, "[NBAR_MIN, NBAR_MAX]", math.inf, lambda v: metrology.estimate_phase(5, 10, v),
+    ),
+    "scaling_sweep.nbars.low": (
+        NBAR_MIN, "[NBAR_MIN, NBAR_MAX]", 0.0,
+        lambda v: metrology.scaling_sweep([v], 10, 2, 0, force=True),
+    ),
+    "scaling_sweep.nbars.high": (
+        NBAR_MAX, "[NBAR_MIN, NBAR_MAX]", math.inf,
+        lambda v: metrology.scaling_sweep([v], 10, 2, 0, force=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", NAMED_LIMITS)
+def test_a_refusal_one_ulp_past_a_limit_names_its_constant(limit):
+    bound, interval, outward, call = NAMED_LIMITS[limit]
+    outside = math.nextafter(bound, outward)
+    with pytest.raises(ValueError, match=re.escape(f" = {outside} outside [") + r".*\] = " + re.escape(interval) + "$"):
+        call(outside)
+    try:
+        call(bound)
+    except ValueError as error:
+        # the limit itself passes the bound; a sweep may still find nothing to fit
+        assert "outside" not in str(error), error

@@ -10,6 +10,7 @@ from sqzmet import (
     block_unitarity_defect,
     embed_weights_unitary,
     first_column,
+    mach_zehnder_factorization_residual,
     mach_zehnder_unitary,
     mesh_gap,
     mesh_to_netlist,
@@ -85,6 +86,21 @@ class TestWeightValidation:
         call = validate_weights if name == "weights" else lambda v: network.validate_phases(v, 2)
         with pytest.raises(ValueError, match=f"^{name} must be real numbers, got a bool entry$"):
             call(bad)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("weights", lambda: validate_weights([[0.5], 0.5])),
+            ("phases", lambda: network.validate_phases([[0.1], 0.2], 2)),
+            ("phi1", lambda: mach_zehnder_factorization_residual([[0.1], 0.2], 0.0, 12)),
+            ("phase layer", lambda: RotationMesh((), [[0.1], 0.2])),
+        ],
+        ids=["weights", "phases", "mz-phi1", "mesh-phase-layer"],
+    )
+    def test_ragged_sequence_is_refused_by_name(self, name, call):
+        # numpy's own "inhomogeneous shape" message named no argument
+        with pytest.raises(ValueError, match=f"^{name} must be real numbers, got a ragged sequence$"):
+            call()
 
     @pytest.mark.parametrize(
         "values", [[1, 0], np.array([1, 0], dtype=np.uint8), np.array([0.5, 0.5], dtype=np.float32)]

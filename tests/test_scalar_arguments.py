@@ -7,7 +7,6 @@ answer or raise a ValueError whose message names the argument: never a
 TypeError, an OverflowError, a warning or a NaN.
 """
 
-import dataclasses
 import functools
 import math
 
@@ -60,12 +59,12 @@ def _run(shots=1000, seed=1):
     config = metrology.ExperimentConfig(
         np.array([0.5, 0.5]), np.array([0.01, 0.02]), SqueezeParameter(0.5), shots, seed
     )
-    return dataclasses.astuple(metrology.run_protocol(config))
+    return tuple(metrology.run_protocol(config))
 
 
 def _sweep(nbar=2.0, shots=10 ** 5, repetitions=10, seed=1, bias_product=0.05):
     result = metrology.scaling_sweep([1.0, nbar], shots, repetitions, seed, bias_product)
-    points = [value for point in result.results for value in dataclasses.astuple(point)]
+    points = [value for point in result.results for value in point]
     return (result.slope, *points)
 
 
