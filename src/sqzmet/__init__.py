@@ -35,10 +35,9 @@ _EXPORTS = {
         "network",
     ),
     **dict.fromkeys(
-        ["FockAmplitudes", "SurvivalSeries", "TruncationError", "generator_moments_sectors",
-         "mach_zehnder_factorization_residual", "propagate_through_network",
-         "recommend_cutoff", "series_partial_sum", "squeezed_vacuum_amplitudes",
-         "survival_probability", "survival_probability_sectors"],
+        ["SurvivalSeries", "TruncationError", "generator_moments_sectors",
+         "mach_zehnder_factorization_residual", "recommend_cutoff", "series_partial_sum",
+         "squeezed_vacuum_amplitudes", "survival_probability", "survival_probability_sectors"],
         "fock",
     ),
     **dict.fromkeys(

@@ -185,7 +185,6 @@ def cmd_sweep(args) -> int:
         seed,
         bias_product=args.bias_product,
         baseline=args.baseline,
-        force=args.force,
     )
     elapsed = time.perf_counter() - started
     entries = [
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--repetitions", type=int, default=200)
     p_swp.add_argument("--bias-product", type=float, default=0.05, dest="bias_product")
     p_swp.add_argument("--baseline", choices=("squeezed", "coherent"), default="squeezed")
-    p_swp.add_argument("--force", action="store_true", help="ignore the regime refusal")
     p_swp.add_argument("--jobs", type=int, default=1, help="ignored; sampling is vectorised")
     p_swp.add_argument("--out", help="CSV path (default: stdout)")
 

@@ -3,12 +3,13 @@
 Because the probe populates only the first input mode and phase shifts are
 diagonal in the occupation basis, everything the protocol measures reduces
 to sums over the photon-number distribution after the network.  This module
-provides two interchangeable evaluation routes:
+provides two interchangeable evaluation routes, which take the same
+arguments (the single-mode amplitudes, the weights and the phases):
 
-* an explicit truncated amplitude table (`FockAmplitudes`), built by
-  propagating the single-mode amplitudes through the network as whole
-  arrays (every occupation tuple of every even sector at once), used for
-  moderate cutoffs and as the ground truth for the per-sector
+* an explicit truncated occupation table (`survival_probability`), which
+  the route builds itself from the single-mode amplitudes and the weights
+  as whole arrays (every occupation tuple of every even sector at once),
+  used for moderate cutoffs and as the ground truth for the per-sector
   bookkeeping; and
 * per-sector resummation (`survival_probability_sectors`,
   `generator_moments_sectors`), which evaluates the same diagonal sums by
@@ -24,7 +25,6 @@ independently against the covariance-matrix engine in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,9 +34,6 @@ from . import network
 from .metrology import SqueezeParameter, validate_squeeze
 
 MAX_SERIES_ORDER = 8
-# recommend_cutoff's default certified tail: a tenth of the 1e-9 to which the
-# tests hold the two engines to each other
-DEFAULT_TAIL_BOUND = 1e-10
 # largest missing weight a table may have for :func:`survival_probability`, and
 # largest excess over 1 the probabilities of any amplitudes a route takes may sum to
 MAX_TABLE_TAIL = 1e-6
@@ -89,7 +86,7 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
 
 def recommend_cutoff(
     squeeze: SqueezeParameter,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
+    tail_bound: float,
     moment_power: int = 0,
 ) -> int:
     """Smallest even cutoff whose certified tail is below ``tail_bound``.
@@ -125,46 +122,6 @@ def recommend_cutoff(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FockAmplitudes:
-    """Truncated multimode amplitude table, sparse over even photon sectors.
-
-    Attributes:
-        occupations: ``(N, M)`` array of occupation tuples, ``M >= 1``.
-        amplitudes: ``(N,)`` amplitudes, one per occupation row; arrays that
-            do not pair up this way are refused.
-
-    ``modes`` and ``tail`` are read off them.  Instances compare and hash by
-    identity: an array field has no single truth value.
-    """
-
-    occupations: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        # copies, so freezing them leaves the caller's arrays writable
-        occ = np.array(self.occupations)
-        amp = np.array(self.amplitudes)
-        if occ.ndim != 2 or occ.shape[1] == 0 or amp.shape != occ.shape[:1]:
-            raise ValueError(f"occupations {occ.shape} and amplitudes {amp.shape} are not (N, M >= 1) and (N,)")
-        occ.flags.writeable = False
-        amp.flags.writeable = False
-        object.__setattr__(self, "occupations", occ)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def modes(self) -> int:
-        return self.occupations.shape[1]
-
-    @property
-    def tail(self) -> float:
-        # 1 - sum |a|^2, unclamped: negative on an over-full table, NaN on a NaN one
-        return 1.0 - float(np.sum(self.probabilities()))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     """Every occupation tuple of each total, sector after sector.
 
@@ -184,7 +141,10 @@ def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     return np.column_stack([occupations, left])
 
 
-def propagate_through_network(amplitudes: np.ndarray, weights) -> FockAmplitudes:
+# an infinite ladder entry times the real factors gives a NaN entry, whose NaN
+# tail survival_probability refuses
+@np.errstate(invalid="ignore")
+def _amplitude_table(amplitudes, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distribute single-mode amplitudes over the weight network's output modes.
 
     Only input mode 0 is populated, so only the network's first column,
@@ -198,9 +158,13 @@ def propagate_through_network(amplitudes: np.ndarray, weights) -> FockAmplitudes
 
     Args:
         amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
-        weights: the probability weights, checked by :func:`network.validate_weights`.
+        weights: the probability weights, already checked by
+            :func:`network.validate_weights`.
+
+    Returns:
+        The ``(K, M)`` occupations and their ``(K,)`` amplitudes.
     """
-    column = np.sqrt(network.validate_weights(weights))
+    column = np.sqrt(weights)
     modes = column.size
     cutoff = 2 * (len(amplitudes) - 1)
 
@@ -215,23 +179,31 @@ def propagate_through_network(amplitudes: np.ndarray, weights) -> FockAmplitudes
         * root_multinomial
         * np.prod(powers[np.arange(modes), occupations], axis=1)
     )
-    return FockAmplitudes(occupations, amps)
+    return occupations, amps
 
 
-def survival_probability(state: FockAmplitudes, phases) -> float:
-    """Probability that the probe leaves the interferometer unchanged.
+def survival_probability(amplitudes: np.ndarray, weights, phases) -> float:
+    """Survival probability from the explicit occupation table.
 
-    Phase shifts are diagonal here, so this is the squared modulus of the
-    probability-weighted sum of ``exp(-i n . phi)`` over the table.
+    The table is built from the single-mode amplitudes and the weights
+    (:func:`_amplitude_table`).  Phase shifts are diagonal there, so this is
+    the squared modulus of the probability-weighted sum of ``exp(-i n . phi)``
+    over the table.  Same arguments as :func:`survival_probability_sectors`.
 
     Raises:
-        TruncationError: unless ``|tail| <= MAX_TABLE_TAIL``, which a NaN, an
-            over-full and an under-resolved table all fail.
+        ValueError: on weights or phases refused by their validators.
+        TruncationError: unless the table's tail ``1 - sum |a|^2`` lies within
+            ``MAX_TABLE_TAIL`` of 0, which a NaN, an over-full and an
+            under-resolved ladder all fail.
     """
-    phases = network.validate_phases(phases, state.modes)
-    if not abs(state.tail) <= MAX_TABLE_TAIL:
-        raise TruncationError(f"table tail {state.tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
-    value = abs(np.sum(state.probabilities() * np.exp(-1j * (state.occupations @ phases)))) ** 2
+    w = network.validate_weights(weights)
+    phases = network.validate_phases(phases, w.size)
+    occupations, table = _amplitude_table(amplitudes, w)
+    probs = np.abs(table) ** 2
+    tail = 1.0 - float(np.sum(probs))
+    if not abs(tail) <= MAX_TABLE_TAIL:
+        raise TruncationError(f"table tail {tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
+    value = abs(np.sum(probs * np.exp(-1j * (occupations @ phases)))) ** 2
     return min(float(value), 1.0)
 
 

@@ -375,7 +375,6 @@ def scaling_sweep(
     seed: int,
     bias_product: float = 0.05,
     baseline: str = "squeezed",
-    force: bool = False,
 ) -> SweepResult:
     """Monte-Carlo scan of the estimation variance against the mean photon number.
 
@@ -409,14 +408,11 @@ def scaling_sweep(
         bias_product: operating bias ``phi_bar * nbar``, finite; its sign
             does not change the result.
         baseline: ``squeezed`` or ``coherent``.
-        force: allow operation outside the small-phase regime.
 
     Raises:
-        RegimeError: if ``|bias_product|`` violates the small-phase regime
-            and ``force`` is not set.
+        RegimeError: if ``|bias_product|`` violates the small-phase regime.
         ValueError: on bad arguments; before any draw, if the nbars leave
-            no spread to fit or a point's phase ``bias_product / nbar`` lies
-            past ``PHASE_MAX``; or if a point's estimates have zero sample
+            no spread to fit; or if a point's estimates have zero sample
             variance (every repetition saw the same count), which leaves
             nothing to fit.
     """
@@ -435,11 +431,10 @@ def scaling_sweep(
     # every point's phases all equal bias_product / nbar, so check_regime's
     # ratio max|phi| * nbar is |bias_product|, which needs no rounding
     regime = _regime_check(abs(bias_product))
-    if not regime.ok and not force:
+    if not regime.ok:
         raise RegimeError(
             f"bias product {bias_product} is outside the small-phase regime "
-            f"(ratio {regime.ratio}, threshold {REGIME_THRESHOLD}); pass force=True "
-            "(sqzmet sweep --force) to override"
+            f"(ratio {regime.ratio}, threshold {REGIME_THRESHOLD})"
         )
     probabilities = [
         sweep_point_probability(nbar, bias_product / nbar, baseline) for nbar in nbars

@@ -104,8 +104,7 @@ def check_table_route(seed: int) -> CheckResult:
     for weights, phases, squeeze in _random_cases(_stream(seed, 1), 5, max_modes=3, max_r=0.8):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=TABLE_ROUTE_TAIL)
         amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
-        table = fock.propagate_through_network(amps, weights)
-        p_table = fock.survival_probability(table, phases)
+        p_table = fock.survival_probability(amps, weights, phases)
         p_sector = fock.survival_probability_sectors(amps, weights, phases)
         gaps.append(abs(p_table - p_sector))
     return _verdict("table vs sector route", "max route gap", gaps, "TABLE_ROUTE_TOL", TABLE_ROUTE_TOL)

@@ -381,14 +381,19 @@ class TestSweep:
             "sweep", "--config", config_file, "--nbars", "1,2",
             "--repetitions", "10", "--bias-product", "0.5",
         ]
-        assert cli.main(args) == 3
-        out = tmp_path / "forced.csv"
-        assert cli.main(args + ["--force", "--out", str(out)]) == 0
+        out = tmp_path / "refused.csv"
+        assert cli.main(args + ["--out", str(out)]) == 3
+        assert not out.exists()
 
-    def test_regime_refusal_names_the_force_flag(self, config_file, capsys):
+    def test_regime_refusal_offers_no_override(self, config_file, capsys):
         args = ["sweep", "--config", config_file, "--bias-product", "0.5"]
         assert cli.main(args) == 3
-        assert "sqzmet sweep --force" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "outside the small-phase regime" in err and "--force" not in err
+        # argparse refuses --force as an unknown option, a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args + ["--force"])
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("bias_product", ["-0.5", "-0.3", "0.3"])
     def test_negative_bias_outside_regime_exits_three(
@@ -449,15 +454,13 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_forced_coherent_sweep_at_a_large_bias_writes_finite_rows(self, tmp_path, config_file):
-        # the coherent law stays in [0, 1] far outside the small-phase regime
+    def test_coherent_sweep_at_a_large_bias_exits_three_and_writes_nothing(self, tmp_path, config_file):
+        # the coherent law stays in [0, 1] there, but its ratio to the
+        # Heisenberg reference does not mean anything outside the regime
         out = tmp_path / "coh.csv"
         argv = ["sweep", "--config", config_file, "--repetitions", "10", "--out", str(out)]
-        assert cli.main(argv + ["--baseline", "coherent", "--force", "--bias-product", "2"]) == 0
-        _, _, rows = read_csv(out)
-        assert len(rows) == 5
-        assert all(math.isfinite(float(value)) for row in rows[:-1] for value in row.split(","))
-        assert math.isfinite(float(rows[-1].split("=", 1)[1]))
+        assert cli.main(argv + ["--baseline", "coherent", "--bias-product", "2"]) == 3
+        assert not out.exists()
 
     def test_coherent_baseline_slope(self, tmp_path, config_file):
         out = tmp_path / "coh.csv"
@@ -802,18 +805,19 @@ class TestConfigFile:
 
 
 class TestParser:
-    def test_sweep_flags_do_not_carry_to_the_next_call(self, tmp_path, config_file, capsys):
+    def test_sweep_flags_do_not_carry_to_the_next_call(self, tmp_path, config_file):
         first, plain = tmp_path / "first.csv", tmp_path / "plain.csv"
         argv = ["sweep", "--config", config_file]
-        flags = ["--seed", "5", "--nbars", "1,2", "--repetitions", "10", "--force"]
+        flags = ["--seed", "5", "--nbars", "1,2", "--repetitions", "10", "--bias-product", "0.1",
+                 "--baseline", "coherent"]
         assert cli.main(argv + flags + ["--out", str(first)]) == 0
         assert cli.main(argv + ["--out", str(plain)]) == 0
         manifest, _, _ = read_csv(plain)
         assert "# seed = 42" in manifest
         assert "# nbars = 0.5,1.0,2.0,4.0" in manifest
         assert "# repetitions = 200" in manifest
-        assert cli.main(argv + ["--bias-product", "0.5"]) == 3
-        assert "--force" in capsys.readouterr().err
+        assert "# bias_product = 0.05" in manifest
+        assert "# baseline = squeezed" in manifest
 
     def test_repeated_calls_write_what_a_fresh_process_writes(self, tmp_path, config_file):
         # each command once in a fresh process with warnings as errors, then

@@ -42,8 +42,7 @@ def test_certified_tails_keep_their_values():
         validate.ODD_TERM_TAIL,
         validate.VARIANCE_IDENTITY_TAIL,
         validate.SERIES_CONVERGENCE_TAIL,
-        fock.DEFAULT_TAIL_BOUND,
-    ) == (1e-10, 1e-13, 1e-14, 1e-16, 1e-10)
+    ) == (1e-10, 1e-13, 1e-14, 1e-16)
     # each tail sits below the pass bound of the check that certifies with it
     assert validate.ODD_TERM_TAIL < validate.ODD_TERM_TOL
     assert validate.VARIANCE_IDENTITY_TAIL < validate.VARIANCE_IDENTITY_TOL
@@ -84,11 +83,11 @@ NAMED_LIMITS = {
     ),
     "scaling_sweep.nbars.low": (
         NBAR_MIN, "[NBAR_MIN, NBAR_MAX]", 0.0,
-        lambda v: metrology.scaling_sweep([v], 10, 2, 0, force=True),
+        lambda v: metrology.scaling_sweep([v], 10, 2, 0),
     ),
     "scaling_sweep.nbars.high": (
         NBAR_MAX, "[NBAR_MIN, NBAR_MAX]", math.inf,
-        lambda v: metrology.scaling_sweep([v], 10, 2, 0, force=True),
+        lambda v: metrology.scaling_sweep([v], 10, 2, 0),
     ),
 }
 

@@ -43,7 +43,7 @@ def test_every_export_resolves_with_its_type_hints(monkeypatch):
     namespace = {}
     exec("from sqzmet import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(sqzmet.__all__)
-    assert len(sqzmet.__all__) == 50
+    assert len(sqzmet.__all__) == 48
     assert sqzmet.gaussian.SqueezeParameter is sqzmet.SqueezeParameter
     # a name read once is not cached: a function replaced in its module shows
     replaced = object()
