@@ -141,6 +141,18 @@ def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     return np.column_stack([occupations, left])
 
 
+def _ladder(amplitudes) -> np.ndarray:
+    """``amplitudes`` as an array, refused unless it is a non-empty vector.
+
+    A ``(N, 1)`` ladder would broadcast against the per-sector arrays of
+    either route and give a number for a state that has none.
+    """
+    ladder = np.asarray(amplitudes)
+    if ladder.ndim != 1 or ladder.size == 0:
+        raise ValueError(f"amplitudes must be a non-empty vector, got shape {ladder.shape}")
+    return ladder
+
+
 # an infinite ladder entry times the real factors gives a NaN entry, whose NaN
 # tail survival_probability refuses
 @np.errstate(invalid="ignore")
@@ -191,14 +203,15 @@ def survival_probability(amplitudes: np.ndarray, weights, phases) -> float:
     over the table.  Same arguments as :func:`survival_probability_sectors`.
 
     Raises:
-        ValueError: on weights or phases refused by their validators.
+        ValueError: on weights or phases refused by their validators, or on
+            amplitudes that are not a non-empty vector.
         TruncationError: unless the table's tail ``1 - sum |a|^2`` lies within
             ``MAX_TABLE_TAIL`` of 0, which a NaN, an over-full and an
             under-resolved ladder all fail.
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    occupations, table = _amplitude_table(amplitudes, w)
+    occupations, table = _amplitude_table(_ladder(amplitudes), w)
     probs = np.abs(table) ** 2
     tail = 1.0 - float(np.sum(probs))
     if not abs(tail) <= MAX_TABLE_TAIL:
@@ -243,9 +256,10 @@ def _sector_probabilities(amplitudes) -> np.ndarray:
     """``|amplitudes|^2``, refused unless they sum to a number at most ``1 + MAX_TABLE_TAIL``.
 
     A truncated ladder sums to less than 1 and passes; a NaN or an infinite
-    amplitude fails the one comparison, as an over-full ladder does.
+    amplitude fails the one comparison, as an over-full ladder does.  A
+    ladder that is not a non-empty vector is refused first (:func:`_ladder`).
     """
-    probs = np.abs(np.asarray(amplitudes)) ** 2
+    probs = np.abs(_ladder(amplitudes)) ** 2
     total = float(np.sum(probs))
     if not total <= 1.0 + MAX_TABLE_TAIL:
         raise ValueError(
@@ -268,8 +282,9 @@ def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> flo
         phases: one phase per mode.
 
     Raises:
-        ValueError: on amplitudes whose probabilities are not finite or sum
-            above ``1 + MAX_TABLE_TAIL`` (a truncated ladder passes), or on
+        ValueError: on amplitudes that are not a non-empty vector or whose
+            probabilities are not finite or sum above ``1 + MAX_TABLE_TAIL``
+            (a truncated ladder passes), or on
             weights or phases refused by their validators.
     """
     w = network.validate_weights(weights)

@@ -261,6 +261,50 @@ class TestPropagation:
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(f'{tail:.3e}')} beyond"):
             survival_probability(amps, weights, [0.0, 0.0, 0.0])
 
+    def test_caller_arrays_stay_writable_and_detached(self):
+        amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.5, 1.0), 24)
+        weights, phases = np.array([0.25, 0.75]), np.array([0.1, -0.2])
+        inputs = (amps, weights, phases)
+        copies = [array.copy() for array in inputs]
+        for route in (survival_probability, survival_probability_sectors):
+            route(*inputs)
+        generator_moments_sectors(*inputs)
+        occupations, table = _amplitude_table(amps, weights)
+        for array, copy in zip(inputs, copies):
+            assert array.flags.writeable
+            assert np.array_equal(array, copy)
+        assert not np.shares_memory(table, amps)
+        amps[0] = 0.0
+        assert table[0] == copies[0][0]
+
+    @pytest.mark.parametrize(
+        "route",
+        [survival_probability, survival_probability_sectors, generator_moments_sectors],
+        ids=["table", "sectors", "moments"],
+    )
+    @pytest.mark.parametrize(
+        "amplitudes, weights, phases, message",
+        [
+            (None, [0.5, 0.5], [0.1], r"expected 2 phases, got shape \(1,\)"),
+            (None, [0.5, 0.5], [0.1, 0.2, 0.3], r"expected 2 phases, got shape \(3,\)"),
+            (None, [0.5, 0.5], [[0.1, 0.2]], r"expected 2 phases, got shape \(1, 2\)"),
+            (None, [], [], r"weights must be a non-empty vector, got shape \(0,\)"),
+            ([[0.3 ** 0.5], [0.2 ** 0.5]], [1.0], [0.3], r"amplitudes must be a non-empty vector, got shape \(2, 1\)"),
+            ([], [1.0], [0.3], r"amplitudes must be a non-empty vector, got shape \(0,\)"),
+            (1.0, [1.0], [0.3], r"amplitudes must be a non-empty vector, got shape \(\)"),
+        ],
+        ids=["short-phases", "long-phases", "2-d-phases", "no-modes", "2-d-amplitudes", "no-amplitudes",
+             "scalar-amplitudes"],
+    )
+    def test_arrays_that_do_not_pair_are_refused(self, route, amplitudes, weights, phases, message):
+        # a (2, 1) ladder once broadcast against the sector arrays: both
+        # routes read 0.91267, and the same entries as a vector 0.22904 or a
+        # refused tail; an empty ladder read 0.0 on the sector route
+        if amplitudes is None:
+            amplitudes = squeezed_vacuum_amplitudes(SQ_UNIT, 20)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route(amplitudes, weights, phases)
+
 
 class TestSurvivalProbability:
     def test_zero_phases_is_unity_up_to_tail(self):
