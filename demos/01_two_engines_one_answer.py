@@ -19,7 +19,6 @@ from sqzmet import (
     exact_survival_probability,
     recommend_cutoff,
     squeezed_probe,
-    squeezed_vacuum_amplitudes,
     survival_probability_sectors,
     vacuum_overlap_probability,
 )
@@ -43,8 +42,7 @@ p_gaussian = vacuum_overlap_probability(state, probe)
 
 # Route 2: occupation-number sectors at a certified cutoff.
 cutoff = recommend_cutoff(squeeze, tail_bound=1e-12)
-amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-p_fock = survival_probability_sectors(amps, weights, phases)
+p_fock = survival_probability_sectors(weights, phases, squeeze, cutoff)
 
 print(f"covariance engine : {p_gaussian:.15f}")
 print(f"fock oracle       : {p_fock:.15f}   (cutoff {cutoff})")

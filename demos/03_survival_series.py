@@ -15,7 +15,6 @@ from sqzmet import (
     generator_moments_sectors,
     recommend_cutoff,
     series_partial_sum,
-    squeezed_vacuum_amplitudes,
     survival_probability_sectors,
 )
 
@@ -24,8 +23,7 @@ phases = np.array([0.2, 0.0])
 squeeze = SqueezeParameter(math.asinh(1.0))
 
 cutoff = recommend_cutoff(squeeze, 1e-15, moment_power=8)
-amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-series = generator_moments_sectors(amps, weights, phases, max_order=8)
+series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=8)
 
 print("generator moments <(n.phi)^k>:")
 for k, g in enumerate(series.moments[:5]):
@@ -38,7 +36,7 @@ print()
 print(f"term 2 = twice the generator variance: {series.terms[2]:.6f} (expect 0.035)")
 print()
 
-exact = survival_probability_sectors(amps, weights, phases)
+exact = survival_probability_sectors(weights, phases, squeeze, cutoff)
 print(f"exact survival probability : {exact:.12f}")
 for order in (0, 2, 4, 6):
     partial = series_partial_sum(series.terms, order)
@@ -52,8 +50,8 @@ gaps = []
 scales = np.geomspace(1.0, 0.25, 5)
 for scale in scales:
     scaled = phases * scale
-    exact = survival_probability_sectors(amps, weights, scaled)
-    terms = generator_moments_sectors(amps, weights, scaled, max_order=6).terms
+    exact = survival_probability_sectors(weights, scaled, squeeze, cutoff)
+    terms = generator_moments_sectors(weights, scaled, squeeze, cutoff, max_order=6).terms
     gap = abs(series_partial_sum(terms, 6) - exact)
     gaps.append(gap)
     print(f"{scale:6.3f}    {gap:.3e}")

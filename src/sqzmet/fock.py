@@ -4,11 +4,12 @@ Because the probe populates only the first input mode and phase shifts are
 diagonal in the occupation basis, everything the protocol measures reduces
 to sums over the photon-number distribution after the network.  This module
 provides two interchangeable evaluation routes, which take the same
-arguments (the single-mode amplitudes, the weights and the phases):
+arguments (the weights, the phases, the squeezer and a cutoff) and build
+the squeezer's single-mode ladder themselves:
 
 * an explicit truncated occupation table (`survival_probability`), which
-  the route builds itself from the single-mode amplitudes and the weights
-  as whole arrays (every occupation tuple of every even sector at once),
+  the route builds from the ladder and the weights as whole arrays (every
+  occupation tuple of every even sector at once),
   used for moderate cutoffs and as the ground truth for the per-sector
   bookkeeping; and
 * per-sector resummation (`survival_probability_sectors`,
@@ -34,9 +35,10 @@ from . import network
 from .metrology import SqueezeParameter, validate_squeeze
 
 MAX_SERIES_ORDER = 8
-# largest missing weight a table may have for :func:`survival_probability`, and
-# largest excess over 1 the probabilities of any amplitudes a route takes may sum to
+# largest missing weight a table may have for :func:`survival_probability`
 MAX_TABLE_TAIL = 1e-6
+# largest cutoff of any ladder: 200001 complex amplitudes (3.2 MB), enough to certify a 1e-12 tail at r = 5
+MAX_CUTOFF = 400_000
 # largest cutoff mach_zehnder_factorization_residual accepts.  Its cache holds
 # one entry per sector, shared by every cutoff: two complex (t + 1) x (t + 1)
 # matrices and t + 1 eigenvalues, about 0.4 MB for all 33 sectors at this bound;
@@ -54,7 +56,7 @@ _LAG = np.subtract.outer(_ORDERS, _ORDERS).clip(0)
 
 
 class TruncationError(ValueError):
-    """Raised when a table's tail ``1 - sum |a|^2`` is not a number within ``MAX_TABLE_TAIL`` of 0."""
+    """Raised when a table's tail ``1 - sum |a|^2`` is not within ``MAX_TABLE_TAIL`` of 0."""
 
 
 def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
@@ -68,16 +70,16 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
 
     Args:
         squeeze: probe squeezer.
-        cutoff: largest total photon number kept, even and >= 0.
+        cutoff: largest total photon number kept, even and in ``[0, MAX_CUTOFF]``.
 
     Raises:
         ValueError: unless ``squeeze`` is a :class:`SqueezeParameter` and
-            ``cutoff`` an even integer >= 0.
+            ``cutoff`` an even integer in ``[0, MAX_CUTOFF]``.
     """
     squeeze = validate_squeeze(squeeze)
     cutoff = network.validate_count("cutoff", cutoff, 0)
-    if cutoff % 2 != 0:
-        raise ValueError(f"cutoff must be even, got {cutoff}")
+    if cutoff % 2 != 0 or cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff must be even and at most MAX_CUTOFF = {MAX_CUTOFF}, got {cutoff}")
     n = np.arange(cutoff // 2)
     step = -np.exp(1j * squeeze.theta) * math.tanh(squeeze.r)
     first = 1.0 / math.sqrt(math.cosh(squeeze.r))
@@ -101,14 +103,14 @@ def recommend_cutoff(
         ValueError: unless ``squeeze`` is a :class:`SqueezeParameter`,
             ``tail_bound`` a real number > 0 and
             ``moment_power`` an integer in ``[0, MAX_SERIES_ORDER]``; or if
-            no cutoff below 400000 photons certifies the tail.
+            no cutoff below ``MAX_CUTOFF`` photons certifies the tail.
     """
     squeeze = validate_squeeze(squeeze)
     tail_bound = network.validate_real("tail_bound", tail_bound, math.ulp(0.0))
     moment_power = network.validate_count("moment_power", moment_power, 0, MAX_SERIES_ORDER)
     t2 = math.tanh(squeeze.r) ** 2
     prob = 1.0 / math.cosh(squeeze.r)
-    for n in range(200_000):
+    for n in range(MAX_CUTOFF // 2):
         nxt = prob * t2 * (2 * n + 1) / (2 * n + 2)
         nxt_weighted = nxt * (2 * (n + 1)) ** moment_power
         # every later term ratio is below t2 * (1 + 1/m)^p at m = n + 1
@@ -117,7 +119,7 @@ def recommend_cutoff(
             return 2 * n
         prob = nxt
     raise ValueError(
-        f"no cutoff below 400000 photons certifies tail {tail_bound} at "
+        f"no cutoff below MAX_CUTOFF = {MAX_CUTOFF} photons certifies tail {tail_bound} at "
         f"r = {squeeze.r} (nbar = {squeeze.mean_photon_number:.4g})"
     )
 
@@ -141,21 +143,6 @@ def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     return np.column_stack([occupations, left])
 
 
-def _ladder(amplitudes) -> np.ndarray:
-    """``amplitudes`` as an array, refused unless it is a non-empty vector.
-
-    A ``(N, 1)`` ladder would broadcast against the per-sector arrays of
-    either route and give a number for a state that has none.
-    """
-    ladder = np.asarray(amplitudes)
-    if ladder.ndim != 1 or ladder.size == 0:
-        raise ValueError(f"amplitudes must be a non-empty vector, got shape {ladder.shape}")
-    return ladder
-
-
-# an infinite ladder entry times the real factors gives a NaN entry, whose NaN
-# tail survival_probability refuses
-@np.errstate(invalid="ignore")
 def _amplitude_table(amplitudes, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distribute single-mode amplitudes over the weight network's output modes.
 
@@ -187,34 +174,34 @@ def _amplitude_table(amplitudes, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     # row j of powers holds column[j] ** 0..cutoff: the same pow as column ** occupations
     powers = column[:, None] ** np.arange(cutoff + 1)
     amps = (
-        np.asarray(amplitudes, dtype=complex)[totals // 2]
+        amplitudes[totals // 2]
         * root_multinomial
         * np.prod(powers[np.arange(modes), occupations], axis=1)
     )
     return occupations, amps
 
 
-def survival_probability(amplitudes: np.ndarray, weights, phases) -> float:
+def survival_probability(weights, phases, squeeze: SqueezeParameter, cutoff: int) -> float:
     """Survival probability from the explicit occupation table.
 
-    The table is built from the single-mode amplitudes and the weights
-    (:func:`_amplitude_table`).  Phase shifts are diagonal there, so this is
-    the squared modulus of the probability-weighted sum of ``exp(-i n . phi)``
-    over the table.  Same arguments as :func:`survival_probability_sectors`.
+    The table is built from the squeezer's ladder at ``cutoff`` and the
+    weights (:func:`_amplitude_table`).  Phase shifts are diagonal there, so
+    this is the squared modulus of the probability-weighted sum of
+    ``exp(-i n . phi)`` over the table.  Same arguments as
+    :func:`survival_probability_sectors`.
 
     Raises:
-        ValueError: on weights or phases refused by their validators, or on
-            amplitudes that are not a non-empty vector.
+        ValueError: on weights, phases, squeeze or cutoff refused by their
+            validators, in that order.
         TruncationError: unless the table's tail ``1 - sum |a|^2`` lies within
-            ``MAX_TABLE_TAIL`` of 0, which a NaN, an over-full and an
-            under-resolved ladder all fail.
+            ``MAX_TABLE_TAIL`` of 0, which a cutoff too small for the squeezer fails.
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    occupations, table = _amplitude_table(_ladder(amplitudes), w)
+    occupations, table = _amplitude_table(squeezed_vacuum_amplitudes(squeeze, cutoff), w)
     probs = np.abs(table) ** 2
     tail = 1.0 - float(np.sum(probs))
-    if not abs(tail) <= MAX_TABLE_TAIL:
+    if abs(tail) > MAX_TABLE_TAIL:
         raise TruncationError(f"table tail {tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
     value = abs(np.sum(probs * np.exp(-1j * (occupations @ phases)))) ** 2
     return min(float(value), 1.0)
@@ -252,44 +239,28 @@ def series_partial_sum(terms: np.ndarray, max_term: int) -> float:
 # per-sector resummation
 # ---------------------------------------------------------------------------
 
-def _sector_probabilities(amplitudes) -> np.ndarray:
-    """``|amplitudes|^2``, refused unless they sum to a number at most ``1 + MAX_TABLE_TAIL``.
-
-    A truncated ladder sums to less than 1 and passes; a NaN or an infinite
-    amplitude fails the one comparison, as an over-full ladder does.  A
-    ladder that is not a non-empty vector is refused first (:func:`_ladder`).
-    """
-    probs = np.abs(_ladder(amplitudes)) ** 2
-    total = float(np.sum(probs))
-    if not total <= 1.0 + MAX_TABLE_TAIL:
-        raise ValueError(
-            "amplitudes' probabilities must be finite and sum to at most 1 + MAX_TABLE_TAIL "
-            f"(MAX_TABLE_TAIL = {MAX_TABLE_TAIL}), got sum {total!r}"
-        )
-    return probs
-
-def survival_probability_sectors(amplitudes: np.ndarray, weights, phases) -> float:
+def survival_probability_sectors(weights, phases, squeeze: SqueezeParameter, cutoff: int) -> float:
     """Survival probability from per-sector resummation.
 
     Within the ``t``-photon sector the occupations are multinomial over the
     first-column weights, so the sector sum of ``exp(-i n . phi)`` collapses
     to ``(sum_j w_j exp(-i phi_j))**t``.  Same value as the table route, at
-    any cutoff.
+    any cutoff; a cutoff too small for the squeezer leaves weight out.
 
     Args:
-        amplitudes: single-mode amplitudes from :func:`squeezed_vacuum_amplitudes`.
         weights: squared magnitudes of the network's first column.
         phases: one phase per mode.
+        squeeze: probe squeezer.
+        cutoff: largest total photon number kept, as for
+            :func:`squeezed_vacuum_amplitudes`.
 
     Raises:
-        ValueError: on amplitudes that are not a non-empty vector or whose
-            probabilities are not finite or sum above ``1 + MAX_TABLE_TAIL``
-            (a truncated ladder passes), or on
-            weights or phases refused by their validators.
+        ValueError: on weights, phases, squeeze or cutoff refused by their
+            validators, in that order.
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    probs = _sector_probabilities(amplitudes)
+    probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
     mixer = complex(np.sum(w * np.exp(-1j * phases)))
     value = abs(np.sum(probs * mixer ** (2 * np.arange(len(probs))))) ** 2
     return min(float(value), 1.0)
@@ -317,19 +288,20 @@ def _multinomial_weighted_moments(
 
 
 def generator_moments_sectors(
-    amplitudes: np.ndarray, weights, phases, max_order: int = 6
+    weights, phases, squeeze: SqueezeParameter, cutoff: int, max_order: int = 6
 ) -> SurvivalSeries:
     """Diagonal moments ``<(n . phi)^k>`` for k up to ``max_order``, via per-sector resummation.
 
     Raises:
         ValueError: unless ``max_order`` is an integer in ``[0, MAX_SERIES_ORDER]``
             (the series terms lose accuracy to cancellation beyond that); on
-            amplitudes, weights or phases refused as in :func:`survival_probability_sectors`.
+            weights, phases, squeeze or cutoff refused as in
+            :func:`survival_probability_sectors`.
     """
     max_order = network.validate_count("max_order", max_order, 0, MAX_SERIES_ORDER)
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    probs = _sector_probabilities(amplitudes)
+    probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
     totals = 2.0 * np.arange(len(probs))
     per_sector = _multinomial_weighted_moments(w, phases, totals, max_order)
     moments = per_sector @ probs

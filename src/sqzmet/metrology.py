@@ -258,8 +258,7 @@ def exact_survival_probability(
         from . import fock
 
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=ORACLE_TAIL_BOUND)
-        amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
-        return fock.survival_probability_sectors(amps, w, phases), cutoff
+        return fock.survival_probability_sectors(w, phases, squeeze, cutoff), cutoff
     raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 

@@ -103,9 +103,8 @@ def check_table_route(seed: int) -> CheckResult:
     gaps = []
     for weights, phases, squeeze in _random_cases(_stream(seed, 1), 5, max_modes=3, max_r=0.8):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=TABLE_ROUTE_TAIL)
-        amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
-        p_table = fock.survival_probability(amps, weights, phases)
-        p_sector = fock.survival_probability_sectors(amps, weights, phases)
+        p_table = fock.survival_probability(weights, phases, squeeze, cutoff)
+        p_sector = fock.survival_probability_sectors(weights, phases, squeeze, cutoff)
         gaps.append(abs(p_table - p_sector))
     return _verdict("table vs sector route", "max route gap", gaps, "TABLE_ROUTE_TOL", TABLE_ROUTE_TOL)
 
@@ -115,8 +114,7 @@ def check_odd_terms(seed: int) -> CheckResult:
     odd_terms = []
     for weights, phases, squeeze in _random_cases(_stream(seed, 2), 20):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=ODD_TERM_TAIL, moment_power=8)
-        amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
-        series = fock.generator_moments_sectors(amps, weights, phases, max_order=8)
+        series = fock.generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=8)
         odd_terms.append(np.abs(series.terms[1::2]))
     return _verdict("odd series terms vanish", "max odd term", odd_terms, "ODD_TERM_TOL", ODD_TERM_TOL)
 
@@ -126,8 +124,7 @@ def check_variance_identity(seed: int) -> CheckResult:
     defects = []
     for weights, phases, squeeze in _random_cases(_stream(seed, 3), 20):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=VARIANCE_IDENTITY_TAIL, moment_power=2)
-        amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
-        series = fock.generator_moments_sectors(amps, weights, phases, max_order=2)
+        series = fock.generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=2)
         oracle = series.moments[2] - series.moments[1] ** 2
         probe = squeezed_probe(weights.size, squeeze)
         analytic = metrology.generator_variance(
@@ -164,13 +161,12 @@ def check_series_convergence(seed: int) -> CheckResult:
     base = rng.uniform(0.5, 1.0, size=3) * np.sign(rng.uniform(-1, 1, size=3))
     squeeze = SqueezeParameter(math.asinh(1.0))
     cutoff = fock.recommend_cutoff(squeeze, tail_bound=SERIES_CONVERGENCE_TAIL, moment_power=8)
-    amps = fock.squeezed_vacuum_amplitudes(squeeze, cutoff)
     scales = np.geomspace(0.05, 0.2, 8)
     residuals = []
     for scale in scales:
         phases = base * (scale / np.max(np.abs(base)))
-        exact = fock.survival_probability_sectors(amps, weights, phases)
-        series = fock.generator_moments_sectors(amps, weights, phases, max_order=6)
+        exact = fock.survival_probability_sectors(weights, phases, squeeze, cutoff)
+        series = fock.generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=6)
         residuals.append(abs(fock.series_partial_sum(series.terms, 6) - exact))
     exponent = metrology._fit_slope(
         [math.log(scale) for scale in scales], [math.log(residual) for residual in residuals]

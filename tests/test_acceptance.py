@@ -82,7 +82,7 @@ def test_criterion_3_exact_moment_identities():
         nbar = squeeze.mean_photon_number
         cutoff = recommend_cutoff(squeeze, 1e-14, moment_power=2)
         amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-        series = generator_moments_sectors(amps, weights, phases, max_order=2)
+        series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=2)
         moments = phase_moments(weights, phases)
 
         worst_mean = max(worst_mean, abs(series.moments[1] - moments.mean * nbar))
@@ -113,8 +113,7 @@ def test_criterion_4_series_structure():
     for _ in range(200):
         weights, phases, squeeze = _draw_case(rng, phase_span=0.3)
         cutoff = recommend_cutoff(squeeze, 1e-13, moment_power=8)
-        amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-        series = generator_moments_sectors(amps, weights, phases, max_order=8)
+        series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=8)
         worst_zero = max(worst_zero, abs(series.terms[0] - 1.0))
         worst_odd = max(worst_odd, float(np.max(np.abs(series.terms[1::2]))))
     assert worst_zero <= 1e-10
@@ -126,15 +125,13 @@ def test_criterion_4_series_structure():
     base = np.array([1.0, -0.4, 0.7])
     squeeze = SqueezeParameter(math.asinh(1.0))
     nbar = squeeze.mean_photon_number
-    amps = squeezed_vacuum_amplitudes(
-        squeeze, recommend_cutoff(squeeze, 1e-16, moment_power=8)
-    )
+    cutoff = recommend_cutoff(squeeze, 1e-16, moment_power=8)
     ratios = np.geomspace(0.05, 0.2, 8)
     residuals = []
     for ratio in ratios:
         phases = base * (ratio / (np.max(np.abs(base)) * nbar))
-        exact = survival_probability_sectors(amps, weights, phases)
-        series = generator_moments_sectors(amps, weights, phases, max_order=6)
+        exact = survival_probability_sectors(weights, phases, squeeze, cutoff)
+        series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=6)
         residuals.append(abs(series_partial_sum(series.terms, 6) - exact))
     exponent = float(np.polyfit(np.log(ratios), np.log(residuals), 1)[0])
     assert exponent >= 7.0, f"fitted exponent {exponent}"
@@ -162,7 +159,7 @@ def test_criterion_5_cross_engine_equality():
         cutoff = recommend_cutoff(squeeze, 1e-11)
         amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
         assert 1.0 - float(np.sum(np.abs(amps) ** 2)) < 1e-10
-        p_table = survival_probability(amps, weights, phases)
+        p_table = survival_probability(weights, phases, squeeze, cutoff)
         p_gauss, _ = exact_survival_probability(weights, phases, squeeze)
         worst_table = max(worst_table, abs(p_gauss - p_table))
     assert worst_table <= 1e-6

@@ -19,6 +19,7 @@ from sqzmet import (
 )
 from sqzmet import fock
 from sqzmet.fock import (
+    MAX_CUTOFF,
     MAX_MZ_CUTOFF,
     MAX_SERIES_ORDER,
     MAX_TABLE_TAIL,
@@ -146,8 +147,15 @@ class TestAmplitudes:
             np.testing.assert_allclose(amps, exact, rtol=1e-13, atol=0)
 
     def test_uncertifiable_cutoff_names_the_squeezing(self):
-        with pytest.raises(ValueError, match=r"r = 5\.5 \(nbar = 1\.497e\+04\)"):
+        with pytest.raises(ValueError, match=r"^no cutoff below MAX_CUTOFF = 400000 .* r = 5\.5 \(nbar = 1\.497e\+04\)"):
             recommend_cutoff(SqueezeParameter(5.5), 1e-12)
+
+    def test_a_cutoff_past_the_cap_is_refused_by_name(self):
+        # 10**15 once met numpy's bare MemoryError and 2**70 its "Maximum allowed size exceeded"
+        assert len(squeezed_vacuum_amplitudes(SQ_UNIT, MAX_CUTOFF)) == MAX_CUTOFF // 2 + 1
+        for cutoff in (MAX_CUTOFF + 2, 10 ** 15, 2 ** 70):
+            with pytest.raises(ValueError, match=f"^cutoff must be even and at most MAX_CUTOFF = {MAX_CUTOFF}, got {cutoff}$"):
+                squeezed_vacuum_amplitudes(SQ_UNIT, cutoff)
 
     @pytest.mark.parametrize("tail", [math.ulp(0.0), 1e-16, 1.0])
     @pytest.mark.parametrize("power", range(MAX_SERIES_ORDER + 1))
@@ -235,47 +243,45 @@ class TestPropagation:
                 assert np.array_equal(table, reference)
 
     def test_rejects_unnormalized_weights(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12, got sum 0\.81"):
-            survival_probability(amps, [0.81, 0.0], [0.0, 0.0])
+            survival_probability([0.81, 0.0], [0.0, 0.0], SQ_UNIT, 4)
 
     def test_rejects_nan_weights(self):
         # a NaN weight once passed the norm check, and the table read tail 0.0
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
         with pytest.raises(ValueError, match="^weights must be finite$"):
-            survival_probability(amps, [1.0, math.nan], [0.0, 0.0])
+            survival_probability([1.0, math.nan], [0.0, 0.0], SQ_UNIT, 4)
 
     def test_a_network_matrix_is_refused_as_weights(self):
         # the route takes the weights, not the network whose first column they square
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
         with pytest.raises(ValueError, match=re.escape("weights must be a non-empty vector, got shape (2, 2)")):
-            survival_probability(amps, np.eye(2), [0.0, 0.0])
+            survival_probability(np.eye(2), [0.0, 0.0], SQ_UNIT, 4)
 
     def test_modes_and_tail_are_read_off_the_arrays(self):
-        amps = squeezed_vacuum_amplitudes(SqueezeParameter(1.2), 10)
+        squeeze = SqueezeParameter(1.2)
+        amps = squeezed_vacuum_amplitudes(squeeze, 10)
         weights = [0.25, 0.5, 0.25]
         occupations, table = _amplitude_table(amps, weights)
         assert occupations.shape[1] == 3
         tail = 1.0 - float(np.sum(np.abs(table) ** 2))
         assert tail > MAX_TABLE_TAIL
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(f'{tail:.3e}')} beyond"):
-            survival_probability(amps, weights, [0.0, 0.0, 0.0])
+            survival_probability(weights, [0.0, 0.0, 0.0], squeeze, 10)
 
     def test_caller_arrays_stay_writable_and_detached(self):
-        amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.5, 1.0), 24)
+        squeeze = SqueezeParameter(0.5, 1.0)
         weights, phases = np.array([0.25, 0.75]), np.array([0.1, -0.2])
-        inputs = (amps, weights, phases)
-        copies = [array.copy() for array in inputs]
-        for route in (survival_probability, survival_probability_sectors):
-            route(*inputs)
-        generator_moments_sectors(*inputs)
-        occupations, table = _amplitude_table(amps, weights)
-        for array, copy in zip(inputs, copies):
+        copies = [weights.copy(), phases.copy()]
+        for route in (survival_probability, survival_probability_sectors, generator_moments_sectors):
+            route(weights, phases, squeeze, 24)
+        for array, copy in zip((weights, phases), copies):
             assert array.flags.writeable
             assert np.array_equal(array, copy)
+        amps = squeezed_vacuum_amplitudes(squeeze, 24)
+        occupations, table = _amplitude_table(amps, weights)
+        first = amps[0]
         assert not np.shares_memory(table, amps)
         amps[0] = 0.0
-        assert table[0] == copies[0][0]
+        assert table[0] == first
 
     @pytest.mark.parametrize(
         "route",
@@ -283,38 +289,27 @@ class TestPropagation:
         ids=["table", "sectors", "moments"],
     )
     @pytest.mark.parametrize(
-        "amplitudes, weights, phases, message",
+        "weights, phases, message",
         [
-            (None, [0.5, 0.5], [0.1], r"expected 2 phases, got shape \(1,\)"),
-            (None, [0.5, 0.5], [0.1, 0.2, 0.3], r"expected 2 phases, got shape \(3,\)"),
-            (None, [0.5, 0.5], [[0.1, 0.2]], r"expected 2 phases, got shape \(1, 2\)"),
-            (None, [], [], r"weights must be a non-empty vector, got shape \(0,\)"),
-            ([[0.3 ** 0.5], [0.2 ** 0.5]], [1.0], [0.3], r"amplitudes must be a non-empty vector, got shape \(2, 1\)"),
-            ([], [1.0], [0.3], r"amplitudes must be a non-empty vector, got shape \(0,\)"),
-            (1.0, [1.0], [0.3], r"amplitudes must be a non-empty vector, got shape \(\)"),
+            ([0.5, 0.5], [0.1], r"expected 2 phases, got shape \(1,\)"),
+            ([0.5, 0.5], [0.1, 0.2, 0.3], r"expected 2 phases, got shape \(3,\)"),
+            ([0.5, 0.5], [[0.1, 0.2]], r"expected 2 phases, got shape \(1, 2\)"),
+            ([], [], r"weights must be a non-empty vector, got shape \(0,\)"),
         ],
-        ids=["short-phases", "long-phases", "2-d-phases", "no-modes", "2-d-amplitudes", "no-amplitudes",
-             "scalar-amplitudes"],
+        ids=["short-phases", "long-phases", "2-d-phases", "no-modes"],
     )
-    def test_arrays_that_do_not_pair_are_refused(self, route, amplitudes, weights, phases, message):
-        # a (2, 1) ladder once broadcast against the sector arrays: both
-        # routes read 0.91267, and the same entries as a vector 0.22904 or a
-        # refused tail; an empty ladder read 0.0 on the sector route
-        if amplitudes is None:
-            amplitudes = squeezed_vacuum_amplitudes(SQ_UNIT, 20)
+    def test_arrays_that_do_not_pair_are_refused(self, route, weights, phases, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            route(amplitudes, weights, phases)
+            route(weights, phases, SQ_UNIT, 20)
 
 
 class TestSurvivalProbability:
     def test_zero_phases_is_unity_up_to_tail(self):
-        amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.6), 30)
-        assert survival_probability(amps, [0.4, 0.6], [0.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+        assert survival_probability([0.4, 0.6], [0.0, 0.0], SqueezeParameter(0.6), 30) == pytest.approx(1.0, abs=1e-9)
 
     def test_spot_value_at_cutoff_forty(self):
         # frozen closed-form value 0.962369108664265; cutoff 40 leaves ~6e-8
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 40)
-        assert survival_probability(amps, [1.0], [0.1]) == pytest.approx(
+        assert survival_probability([1.0], [0.1], SQ_UNIT, 40) == pytest.approx(
             0.962369108664265, abs=1e-7
         )
 
@@ -325,50 +320,43 @@ class TestSurvivalProbability:
             phases = rng.uniform(-1.0, 1.0, size=modes)
             squeeze = SqueezeParameter(rng.uniform(0.1, 0.8), rng.uniform(0, 6))
             cutoff = recommend_cutoff(squeeze, 1e-10)
-            amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-            assert survival_probability(amps, weights, phases) == pytest.approx(
-                survival_probability_sectors(amps, weights, phases), abs=1e-12
+            assert survival_probability(weights, phases, squeeze, cutoff) == pytest.approx(
+                survival_probability_sectors(weights, phases, squeeze, cutoff), abs=1e-12
             )
 
     def test_truncation_error_raised(self):
-        squeeze = SqueezeParameter(1.2)
-        amps = squeezed_vacuum_amplitudes(squeeze, 10)  # tail far above 1e-6
+        # cutoff 10 leaves a tail far above 1e-6
         with pytest.raises(TruncationError):
-            survival_probability(amps, [1.0], [0.1])
+            survival_probability([1.0], [0.1], SqueezeParameter(1.2), 10)
 
-    @pytest.mark.parametrize(
-        "amplitudes, tail",
-        [([math.nan], "nan"), ([2.0], "-3.000e+00"), ([1.0, math.inf], "nan"), ([0.5, 0.5], "5.000e-01")],
-        ids=["nan", "over-full", "inf", "under-resolved"],
-    )
-    def test_one_tail_rule_refuses_every_bad_table(self, amplitudes, tail):
+    def test_one_tail_rule_refuses_an_under_resolved_table(self):
         # |1 - sum |a|^2| <= MAX_TABLE_TAIL: a stored tail once could be set
-        # against the arrays, and an over-full table read 1.0.  At one mode
-        # the table is the ladder times real factors of 1; an infinite entry
-        # times a complex 1 + 0j is inf + nan j, and once more NaN
+        # against the arrays.  At one mode and cutoff 0 the table is the
+        # vacuum amplitude alone, whose probability is 1 / cosh(r)
+        tail = f"{1.0 - 1.0 / math.cosh(1.2):.3e}"
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(tail)} beyond \\+-MAX_TABLE_TAIL"):
-            survival_probability(amplitudes, [1.0], [0.0])
+            survival_probability([1.0], [0.0], SqueezeParameter(1.2), 0)
 
-    def test_a_tail_within_the_bound_either_side_is_accepted(self):
-        for excess in (-MAX_TABLE_TAIL / 2, MAX_TABLE_TAIL / 2):
-            assert survival_probability([math.sqrt(1.0 - excess)], [1.0], [0.3]) == pytest.approx(1.0, abs=1e-5)
-
-    def test_nan_amplitude_gives_a_nan_tail(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        amps[1] = math.nan
-        with pytest.raises(TruncationError, match="^table tail nan beyond"):
-            survival_probability(amps, [1.0], [0.1])
+    def test_a_tail_within_the_bound_is_accepted(self):
+        # the first cutoff whose ladder misses at most MAX_TABLE_TAIL passes,
+        # and the one below it is refused
+        squeeze = SqueezeParameter(0.9)
+        probs = np.abs(squeezed_vacuum_amplitudes(squeeze, 200)) ** 2
+        tails = 1.0 - np.cumsum(probs)
+        cutoff = 2 * int(np.argmax(tails <= MAX_TABLE_TAIL))
+        assert 0.0 < tails[cutoff // 2] <= MAX_TABLE_TAIL < tails[cutoff // 2 - 1]
+        assert survival_probability([0.5, 0.5], [0.0, 0.0], squeeze, cutoff) == pytest.approx(1.0, abs=1e-5)
+        with pytest.raises(TruncationError):
+            survival_probability([0.5, 0.5], [0.0, 0.0], squeeze, cutoff - 2)
 
     def test_phase_length_checked(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 6)
         with pytest.raises(ValueError):
-            survival_probability(amps, [1.0, 0.0], [0.1])
+            survival_probability([1.0, 0.0], [0.1], SQ_UNIT, 6)
 
 
 class TestGeneratorMoments:
     def test_zero_phases(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, recommend_cutoff(SQ_UNIT, 1e-13))
-        series = generator_moments_sectors(amps, [1.0], [0.0], max_order=6)
+        series = generator_moments_sectors([1.0], [0.0], SQ_UNIT, recommend_cutoff(SQ_UNIT, 1e-13), max_order=6)
         assert series.moments[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(series.moments[1:], 0.0, atol=1e-15)
         assert series.terms[0] == pytest.approx(1.0, abs=1e-12)
@@ -377,8 +365,7 @@ class TestGeneratorMoments:
     def test_weighted_mean_generator(self):
         # first moment is the weighted phase average times the photon number
         cutoff = recommend_cutoff(SQ_UNIT, 1e-13, moment_power=2)
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, cutoff)
-        series = generator_moments_sectors(amps, [0.25, 0.75], [0.2, 0.0], max_order=2)
+        series = generator_moments_sectors([0.25, 0.75], [0.2, 0.0], SQ_UNIT, cutoff, max_order=2)
         assert series.moments[1] == pytest.approx(0.05, abs=1e-10)
         assert series.terms[2] == pytest.approx(0.035, abs=1e-10)
 
@@ -392,7 +379,7 @@ class TestGeneratorMoments:
         # the table route: plain diagonal sums over the explicit amplitude table
         generator = occupations @ phases
         from_table = [float(np.abs(table) ** 2 @ generator ** k) for k in range(5)]
-        from_sectors = generator_moments_sectors(amps, weights, phases, max_order=4)
+        from_sectors = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=4)
         assert np.allclose(from_table, from_sectors.moments, atol=1e-11)
 
     def test_multinomial_moments_against_enumeration(self, rng):
@@ -419,8 +406,7 @@ class TestGeneratorMoments:
             phases = rng.uniform(-0.3, 0.3, size=modes)
             squeeze = SqueezeParameter(rng.uniform(0.05, 1.2), rng.uniform(0, 6))
             cutoff = recommend_cutoff(squeeze, 1e-13, moment_power=8)
-            amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-            series = generator_moments_sectors(amps, weights, phases, max_order=8)
+            series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=8)
             assert np.max(np.abs(series.terms[1::2])) <= 1e-10
 
     def test_moment_operator_bound(self, rng):
@@ -431,10 +417,9 @@ class TestGeneratorMoments:
             phases = rng.uniform(-0.8, 0.8, size=modes)
             squeeze = SqueezeParameter(rng.uniform(0.1, 1.0))
             cutoff = recommend_cutoff(squeeze, 1e-13, moment_power=4)
-            amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-            probs = np.abs(amps) ** 2
+            probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
             totals = 2.0 * np.arange(len(probs))
-            series = generator_moments_sectors(amps, weights, phases, max_order=4)
+            series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=4)
             phi_max = float(np.max(np.abs(phases)))
             for k in range(1, 5):
                 bound = phi_max ** k * float(probs @ totals ** k)
@@ -444,10 +429,9 @@ class TestGeneratorMoments:
         weights = np.array([0.3, 0.7])
         squeeze = SqueezeParameter(0.8)
         cutoff = recommend_cutoff(squeeze, 1e-14, moment_power=8)
-        amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
         phases = np.array([0.03, 0.01])
-        exact = survival_probability_sectors(amps, weights, phases)
-        series = generator_moments_sectors(amps, weights, phases, max_order=6)
+        exact = survival_probability_sectors(weights, phases, squeeze, cutoff)
+        series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=6)
         errors = [
             abs(series_partial_sum(series.terms, order) - exact) for order in (0, 2, 4, 6)
         ]
@@ -455,9 +439,8 @@ class TestGeneratorMoments:
         assert errors[-1] < 1e-10
 
     def test_order_cap_enforced(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         with pytest.raises(ValueError):
-            generator_moments_sectors(amps, [1.0], [0.1], max_order=9)
+            generator_moments_sectors([1.0], [0.1], SQ_UNIT, 10, max_order=9)
 
     @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, 0.5 + 5e-11]])
     @pytest.mark.parametrize(
@@ -466,34 +449,22 @@ class TestGeneratorMoments:
     def test_sector_routes_reject_bad_weights(self, route, weights):
         # same check as network.validate_weights: NaN and a sum off by more
         # than 1e-12 both raise instead of returning a number
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         with pytest.raises(ValueError, match="weights must"):
-            route(amps, weights, [0.1, 0.0])
-
-    @pytest.mark.parametrize(
-        "amplitudes, total",
-        [([1.0, math.nan], "nan"), ([2.0, 1.0], "5.0"), ([1.0, math.inf], "inf")],
-        ids=["nan", "over-full", "inf"],
-    )
-    @pytest.mark.parametrize("route", [survival_probability_sectors, generator_moments_sectors])
-    def test_sector_routes_reject_bad_amplitudes(self, route, amplitudes, total):
-        # the first two once returned nan and 1.0, and the moments of the
-        # second summed to 5.0
-        message = rf"^amplitudes' probabilities must be finite and sum to at most 1 \+ MAX_TABLE_TAIL .* got sum {total}$"
-        with pytest.raises(ValueError, match=message):
-            route(amplitudes, [1.0], [0.1])
+            route(weights, [0.1, 0.0], SQ_UNIT, 10)
 
     @pytest.mark.parametrize("route", [survival_probability_sectors, generator_moments_sectors])
     def test_sector_routes_take_truncated_amplitudes(self, route):
-        # a fixed cutoff far below the certified one leaves weight out, and
-        # rounding may overfill a ladder by less than MAX_TABLE_TAIL: both pass
-        amps = squeezed_vacuum_amplitudes(SqueezeParameter(1.2), 4)
-        assert float(np.sum(np.abs(amps) ** 2)) < 0.9
-        route(amps, [1.0], [0.1])
-        route([math.sqrt(1.0 + MAX_TABLE_TAIL / 2)], [1.0], [0.1])
+        # a fixed cutoff far below the certified one leaves weight out, and passes
+        squeeze = SqueezeParameter(1.2)
+        assert float(np.sum(np.abs(squeezed_vacuum_amplitudes(squeeze, 4)) ** 2)) < 0.9
+        route([1.0], [0.1], squeeze, 4)
 
 
-AMPS_UNIT = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
+FOCK_ROUTES = {
+    "table": survival_probability,
+    "sectors": survival_probability_sectors,
+    "moments": generator_moments_sectors,
+}
 
 
 @pytest.mark.parametrize(
@@ -502,6 +473,17 @@ AMPS_UNIT = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, 2.0), id="amplitudes-2.0"),
         pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, True), id="amplitudes-True"),
         pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, -2), id="amplitudes-neg"),
+        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, 10 ** 15), id="amplitudes-huge"),
+        *[
+            pytest.param("cutoff", lambda route=route, cutoff=cutoff: route([1.0], [0.1], SQ_UNIT, cutoff),
+                         id=f"{label}-cutoff-{cutoff_id}")
+            for label, route in FOCK_ROUTES.items()
+            for cutoff_id, cutoff in [("odd", 7), ("neg", -2), ("2.0", 2.0), ("True", True), ("huge", 10 ** 15)]
+        ],
+        *[
+            pytest.param("squeeze", lambda route=route: route([1.0], [0.1], 0.5, 10), id=f"{label}-squeeze-float")
+            for label, route in FOCK_ROUTES.items()
+        ],
         pytest.param("tail_bound", lambda: recommend_cutoff(SQ_UNIT, 0.0), id="tail-0"),
         pytest.param("tail_bound", lambda: recommend_cutoff(SQ_UNIT, math.nan), id="tail-nan"),
         pytest.param("tail_bound", lambda: recommend_cutoff(SQ_UNIT, "1e-10"), id="tail-str"),
@@ -510,7 +492,7 @@ AMPS_UNIT = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
         pytest.param("moment_power", lambda: recommend_cutoff(SQ_UNIT, 1e-10, 1.5), id="power-1.5"),
         pytest.param(
             "max_order",
-            lambda: generator_moments_sectors(AMPS_UNIT, [1.0], [0.1], max_order=2.5),
+            lambda: generator_moments_sectors([1.0], [0.1], SQ_UNIT, 10, max_order=2.5),
             id="order-2.5",
         ),
         pytest.param("max_term", lambda: series_partial_sum(np.ones(5), -2), id="term-neg"),

@@ -120,10 +120,8 @@ class TestAnalyticFormulas:
             analytic = generator_variance(
                 phase_moments(weights, phases), photon_moments(probe)
             )
-            amps = squeezed_vacuum_amplitudes(
-                squeeze, recommend_cutoff(squeeze, 1e-14, moment_power=2)
-            )
-            series = generator_moments_sectors(amps, weights, phases, max_order=2)
+            cutoff = recommend_cutoff(squeeze, 1e-14, moment_power=2)
+            series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=2)
             oracle = series.moments[2] - series.moments[1] ** 2
             assert analytic == pytest.approx(oracle, abs=1e-9)
 

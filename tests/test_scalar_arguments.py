@@ -69,11 +69,10 @@ def _sweep(nbar=2.0, shots=10 ** 5, repetitions=10, seed=1, bias_product=0.05):
 
 
 SQUEEZE = SqueezeParameter(0.5)
-AMPS = fock.squeezed_vacuum_amplitudes(SQUEEZE, 10)
 
 
 def _series(max_order=6):
-    return fock.generator_moments_sectors(AMPS, [0.25, 0.75], [0.1, -0.05], max_order)
+    return fock.generator_moments_sectors([0.25, 0.75], [0.1, -0.05], SQUEEZE, 10, max_order)
 
 
 # argument -> (word its refusal must contain, call with the drawn value)
