@@ -56,7 +56,7 @@ _LAG = np.subtract.outer(_ORDERS, _ORDERS).clip(0)
 
 
 class TruncationError(ValueError):
-    """Raised when a table's tail ``1 - sum |a|^2`` is not within ``MAX_TABLE_TAIL`` of 0."""
+    """Raised when a table's tail ``1 - sum |a|^2`` is not a number within ``MAX_TABLE_TAIL`` of 0."""
 
 
 def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
@@ -194,14 +194,16 @@ def survival_probability(weights, phases, squeeze: SqueezeParameter, cutoff: int
         ValueError: on weights, phases, squeeze or cutoff refused by their
             validators, in that order.
         TruncationError: unless the table's tail ``1 - sum |a|^2`` lies within
-            ``MAX_TABLE_TAIL`` of 0, which a cutoff too small for the squeezer fails.
+            ``MAX_TABLE_TAIL`` of 0, which a cutoff too small for the squeezer
+            fails, as does a NaN tail: at large cutoffs (2200 at two equal
+            weights) an overflowed multinomial factor meets an underflowed one.
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
     occupations, table = _amplitude_table(squeezed_vacuum_amplitudes(squeeze, cutoff), w)
     probs = np.abs(table) ** 2
     tail = 1.0 - float(np.sum(probs))
-    if abs(tail) > MAX_TABLE_TAIL:
+    if not abs(tail) <= MAX_TABLE_TAIL:
         raise TruncationError(f"table tail {tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
     value = abs(np.sum(probs * np.exp(-1j * (occupations @ phases)))) ** 2
     return min(float(value), 1.0)

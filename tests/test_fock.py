@@ -337,6 +337,14 @@ class TestSurvivalProbability:
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(tail)} beyond \\+-MAX_TABLE_TAIL"):
             survival_probability([1.0], [0.0], SqueezeParameter(1.2), 0)
 
+    def test_a_nan_tail_is_refused(self):
+        # past cutoff 2056 at two equal weights the root-multinomial
+        # overflows to inf; past 2148 the column product, and here the
+        # ladder entry, underflow to 0, so a row is inf * 0 = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TruncationError, match=r"^table tail nan beyond \+-MAX_TABLE_TAIL"):
+                survival_probability([0.5, 0.5], [0.0, 0.0], SqueezeParameter(0.5), 2200)
+
     def test_a_tail_within_the_bound_is_accepted(self):
         # the first cutoff whose ladder misses at most MAX_TABLE_TAIL passes,
         # and the one below it is refused
@@ -473,7 +481,6 @@ FOCK_ROUTES = {
         pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, 2.0), id="amplitudes-2.0"),
         pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, True), id="amplitudes-True"),
         pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, -2), id="amplitudes-neg"),
-        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, 10 ** 15), id="amplitudes-huge"),
         *[
             pytest.param("cutoff", lambda route=route, cutoff=cutoff: route([1.0], [0.1], SQ_UNIT, cutoff),
                          id=f"{label}-cutoff-{cutoff_id}")
