@@ -7,11 +7,11 @@ provides two interchangeable evaluation routes, which take the same
 arguments (the weights, the phases, the squeezer and a cutoff) and build
 the squeezer's single-mode ladder themselves:
 
-* an explicit truncated occupation table (`survival_probability`), which
-  the route builds from the ladder and the weights as whole arrays (every
-  occupation tuple of every even sector at once),
-  used for moderate cutoffs and as the ground truth for the per-sector
-  bookkeeping; and
+* an explicit truncated table of occupation probabilities
+  (`survival_probability`), which the route builds from the ladder's
+  probabilities and the weights as whole arrays (every occupation tuple of
+  every even sector at once, at most `MAX_TABLE_ROWS` rows), used for
+  moderate cutoffs and as the ground truth for the per-sector bookkeeping; and
 * per-sector resummation (`survival_probability_sectors`,
   `generator_moments_sectors`), which evaluates the same diagonal sums by
   collapsing each fixed-photon-number sector with exact combinatorics.
@@ -39,6 +39,10 @@ MAX_SERIES_ORDER = 8
 MAX_TABLE_TAIL = 1e-6
 # largest cutoff of any ladder: 200001 complex amplitudes (3.2 MB), enough to certify a 1e-12 tail at r = 5
 MAX_CUTOFF = 400_000
+# largest occupation table survival_probability builds.  Its peak memory is
+# 20 to 35 bytes per row and mode: 160 MiB at two modes (cutoff 2894, which
+# takes about 0.3 s), 460 MiB at twelve
+MAX_TABLE_ROWS = 2 ** 21
 # largest cutoff mach_zehnder_factorization_residual accepts.  Its cache holds
 # one entry per sector, shared by every cutoff: two complex (t + 1) x (t + 1)
 # matrices and t + 1 eigenvalues, about 0.4 MB for all 33 sectors at this bound;
@@ -56,7 +60,7 @@ _LAG = np.subtract.outer(_ORDERS, _ORDERS).clip(0)
 
 
 class TruncationError(ValueError):
-    """Raised when a table's tail ``1 - sum |a|^2`` is not a number within ``MAX_TABLE_TAIL`` of 0."""
+    """Raised when a table's tail ``1 - sum p`` is not a number within ``MAX_TABLE_TAIL`` of 0."""
 
 
 def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
@@ -143,69 +147,61 @@ def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     return np.column_stack([occupations, left])
 
 
-def _amplitude_table(amplitudes, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distribute single-mode amplitudes over the weight network's output modes.
+def _probability_table(ladder_probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(K, M)`` occupations of every even sector and their ``(K,)`` probabilities.
 
-    Only input mode 0 is populated, so only the network's first column,
-    ``sqrt(weights)``, matters: the ``2n``-photon component maps onto every
-    occupation tuple of total ``2n`` with the multinomial square-root weight
-    times the product of column entries raised to the occupations.  The table
-    is built as whole arrays: one ``(K, M)`` occupation array holding every
-    even sector in turn, then the root-multinomials from a log-factorial
-    table and the column products row by row, each factor looked up in a
-    table of every column entry's powers up to the cutoff.
-
-    Args:
-        amplitudes: output of :func:`squeezed_vacuum_amplitudes`.
-        weights: the probability weights, already checked by
-            :func:`network.validate_weights`.
-
-    Returns:
-        The ``(K, M)`` occupations and their ``(K,)`` amplitudes.
+    Only input mode 0 is populated, so the ladder's ``t``-photon probability
+    spreads multinomially over the weights (positive, and already checked):
+    ``p[n] = ladder_probs[t/2] exp(lgamma(t+1) - sum_j lgamma(n_j+1) + n . log w)``.
+    The exponent is a log-probability, at most 0 up to rounding, so no factor
+    overflows at any cutoff.  A table of more than ``MAX_TABLE_ROWS`` rows is
+    refused with a ``ValueError`` before it is allocated.
     """
-    column = np.sqrt(weights)
-    modes = column.size
-    cutoff = 2 * (len(amplitudes) - 1)
-
+    modes = weights.size
+    cutoff = 2 * (len(ladder_probs) - 1)
+    rows = 0
+    for total in range(0, cutoff + 1, 2):
+        rows += math.comb(total + modes - 1, modes - 1)
+        if rows > MAX_TABLE_ROWS:
+            raise ValueError(
+                f"cutoff {cutoff} at {modes} modes of nonzero weight needs more than "
+                f"MAX_TABLE_ROWS = {MAX_TABLE_ROWS} table rows"
+            )
     lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
     occupations = _occupation_rows(modes, np.arange(0, cutoff + 1, 2))
     totals = occupations.sum(axis=1)
-    root_multinomial = np.exp(0.5 * (lgamma[totals] - lgamma[occupations].sum(axis=1)))
-    # row j of powers holds column[j] ** 0..cutoff: the same pow as column ** occupations
-    powers = column[:, None] ** np.arange(cutoff + 1)
-    amps = (
-        amplitudes[totals // 2]
-        * root_multinomial
-        * np.prod(powers[np.arange(modes), occupations], axis=1)
-    )
-    return occupations, amps
+    log_multinomial = lgamma[totals] - lgamma[occupations].sum(axis=1)
+    probs = ladder_probs[totals // 2] * np.exp(log_multinomial + occupations @ np.log(weights))
+    return occupations, probs
 
 
 def survival_probability(weights, phases, squeeze: SqueezeParameter, cutoff: int) -> float:
     """Survival probability from the explicit occupation table.
 
-    The table is built from the squeezer's ladder at ``cutoff`` and the
-    weights (:func:`_amplitude_table`).  Phase shifts are diagonal there, so
-    this is the squared modulus of the probability-weighted sum of
+    The table holds the probability of every occupation up to ``cutoff``
+    (:func:`_probability_table`), over the modes of nonzero weight; a mode of
+    weight 0 holds no photons.  Phase shifts are diagonal there, so this is
+    the squared modulus of the probability-weighted sum of
     ``exp(-i n . phi)`` over the table.  Same arguments as
     :func:`survival_probability_sectors`.
 
     Raises:
         ValueError: on weights, phases, squeeze or cutoff refused by their
-            validators, in that order.
-        TruncationError: unless the table's tail ``1 - sum |a|^2`` lies within
-            ``MAX_TABLE_TAIL`` of 0, which a cutoff too small for the squeezer
-            fails, as does a NaN tail: at large cutoffs (2200 at two equal
-            weights) an overflowed multinomial factor meets an underflowed one.
+            validators, in that order; or if the table would have more than
+            ``MAX_TABLE_ROWS`` rows.
+        TruncationError: unless the table's tail ``1 - sum p`` lies within
+            ``MAX_TABLE_TAIL`` of 0, which a cutoff too small for the
+            squeezer fails.
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    occupations, table = _amplitude_table(squeezed_vacuum_amplitudes(squeeze, cutoff), w)
-    probs = np.abs(table) ** 2
+    kept = w > 0
+    ladder_probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
+    occupations, probs = _probability_table(ladder_probs, w[kept])
     tail = 1.0 - float(np.sum(probs))
     if not abs(tail) <= MAX_TABLE_TAIL:
         raise TruncationError(f"table tail {tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
-    value = abs(np.sum(probs * np.exp(-1j * (occupations @ phases)))) ** 2
+    value = abs(np.sum(probs * np.exp(-1j * (occupations @ phases[kept])))) ** 2
     return min(float(value), 1.0)
 
 

@@ -99,7 +99,7 @@ def check_cross_engine(seed: int) -> CheckResult:
 
 
 def check_table_route(seed: int) -> CheckResult:
-    """Explicit amplitude table vs sector resummation at moderate cutoffs."""
+    """Explicit occupation-probability table vs sector resummation at moderate cutoffs."""
     gaps = []
     for weights, phases, squeeze in _random_cases(_stream(seed, 1), 5, max_modes=3, max_r=0.8):
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=TABLE_ROUTE_TAIL)

@@ -1,10 +1,14 @@
 import cmath
 import math
 import re
+import time
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqzmet import (
     SqueezeParameter,
@@ -22,8 +26,9 @@ from sqzmet.fock import (
     MAX_CUTOFF,
     MAX_MZ_CUTOFF,
     MAX_SERIES_ORDER,
+    MAX_TABLE_ROWS,
     MAX_TABLE_TAIL,
-    _amplitude_table,
+    _probability_table,
     _multinomial_weighted_moments,
     _sector_generators,
     _sector_operators,
@@ -68,19 +73,41 @@ def squeezed_amplitudes_closed_form(r, theta, cutoff):
     ])
 
 
-def propagate_by_enumeration(amplitudes, weights):
-    """One occupation tuple at a time, as ``itertools`` enumerates them; the slow oracle."""
-    column = np.sqrt(weights)
-    modes = column.size
-    lgamma = [math.lgamma(k + 1) for k in range(2 * len(amplitudes) - 1)]
-    occ_rows, amp_rows = [], []
-    for half, amp in enumerate(amplitudes):
+def propagate_by_enumeration(ladder_probs, weights):
+    """One occupation tuple at a time, as ``itertools`` enumerates them; the slow oracle.
+
+    Each probability is the ladder's times the multinomial coefficient, an
+    exact integer, times the weights' powers, over every mode.
+    """
+    modes = len(weights)
+    occ_rows, prob_rows = [], []
+    for half, ladder_prob in enumerate(ladder_probs):
         for combo in combinations_with_replacement(range(modes), 2 * half):
             occ = np.bincount(combo, minlength=modes)
-            root = math.exp(0.5 * (lgamma[2 * half] - sum(lgamma[k] for k in occ)))
+            multinomial = math.factorial(2 * half) // math.prod(math.factorial(k) for k in occ)
             occ_rows.append(occ)
-            amp_rows.append(amp * root * np.prod(column ** occ))
-    return np.array(occ_rows, dtype=np.int64), np.array(amp_rows, dtype=complex)
+            prob_rows.append(ladder_prob * multinomial * math.prod(w ** k for w, k in zip(weights, occ)))
+    return np.array(occ_rows, dtype=np.int64), np.array(prob_rows)
+
+
+def table_rows(modes, cutoff):
+    """Rows of the occupation table: every tuple of every even total up to ``cutoff``."""
+    return sum(math.comb(total + modes - 1, modes - 1) for total in range(0, cutoff + 1, 2))
+
+
+@lru_cache
+def last_cutoff_within_the_cap(modes):
+    """Largest even cutoff whose table has at most ``MAX_TABLE_ROWS`` rows; rows grow with the cutoff."""
+    rows = 0
+    for total in range(0, MAX_CUTOFF + 1, 2):
+        rows += math.comb(total + modes - 1, modes - 1)
+        if rows > MAX_TABLE_ROWS:
+            return total - 2
+    return MAX_CUTOFF
+
+
+def ladder_probabilities(squeeze, cutoff):
+    return np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
 
 
 def mz_residual_by_sector(phi1, phi2, cutoff, norm="fro"):
@@ -174,73 +201,101 @@ class TestAmplitudes:
 
 class TestPropagation:
     def test_identity_network_occupies_first_mode(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 8)
-        occupations, table = _amplitude_table(amps, [1.0, 0.0, 0.0])
-        populated = occupations[np.abs(table) > 0]
-        assert np.all(populated[:, 1:] == 0)
-        assert np.all(populated[:, 0] % 2 == 0)
+        # a mode of weight 0 gets no column, so its phase cannot matter
+        ladder = ladder_probabilities(SQ_UNIT, 8)
+        occupations, probs = _probability_table(ladder, np.array([1.0]))
+        np.testing.assert_array_equal(occupations, np.arange(0, 9, 2)[:, None])
+        np.testing.assert_array_equal(probs, ladder)
+        assert survival_probability([1.0, 0.0, 0.0], [0.1, 2.0, -3.0], SQ_UNIT, 40) == (
+            survival_probability([1.0], [0.1], SQ_UNIT, 40)
+        )
 
     def test_balanced_two_photon_sector(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 4)
-        occupations, table = _amplitude_table(amps, [0.5, 0.5])
-        pair_prob = abs(amps[1]) ** 2
-        probs = dict(zip(map(tuple, occupations.tolist()), np.abs(table) ** 2))
-        assert probs[(2, 0)] == pytest.approx(0.25 * pair_prob, rel=1e-12)
-        assert probs[(1, 1)] == pytest.approx(0.50 * pair_prob, rel=1e-12)
-        assert probs[(0, 2)] == pytest.approx(0.25 * pair_prob, rel=1e-12)
+        ladder = ladder_probabilities(SQ_UNIT, 4)
+        occupations, table = _probability_table(ladder, np.array([0.5, 0.5]))
+        probs = dict(zip(map(tuple, occupations.tolist()), table))
+        assert probs[(2, 0)] == pytest.approx(0.25 * ladder[1], rel=1e-12)
+        assert probs[(1, 1)] == pytest.approx(0.50 * ladder[1], rel=1e-12)
+        assert probs[(0, 2)] == pytest.approx(0.25 * ladder[1], rel=1e-12)
         assert (1, 0) not in probs
 
     def test_sector_norms_preserved(self, rng):
-        squeeze = SqueezeParameter(0.7, 2.0)
-        amps = squeezed_vacuum_amplitudes(squeeze, 20)
-        occupations, table = _amplitude_table(amps, random_weights(rng, 4))
+        ladder = ladder_probabilities(SqueezeParameter(0.7, 2.0), 20)
+        occupations, probs = _probability_table(ladder, random_weights(rng, 4))
         totals = occupations.sum(axis=1)
-        probs = np.abs(table) ** 2
-        for half, amp in enumerate(amps):
+        for half, ladder_prob in enumerate(ladder):
             sector = float(probs[totals == 2 * half].sum())
-            assert sector == pytest.approx(abs(amp) ** 2, abs=1e-12)
+            assert sector == pytest.approx(ladder_prob, abs=1e-12)
 
     def test_only_even_sectors_materialized(self, rng):
-        amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.5), 12)
-        occupations, _ = _amplitude_table(amps, [0.5, 0.5])
+        ladder = ladder_probabilities(SqueezeParameter(0.5), 12)
+        occupations, _ = _probability_table(ladder, np.array([0.5, 0.5]))
         assert np.all(occupations.sum(axis=1) % 2 == 0)
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
     def test_table_matches_tuple_enumeration(self, rng, modes):
         squeeze = SqueezeParameter(0.6, 1.1)
-        for weights in (np.eye(modes)[0], random_weights(rng, modes)):
-            for cutoff in range(0, 21, 2):
-                amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-                table_occupations, table = _amplitude_table(amps, weights)
-                occupations, amplitudes = propagate_by_enumeration(amps, weights)
-                assert table_occupations.dtype == np.int64
-                np.testing.assert_array_equal(table_occupations, occupations)
-                np.testing.assert_allclose(table, amplitudes, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
-    def test_power_table_matches_elementwise_powers(self, modes):
-        # weight vectors, one with a zero entry, up to r = 1.2 (the tail is
-        # irrelevant here): the looked-up powers must be the very bits of
-        # sqrt(weights) ** occupations
-        weights = random_weights(np.random.default_rng(modes), modes)
-        weight_sets = [weights]
+        weight_sets = [np.eye(modes)[0], random_weights(rng, modes)]
         if modes > 1:
-            zeroed = weights.copy()
+            zeroed = random_weights(rng, modes)
             zeroed[-1] = 0.0
             weight_sets.append(zeroed / zeroed.sum())
-        for w in weight_sets:
-            column = np.sqrt(w)
-            for r, cutoff in ((0.3, 12), (0.8, 24), (1.2, 24)):
-                amps = squeezed_vacuum_amplitudes(SqueezeParameter(r, 0.7), cutoff)
-                occupations, table = _amplitude_table(amps, w)
-                totals = occupations.sum(axis=1)
-                lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
-                reference = (
-                    amps[totals // 2]
-                    * np.exp(0.5 * (lgamma[totals] - lgamma[occupations].sum(axis=1)))
-                    * np.prod(column ** occupations, axis=1)
-                )
-                assert np.array_equal(table, reference)
+        for weights in weight_sets:
+            kept = weights > 0
+            for cutoff in range(0, 21, 2):
+                ladder = ladder_probabilities(squeeze, cutoff)
+                table_occupations, probs = _probability_table(ladder, weights[kept])
+                occupations, expected = propagate_by_enumeration(ladder, weights)
+                # the route drops the modes of weight 0: every row that
+                # occupies one has probability exactly 0
+                held = np.all(occupations[:, ~kept] == 0, axis=1)
+                assert np.all(expected[~held] == 0.0)
+                assert table_occupations.dtype == np.int64
+                np.testing.assert_array_equal(table_occupations, occupations[held][:, kept])
+                np.testing.assert_allclose(probs, expected[held], rtol=0, atol=1e-15)
+
+    def test_row_count_is_the_table_length(self):
+        for modes in (1, 2, 3, 4):
+            for cutoff in (0, 2, 10, 24):
+                ladder = ladder_probabilities(SQ_UNIT, cutoff)
+                occupations, _ = _probability_table(ladder, np.full(modes, 1 / modes))
+                assert len(occupations) == table_rows(modes, cutoff)
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_the_row_cap_admits_its_last_cutoff_and_refuses_the_next(self, modes):
+        cutoff = last_cutoff_within_the_cap(modes)
+        assert table_rows(modes, cutoff) <= MAX_TABLE_ROWS < table_rows(modes, cutoff + 2)
+        weights, phases = np.full(modes, 1 / modes), np.linspace(-0.2, 0.3, modes)
+        squeeze = SqueezeParameter(0.5)
+        assert survival_probability(weights, phases, squeeze, cutoff) == pytest.approx(
+            survival_probability_sectors(weights, phases, squeeze, cutoff), abs=1e-12
+        )
+        message = (
+            f"^cutoff {cutoff + 2} at {modes} modes of nonzero weight needs more than "
+            f"MAX_TABLE_ROWS = {MAX_TABLE_ROWS} table rows$"
+        )
+        with pytest.raises(ValueError, match=message):
+            survival_probability(weights, phases, squeeze, cutoff + 2)
+
+    def test_a_table_past_the_cap_is_refused_before_it_is_allocated(self):
+        # 5.3e15 rows at three modes; the peak is mostly the 200001-entry ladder
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="MAX_TABLE_ROWS"):
+                survival_probability([0.2, 0.3, 0.5], [0.0, 0.0, 0.0], SQ_UNIT, MAX_CUTOFF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert peak < 16 * 2 ** 20
+
+    def test_zero_weight_modes_add_no_rows(self):
+        # one weighted mode of three: the table is the ladder, far below the
+        # cap that three weighted modes pass at this cutoff
+        assert survival_probability([0.0, 1.0, 0.0], [0.0, 0.1, 0.0], SQ_UNIT, MAX_CUTOFF) == pytest.approx(
+            survival_probability_sectors([1.0], [0.1], SQ_UNIT, MAX_CUTOFF), abs=1e-12
+        )
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12, got sum 0\.81"):
@@ -258,11 +313,10 @@ class TestPropagation:
 
     def test_modes_and_tail_are_read_off_the_arrays(self):
         squeeze = SqueezeParameter(1.2)
-        amps = squeezed_vacuum_amplitudes(squeeze, 10)
         weights = [0.25, 0.5, 0.25]
-        occupations, table = _amplitude_table(amps, weights)
+        occupations, probs = _probability_table(ladder_probabilities(squeeze, 10), np.array(weights))
         assert occupations.shape[1] == 3
-        tail = 1.0 - float(np.sum(np.abs(table) ** 2))
+        tail = 1.0 - float(np.sum(probs))
         assert tail > MAX_TABLE_TAIL
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(f'{tail:.3e}')} beyond"):
             survival_probability(weights, [0.0, 0.0, 0.0], squeeze, 10)
@@ -276,12 +330,12 @@ class TestPropagation:
         for array, copy in zip((weights, phases), copies):
             assert array.flags.writeable
             assert np.array_equal(array, copy)
-        amps = squeezed_vacuum_amplitudes(squeeze, 24)
-        occupations, table = _amplitude_table(amps, weights)
-        first = amps[0]
-        assert not np.shares_memory(table, amps)
-        amps[0] = 0.0
-        assert table[0] == first
+        ladder = ladder_probabilities(squeeze, 24)
+        occupations, probs = _probability_table(ladder, weights)
+        first = ladder[0]
+        assert not np.shares_memory(probs, ladder)
+        ladder[0] = 0.0
+        assert probs[0] == first
 
     @pytest.mark.parametrize(
         "route",
@@ -337,13 +391,15 @@ class TestSurvivalProbability:
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(tail)} beyond \\+-MAX_TABLE_TAIL"):
             survival_probability([1.0], [0.0], SqueezeParameter(1.2), 0)
 
-    def test_a_nan_tail_is_refused(self):
-        # past cutoff 2056 at two equal weights the root-multinomial
-        # overflows to inf; past 2148 the column product, and here the
-        # ladder entry, underflow to 0, so a row is inf * 0 = NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TruncationError, match=r"^table tail nan beyond \+-MAX_TABLE_TAIL"):
-                survival_probability([0.5, 0.5], [0.0, 0.0], SqueezeParameter(0.5), 2200)
+    def test_a_large_cutoff_matches_the_sector_route(self):
+        # a table of amplitudes once overflowed here (root-multinomial inf
+        # times an underflowed column product gave a NaN tail); the log-space
+        # probabilities stay finite, and the suite turns a numpy warning into
+        # an error
+        args = ([0.5, 0.5], [0.1, -0.2], SqueezeParameter(0.5), 2200)
+        value = survival_probability(*args)
+        assert math.isfinite(value)
+        assert value == pytest.approx(survival_probability_sectors(*args), abs=1e-12)
 
     def test_a_tail_within_the_bound_is_accepted(self):
         # the first cutoff whose ladder misses at most MAX_TABLE_TAIL passes,
@@ -360,6 +416,31 @@ class TestSurvivalProbability:
     def test_phase_length_checked(self):
         with pytest.raises(ValueError):
             survival_probability([1.0, 0.0], [0.1], SQ_UNIT, 6)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        raw_weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda w: sum(w) > 0),
+        phases=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+        r=st.floats(0.0, 1.5),
+        half=st.one_of(st.integers(0, 40), st.integers(0, MAX_CUTOFF // 2)),
+    )
+    def test_the_route_answers_or_refuses_by_name(self, raw_weights, phases, r, half):
+        # a finite value within 1e-14 of the sector route (the worst gap of
+        # 2387 accepted random calls over this range was 1.0e-15), or a
+        # refusal naming MAX_TABLE_TAIL, or one naming MAX_TABLE_ROWS exactly
+        # when the table over the modes of nonzero weight is past the cap
+        weights = np.array(raw_weights) / sum(raw_weights)
+        args = (weights, phases[: weights.size], SqueezeParameter(r), 2 * half)
+        over_cap = 2 * half > last_cutoff_within_the_cap(int(np.count_nonzero(weights)))
+        try:
+            value = survival_probability(*args)
+        except TruncationError as error:
+            assert not over_cap and "MAX_TABLE_TAIL" in str(error)
+        except ValueError as error:
+            assert over_cap and "MAX_TABLE_ROWS" in str(error)
+        else:
+            assert not over_cap
+            assert abs(value - survival_probability_sectors(*args)) <= 1e-14
 
 
 class TestGeneratorMoments:
@@ -382,11 +463,10 @@ class TestGeneratorMoments:
         phases = rng.uniform(-0.5, 0.5, size=3)
         squeeze = SqueezeParameter(0.6, 1.0)
         cutoff = recommend_cutoff(squeeze, 1e-12, moment_power=4)
-        amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-        occupations, table = _amplitude_table(amps, weights)
-        # the table route: plain diagonal sums over the explicit amplitude table
+        occupations, probs = _probability_table(ladder_probabilities(squeeze, cutoff), weights)
+        # the table route: plain diagonal sums over the explicit probability table
         generator = occupations @ phases
-        from_table = [float(np.abs(table) ** 2 @ generator ** k) for k in range(5)]
+        from_table = [float(probs @ generator ** k) for k in range(5)]
         from_sectors = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=4)
         assert np.allclose(from_table, from_sectors.moments, atol=1e-11)
 

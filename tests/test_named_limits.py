@@ -1,6 +1,7 @@
 """Every tolerance and certified tail in the package has a module-level name."""
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from sqzmet import fock, metrology, validate
 from sqzmet.metrology import NBAR_MAX, NBAR_MIN, PHASE_MAX, SQUEEZE_R_MAX
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqzmet"
+README = PACKAGE.parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -103,3 +105,21 @@ def test_a_refusal_one_ulp_past_a_limit_names_its_constant(limit):
     except ValueError as error:
         # the limit itself passes the bound; a sweep may still find nothing to fit
         assert "outside" not in str(error), error
+
+
+def test_the_readme_states_the_code_constants():
+    # every `module.NAME = value` in the README, at its printed precision; a
+    # chain `module.NAME = expression = figure` is checked at its last figure
+    stated = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*) = ([^`]+)`", README.read_text())
+    assert {f"{module}.{name}" for module, name, _ in stated} >= {
+        "gaussian.SYMMETRY_TOL",
+        "metrology.ORACLE_TAIL_BOUND",
+        "metrology.SQUEEZE_R_MAX",
+        "fock.MAX_CUTOFF",
+        "fock.MAX_TABLE_ROWS",
+    }
+    for module, name, text in stated:
+        printed = text.split(" = ")[-1]
+        value = getattr(importlib.import_module(f"sqzmet.{module}"), name)
+        digits = len(printed.split("e")[0].replace(".", "").lstrip("-0"))
+        assert float(printed) == float(f"{value:.{digits}g}"), (module, name, printed)
