@@ -37,7 +37,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ["SurvivalSeries", "TruncationError", "generator_moments_sectors",
          "mach_zehnder_factorization_residual", "recommend_cutoff", "series_partial_sum",
-         "squeezed_vacuum_amplitudes", "survival_probability", "survival_probability_sectors"],
+         "squeezed_vacuum_probabilities", "survival_probability", "survival_probability_sectors"],
         "fock",
     ),
     **dict.fromkeys(

@@ -2,16 +2,18 @@
 
 Because the probe populates only the first input mode and phase shifts are
 diagonal in the occupation basis, everything the protocol measures reduces
-to sums over the photon-number distribution after the network.  This module
-provides two interchangeable evaluation routes, which take the same
-arguments (the weights, the phases, the squeezer and a cutoff) and build
-the squeezer's single-mode ladder themselves:
+to sums over the photon-number distribution after the network: the
+multinomial image of the squeezer's even-photon probability ladder
+(:func:`squeezed_vacuum_probabilities`).  This module provides two
+interchangeable evaluation routes, which take the same arguments (the
+weights, the phases, the squeezer and a cutoff) and build that ladder
+themselves:
 
 * an explicit truncated table of occupation probabilities
-  (`survival_probability`), which the route builds from the ladder's
-  probabilities and the weights as whole arrays (every occupation tuple of
-  every even sector at once, at most `MAX_TABLE_ROWS` rows), used for
-  moderate cutoffs and as the ground truth for the per-sector bookkeeping; and
+  (`survival_probability`), which the route builds from the ladder and the
+  weights as whole arrays (every occupation tuple of every even sector at
+  once, refused past `MAX_TABLE_ROWS` rows), used for moderate cutoffs and
+  as the ground truth for the per-sector bookkeeping; and
 * per-sector resummation (`survival_probability_sectors`,
   `generator_moments_sectors`), which evaluates the same diagonal sums by
   collapsing each fixed-photon-number sector with exact combinatorics.
@@ -37,7 +39,7 @@ from .metrology import SqueezeParameter, validate_squeeze
 MAX_SERIES_ORDER = 8
 # largest missing weight a table may have for :func:`survival_probability`
 MAX_TABLE_TAIL = 1e-6
-# largest cutoff of any ladder: 200001 complex amplitudes (3.2 MB), enough to certify a 1e-12 tail at r = 5
+# largest cutoff of any ladder: 200001 probabilities (1.6 MB), enough to certify a 1e-12 tail at r = 5
 MAX_CUTOFF = 400_000
 # largest occupation table survival_probability builds.  Its peak memory is
 # 20 to 35 bytes per row and mode: 160 MiB at two modes (cutoff 2894, which
@@ -63,14 +65,14 @@ class TruncationError(ValueError):
     """Raised when a table's tail ``1 - sum p`` is not a number within ``MAX_TABLE_TAIL`` of 0."""
 
 
-def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
-    """Even-sector amplitudes of the single-mode squeezed vacuum.
+def squeezed_vacuum_probabilities(squeeze: SqueezeParameter, cutoff: int) -> np.ndarray:
+    """Even-sector photon-number probabilities of the single-mode squeezed vacuum.
 
-    Entry ``n`` of the result is the amplitude of the ``2n``-photon
-    component; odd photon numbers never appear.  Amplitudes are one
-    running product of the term-to-term ratios of the closed form
-    ``c_{2n} = cosh(r)^{-1/2} (-e^{i theta} tanh r)^n sqrt((2n)!) / (2^n n!)``
-    so no factorial overflows occur.
+    Entry ``n`` of the result is the probability of the ``2n``-photon
+    component; odd photon numbers never appear, and the squeezing phase
+    does not enter.  One running product, ``p_0 = 1 / cosh r`` and
+    ``p_{n+1} = p_n tanh(r)^2 (2n + 1) / (2n + 2)`` (the recurrence
+    :func:`recommend_cutoff` certifies), so no factorial overflows.
 
     Args:
         squeeze: probe squeezer.
@@ -85,9 +87,8 @@ def squeezed_vacuum_amplitudes(squeeze: SqueezeParameter, cutoff: int) -> np.nda
     if cutoff % 2 != 0 or cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff must be even and at most MAX_CUTOFF = {MAX_CUTOFF}, got {cutoff}")
     n = np.arange(cutoff // 2)
-    step = -np.exp(1j * squeeze.theta) * math.tanh(squeeze.r)
-    first = 1.0 / math.sqrt(math.cosh(squeeze.r))
-    return np.cumprod(np.concatenate(([first], step * np.sqrt((2 * n + 1) / (2 * n + 2)))))
+    ratios = math.tanh(squeeze.r) ** 2 * (2 * n + 1) / (2 * n + 2)
+    return np.cumprod(np.concatenate(([1.0 / math.cosh(squeeze.r)], ratios)))
 
 
 def recommend_cutoff(
@@ -134,12 +135,19 @@ def _occupation_rows(modes: int, totals: np.ndarray) -> np.ndarray:
     Within a sector the rows come in ``itertools.combinations_with_replacement``
     order (descending first-mode count, then descending second, ...): each
     pass splits every row's remaining photons over the next mode, largest
-    share first, and the last mode takes what is left.
+    share first, and the last mode takes what is left.  No pass has more
+    rows than the next, so one that counts past ``MAX_TABLE_ROWS`` refuses
+    the table with a ``ValueError`` before it allocates.
     """
     occupations = np.zeros((len(totals), 0), dtype=np.int64)
     left = np.asarray(totals, dtype=np.int64)
     for _ in range(modes - 1):
         counts = left + 1
+        if counts.sum() > MAX_TABLE_ROWS:
+            raise ValueError(
+                f"cutoff {totals[-1]} at {modes} modes of nonzero weight needs more than "
+                f"MAX_TABLE_ROWS = {MAX_TABLE_ROWS} table rows"
+            )
         parent = np.repeat(np.arange(len(left)), counts)
         kept = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
         occupations = np.column_stack([occupations[parent], left[parent] - kept])
@@ -155,20 +163,11 @@ def _probability_table(ladder_probs: np.ndarray, weights: np.ndarray) -> tuple[n
     ``p[n] = ladder_probs[t/2] exp(lgamma(t+1) - sum_j lgamma(n_j+1) + n . log w)``.
     The exponent is a log-probability, at most 0 up to rounding, so no factor
     overflows at any cutoff.  A table of more than ``MAX_TABLE_ROWS`` rows is
-    refused with a ``ValueError`` before it is allocated.
+    refused while :func:`_occupation_rows` counts it, before it is allocated.
     """
-    modes = weights.size
     cutoff = 2 * (len(ladder_probs) - 1)
-    rows = 0
-    for total in range(0, cutoff + 1, 2):
-        rows += math.comb(total + modes - 1, modes - 1)
-        if rows > MAX_TABLE_ROWS:
-            raise ValueError(
-                f"cutoff {cutoff} at {modes} modes of nonzero weight needs more than "
-                f"MAX_TABLE_ROWS = {MAX_TABLE_ROWS} table rows"
-            )
+    occupations = _occupation_rows(weights.size, np.arange(0, cutoff + 1, 2))
     lgamma = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
-    occupations = _occupation_rows(modes, np.arange(0, cutoff + 1, 2))
     totals = occupations.sum(axis=1)
     log_multinomial = lgamma[totals] - lgamma[occupations].sum(axis=1)
     probs = ladder_probs[totals // 2] * np.exp(log_multinomial + occupations @ np.log(weights))
@@ -196,8 +195,7 @@ def survival_probability(weights, phases, squeeze: SqueezeParameter, cutoff: int
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
     kept = w > 0
-    ladder_probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
-    occupations, probs = _probability_table(ladder_probs, w[kept])
+    occupations, probs = _probability_table(squeezed_vacuum_probabilities(squeeze, cutoff), w[kept])
     tail = 1.0 - float(np.sum(probs))
     if not abs(tail) <= MAX_TABLE_TAIL:
         raise TruncationError(f"table tail {tail:.3e} beyond +-MAX_TABLE_TAIL = {MAX_TABLE_TAIL:.3e}")
@@ -250,7 +248,7 @@ def survival_probability_sectors(weights, phases, squeeze: SqueezeParameter, cut
         phases: one phase per mode.
         squeeze: probe squeezer.
         cutoff: largest total photon number kept, as for
-            :func:`squeezed_vacuum_amplitudes`.
+            :func:`squeezed_vacuum_probabilities`.
 
     Raises:
         ValueError: on weights, phases, squeeze or cutoff refused by their
@@ -258,7 +256,7 @@ def survival_probability_sectors(weights, phases, squeeze: SqueezeParameter, cut
     """
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
+    probs = squeezed_vacuum_probabilities(squeeze, cutoff)
     mixer = complex(np.sum(w * np.exp(-1j * phases)))
     value = abs(np.sum(probs * mixer ** (2 * np.arange(len(probs))))) ** 2
     return min(float(value), 1.0)
@@ -299,7 +297,7 @@ def generator_moments_sectors(
     max_order = network.validate_count("max_order", max_order, 0, MAX_SERIES_ORDER)
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
-    probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
+    probs = squeezed_vacuum_probabilities(squeeze, cutoff)
     totals = 2.0 * np.arange(len(probs))
     per_sector = _multinomial_weighted_moments(w, phases, totals, max_order)
     moments = per_sector @ probs

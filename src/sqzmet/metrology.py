@@ -116,14 +116,14 @@ def check_regime(phases, nbar: float) -> RegimeCheck:
 
     Raises:
         ValueError: unless ``nbar`` lies in ``[0, NBAR_MAX]`` and ``phases``
-            is a vector that passes :func:`network.validate_phases`.
+            is a non-empty vector that passes :func:`network.validate_phases`.
     """
     nbar = validate_real("nbar", nbar, 0, NBAR_MAX, "[0, NBAR_MAX]")
     phases = network._real_vector("phases", phases)
-    if phases.ndim != 1:
-        raise ValueError(f"phases must be a vector, got shape {phases.shape}")
+    if phases.ndim != 1 or phases.size == 0:
+        raise ValueError(f"phases must be a non-empty vector, got shape {phases.shape}")
     phases = network.validate_phases(phases, phases.size)
-    return _regime_check(float(np.max(np.abs(phases))) * nbar if phases.size else 0.0)
+    return _regime_check(float(np.max(np.abs(phases))) * nbar)
 
 
 def _regime_check(ratio: float) -> RegimeCheck:

@@ -22,8 +22,8 @@ from .metrology import SqueezeParameter
 # each check's pass bound, with its reason
 # exact-to-rounding engine against an oracle whose tail is below ORACLE_TAIL_BOUND = 1e-12: loose by design
 CROSS_ENGINE_TOL = 1e-6
-# both routes resum the same amplitudes (tail below TABLE_ROUTE_TAIL), so they differ by rounding:
-# loose by design
+# both routes resum the same ladder probabilities (tail below TABLE_ROUTE_TAIL), so they differ
+# by rounding: loose by design
 TABLE_ROUTE_TOL = 1e-6
 # an odd term vanishes identically; what is left is rounding in sums of terms of order one
 ODD_TERM_TOL = 1e-10
@@ -36,7 +36,7 @@ MZ_FACTORIZATION_TOL = 1e-9
 SERIES_ORDER_MIN = 7.0
 
 # each check's certified truncation tail (fock.recommend_cutoff's tail_bound), with its reason
-# both routes resum the same truncated amplitudes, so the tail drops out of their gap; it only has to
+# both routes resum the same truncated ladder, so the tail drops out of their gap; it only has to
 # leave the table well inside fock.MAX_TABLE_TAIL = 1e-6
 TABLE_ROUTE_TAIL = 1e-10
 # the tail of every moment up to order eight, a thousandth of ODD_TERM_TOL

@@ -26,7 +26,7 @@ from sqzmet import (
     scaling_sweep,
     series_partial_sum,
     squeezed_probe,
-    squeezed_vacuum_amplitudes,
+    squeezed_vacuum_probabilities,
     survival_probability,
     survival_probability_sectors,
     unitarity_defect,
@@ -81,7 +81,7 @@ def test_criterion_3_exact_moment_identities():
         weights, phases, squeeze = _draw_case(rng)
         nbar = squeeze.mean_photon_number
         cutoff = recommend_cutoff(squeeze, 1e-14, moment_power=2)
-        amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
+        probs = squeezed_vacuum_probabilities(squeeze, cutoff)
         series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=2)
         moments = phase_moments(weights, phases)
 
@@ -93,7 +93,6 @@ def test_criterion_3_exact_moment_identities():
         )
         worst_var = max(worst_var, abs(oracle_var - analytic_var))
 
-        probs = np.abs(amps) ** 2
         totals = 2.0 * np.arange(len(probs))
         number_var = float(probs @ totals ** 2) - float(probs @ totals) ** 2
         worst_number = max(worst_number, abs(number_var - 2 * nbar * (nbar + 1)))
@@ -157,8 +156,8 @@ def test_criterion_5_cross_engine_equality():
             rng, max_modes=3, max_r=0.9, phase_span=math.pi
         )
         cutoff = recommend_cutoff(squeeze, 1e-11)
-        amps = squeezed_vacuum_amplitudes(squeeze, cutoff)
-        assert 1.0 - float(np.sum(np.abs(amps) ** 2)) < 1e-10
+        probs = squeezed_vacuum_probabilities(squeeze, cutoff)
+        assert 1.0 - float(np.sum(probs)) < 1e-10
         p_table = survival_probability(weights, phases, squeeze, cutoff)
         p_gauss, _ = exact_survival_probability(weights, phases, squeeze)
         worst_table = max(worst_table, abs(p_gauss - p_table))

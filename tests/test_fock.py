@@ -1,4 +1,3 @@
-import cmath
 import math
 import re
 import time
@@ -17,7 +16,7 @@ from sqzmet import (
     mach_zehnder_factorization_residual,
     recommend_cutoff,
     series_partial_sum,
-    squeezed_vacuum_amplitudes,
+    squeezed_vacuum_probabilities,
     survival_probability,
     survival_probability_sectors,
 )
@@ -52,11 +51,11 @@ def multinomial_moment_brute_force(weights, phases, total, order):
     return acc
 
 
-def squeezed_amplitudes_closed_form(r, theta, cutoff):
-    """``c_2n = cosh(r)^(-1/2) (-e^(i theta) tanh r)^n sqrt((2n)!) / (2^n n!)``, term by term.
+def squeezed_probabilities_closed_form(r, cutoff):
+    """``p_2n = sech(r) C(2n, n) (tanh(r)^2 / 4)^n``, term by term.
 
-    ``(2n)! / (4^n n!^2)`` is the central binomial over ``4^n``, divided
-    exactly as integers; the power is taken by repeated squaring.
+    The central binomial over ``4^n`` is divided exactly as integers; the
+    power of ``tanh(r)^2`` is taken by repeated squaring.
     """
     def power(z, n):
         out = 1.0
@@ -66,9 +65,9 @@ def squeezed_amplitudes_closed_form(r, theta, cutoff):
             z, n = z * z, n >> 1
         return out
 
-    step = -cmath.exp(1j * theta) * math.tanh(r)
+    t2 = math.tanh(r) ** 2
     return np.array([
-        power(step, n) * math.sqrt(math.comb(2 * n, n) / 4 ** n / math.cosh(r))
+        power(t2, n) * (math.comb(2 * n, n) / 4 ** n) / math.cosh(r)
         for n in range(cutoff // 2 + 1)
     ])
 
@@ -106,10 +105,6 @@ def last_cutoff_within_the_cap(modes):
     return MAX_CUTOFF
 
 
-def ladder_probabilities(squeeze, cutoff):
-    return np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
-
-
 def mz_residual_by_sector(phi1, phi2, cutoff, norm="fro"):
     """Per-sector loop with fresh eigendecompositions; the slow oracle.
 
@@ -132,46 +127,62 @@ def mz_residual_by_sector(phi1, phi2, cutoff, norm="fro"):
     return worst
 
 
-class TestAmplitudes:
+class TestLadder:
     def test_vacuum_limit(self):
-        amps = squeezed_vacuum_amplitudes(SqueezeParameter(0.0), 8)
-        assert amps[0] == 1.0
-        assert np.all(amps[1:] == 0.0)
+        probs = squeezed_vacuum_probabilities(SqueezeParameter(0.0), 8)
+        assert probs.dtype == np.float64
+        assert probs[0] == 1.0
+        assert np.all(probs[1:] == 0.0)
 
     def test_unit_photon_values(self):
-        amps = squeezed_vacuum_amplitudes(SQ_UNIT, 10)
-        assert abs(amps[0]) == pytest.approx(2 ** -0.25, abs=1e-12)
-        assert abs(amps[1]) == pytest.approx(abs(amps[0]) / 2, abs=1e-12)
+        probs = squeezed_vacuum_probabilities(SQ_UNIT, 10)
+        assert probs[0] == pytest.approx(2 ** -0.5, abs=1e-12)
+        assert probs[1] == pytest.approx(probs[0] / 4, abs=1e-12)
 
     def test_normalization_and_mean(self):
         for r in (0.3, 0.9, 1.2):
             squeeze = SqueezeParameter(r, 0.4)
             cutoff = recommend_cutoff(squeeze, 1e-13, moment_power=1)
-            probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
+            probs = squeezed_vacuum_probabilities(squeeze, cutoff)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             mean = float(probs @ (2 * np.arange(len(probs))))
             assert mean == pytest.approx(math.sinh(r) ** 2, abs=1e-11)
 
     def test_rejects_odd_cutoff(self):
         with pytest.raises(ValueError):
-            squeezed_vacuum_amplitudes(SQ_UNIT, 7)
+            squeezed_vacuum_probabilities(SQ_UNIT, 7)
 
     def test_recommended_cutoff_certifies_tail(self):
         for r in (0.2, 0.8, 1.2):
             squeeze = SqueezeParameter(r)
             cutoff = recommend_cutoff(squeeze, 1e-10)
-            probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
+            probs = squeezed_vacuum_probabilities(squeeze, cutoff)
             assert 1.0 - probs.sum() < 1e-10
             if cutoff >= 2:
-                shorter = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff - 2)) ** 2
+                shorter = squeezed_vacuum_probabilities(squeeze, cutoff - 2)
                 assert 1.0 - shorter.sum() >= 1e-10 * 0.3  # not wildly conservative
 
-    def test_amplitudes_match_the_closed_form(self, rng):
+    def test_probabilities_match_the_closed_form(self, rng):
         for r in [*rng.uniform(0.1, 2.0, size=10), 2.0]:
             theta = rng.uniform(0.0, 2 * math.pi)
-            amps = squeezed_vacuum_amplitudes(SqueezeParameter(r, theta), 400)
-            exact = squeezed_amplitudes_closed_form(r, theta, 400)
-            np.testing.assert_allclose(amps, exact, rtol=1e-13, atol=0)
+            probs = squeezed_vacuum_probabilities(SqueezeParameter(r, theta), 400)
+            exact = squeezed_probabilities_closed_form(r, 400)
+            np.testing.assert_allclose(probs, exact, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0])
+    def test_the_squeezing_phase_does_not_enter(self, r):
+        # the ladder was once |a|^2 of complex amplitudes carrying
+        # (-e^(i theta))^n, which rounded apart with theta (5.6e-17 at r = 1)
+        aligned, turned = SqueezeParameter(r, 0.0), SqueezeParameter(r, 2.1)
+        np.testing.assert_array_equal(
+            squeezed_vacuum_probabilities(aligned, 400), squeezed_vacuum_probabilities(turned, 400)
+        )
+        weights, phases = [0.2, 0.3, 0.5], [0.1, -0.2, 0.05]
+        cutoff = recommend_cutoff(aligned, 1e-10)
+        for route in FOCK_ROUTES.values():
+            np.testing.assert_array_equal(
+                route(weights, phases, aligned, cutoff), route(weights, phases, turned, cutoff)
+            )
 
     def test_uncertifiable_cutoff_names_the_squeezing(self):
         with pytest.raises(ValueError, match=r"^no cutoff below MAX_CUTOFF = 400000 .* r = 5\.5 \(nbar = 1\.497e\+04\)"):
@@ -179,10 +190,10 @@ class TestAmplitudes:
 
     def test_a_cutoff_past_the_cap_is_refused_by_name(self):
         # 10**15 once met numpy's bare MemoryError and 2**70 its "Maximum allowed size exceeded"
-        assert len(squeezed_vacuum_amplitudes(SQ_UNIT, MAX_CUTOFF)) == MAX_CUTOFF // 2 + 1
+        assert len(squeezed_vacuum_probabilities(SQ_UNIT, MAX_CUTOFF)) == MAX_CUTOFF // 2 + 1
         for cutoff in (MAX_CUTOFF + 2, 10 ** 15, 2 ** 70):
             with pytest.raises(ValueError, match=f"^cutoff must be even and at most MAX_CUTOFF = {MAX_CUTOFF}, got {cutoff}$"):
-                squeezed_vacuum_amplitudes(SQ_UNIT, cutoff)
+                squeezed_vacuum_probabilities(SQ_UNIT, cutoff)
 
     @pytest.mark.parametrize("tail", [math.ulp(0.0), 1e-16, 1.0])
     @pytest.mark.parametrize("power", range(MAX_SERIES_ORDER + 1))
@@ -193,7 +204,7 @@ class TestAmplitudes:
     def test_photon_moment_reconstruction(self):
         # mean 1 and mean square 5 for the unit-photon squeezer
         cutoff = recommend_cutoff(SQ_UNIT, 1e-12, moment_power=2)
-        probs = np.abs(squeezed_vacuum_amplitudes(SQ_UNIT, cutoff)) ** 2
+        probs = squeezed_vacuum_probabilities(SQ_UNIT, cutoff)
         totals = 2.0 * np.arange(len(probs))
         assert float(probs @ totals) == pytest.approx(1.0, abs=1e-10)
         assert float(probs @ totals ** 2) == pytest.approx(5.0, abs=1e-9)
@@ -202,7 +213,7 @@ class TestAmplitudes:
 class TestPropagation:
     def test_identity_network_occupies_first_mode(self):
         # a mode of weight 0 gets no column, so its phase cannot matter
-        ladder = ladder_probabilities(SQ_UNIT, 8)
+        ladder = squeezed_vacuum_probabilities(SQ_UNIT, 8)
         occupations, probs = _probability_table(ladder, np.array([1.0]))
         np.testing.assert_array_equal(occupations, np.arange(0, 9, 2)[:, None])
         np.testing.assert_array_equal(probs, ladder)
@@ -211,7 +222,7 @@ class TestPropagation:
         )
 
     def test_balanced_two_photon_sector(self):
-        ladder = ladder_probabilities(SQ_UNIT, 4)
+        ladder = squeezed_vacuum_probabilities(SQ_UNIT, 4)
         occupations, table = _probability_table(ladder, np.array([0.5, 0.5]))
         probs = dict(zip(map(tuple, occupations.tolist()), table))
         assert probs[(2, 0)] == pytest.approx(0.25 * ladder[1], rel=1e-12)
@@ -220,7 +231,7 @@ class TestPropagation:
         assert (1, 0) not in probs
 
     def test_sector_norms_preserved(self, rng):
-        ladder = ladder_probabilities(SqueezeParameter(0.7, 2.0), 20)
+        ladder = squeezed_vacuum_probabilities(SqueezeParameter(0.7, 2.0), 20)
         occupations, probs = _probability_table(ladder, random_weights(rng, 4))
         totals = occupations.sum(axis=1)
         for half, ladder_prob in enumerate(ladder):
@@ -228,7 +239,7 @@ class TestPropagation:
             assert sector == pytest.approx(ladder_prob, abs=1e-12)
 
     def test_only_even_sectors_materialized(self, rng):
-        ladder = ladder_probabilities(SqueezeParameter(0.5), 12)
+        ladder = squeezed_vacuum_probabilities(SqueezeParameter(0.5), 12)
         occupations, _ = _probability_table(ladder, np.array([0.5, 0.5]))
         assert np.all(occupations.sum(axis=1) % 2 == 0)
 
@@ -243,7 +254,7 @@ class TestPropagation:
         for weights in weight_sets:
             kept = weights > 0
             for cutoff in range(0, 21, 2):
-                ladder = ladder_probabilities(squeeze, cutoff)
+                ladder = squeezed_vacuum_probabilities(squeeze, cutoff)
                 table_occupations, probs = _probability_table(ladder, weights[kept])
                 occupations, expected = propagate_by_enumeration(ladder, weights)
                 # the route drops the modes of weight 0: every row that
@@ -257,7 +268,7 @@ class TestPropagation:
     def test_row_count_is_the_table_length(self):
         for modes in (1, 2, 3, 4):
             for cutoff in (0, 2, 10, 24):
-                ladder = ladder_probabilities(SQ_UNIT, cutoff)
+                ladder = squeezed_vacuum_probabilities(SQ_UNIT, cutoff)
                 occupations, _ = _probability_table(ladder, np.full(modes, 1 / modes))
                 assert len(occupations) == table_rows(modes, cutoff)
 
@@ -314,7 +325,7 @@ class TestPropagation:
     def test_modes_and_tail_are_read_off_the_arrays(self):
         squeeze = SqueezeParameter(1.2)
         weights = [0.25, 0.5, 0.25]
-        occupations, probs = _probability_table(ladder_probabilities(squeeze, 10), np.array(weights))
+        occupations, probs = _probability_table(squeezed_vacuum_probabilities(squeeze, 10), np.array(weights))
         assert occupations.shape[1] == 3
         tail = 1.0 - float(np.sum(probs))
         assert tail > MAX_TABLE_TAIL
@@ -330,7 +341,7 @@ class TestPropagation:
         for array, copy in zip((weights, phases), copies):
             assert array.flags.writeable
             assert np.array_equal(array, copy)
-        ladder = ladder_probabilities(squeeze, 24)
+        ladder = squeezed_vacuum_probabilities(squeeze, 24)
         occupations, probs = _probability_table(ladder, weights)
         first = ladder[0]
         assert not np.shares_memory(probs, ladder)
@@ -386,7 +397,7 @@ class TestSurvivalProbability:
     def test_one_tail_rule_refuses_an_under_resolved_table(self):
         # |1 - sum |a|^2| <= MAX_TABLE_TAIL: a stored tail once could be set
         # against the arrays.  At one mode and cutoff 0 the table is the
-        # vacuum amplitude alone, whose probability is 1 / cosh(r)
+        # vacuum probability alone, 1 / cosh(r)
         tail = f"{1.0 - 1.0 / math.cosh(1.2):.3e}"
         with pytest.raises(TruncationError, match=f"^table tail {re.escape(tail)} beyond \\+-MAX_TABLE_TAIL"):
             survival_probability([1.0], [0.0], SqueezeParameter(1.2), 0)
@@ -405,7 +416,7 @@ class TestSurvivalProbability:
         # the first cutoff whose ladder misses at most MAX_TABLE_TAIL passes,
         # and the one below it is refused
         squeeze = SqueezeParameter(0.9)
-        probs = np.abs(squeezed_vacuum_amplitudes(squeeze, 200)) ** 2
+        probs = squeezed_vacuum_probabilities(squeeze, 200)
         tails = 1.0 - np.cumsum(probs)
         cutoff = 2 * int(np.argmax(tails <= MAX_TABLE_TAIL))
         assert 0.0 < tails[cutoff // 2] <= MAX_TABLE_TAIL < tails[cutoff // 2 - 1]
@@ -463,7 +474,7 @@ class TestGeneratorMoments:
         phases = rng.uniform(-0.5, 0.5, size=3)
         squeeze = SqueezeParameter(0.6, 1.0)
         cutoff = recommend_cutoff(squeeze, 1e-12, moment_power=4)
-        occupations, probs = _probability_table(ladder_probabilities(squeeze, cutoff), weights)
+        occupations, probs = _probability_table(squeezed_vacuum_probabilities(squeeze, cutoff), weights)
         # the table route: plain diagonal sums over the explicit probability table
         generator = occupations @ phases
         from_table = [float(probs @ generator ** k) for k in range(5)]
@@ -505,7 +516,7 @@ class TestGeneratorMoments:
             phases = rng.uniform(-0.8, 0.8, size=modes)
             squeeze = SqueezeParameter(rng.uniform(0.1, 1.0))
             cutoff = recommend_cutoff(squeeze, 1e-13, moment_power=4)
-            probs = np.abs(squeezed_vacuum_amplitudes(squeeze, cutoff)) ** 2
+            probs = squeezed_vacuum_probabilities(squeeze, cutoff)
             totals = 2.0 * np.arange(len(probs))
             series = generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=4)
             phi_max = float(np.max(np.abs(phases)))
@@ -541,10 +552,10 @@ class TestGeneratorMoments:
             route(weights, [0.1, 0.0], SQ_UNIT, 10)
 
     @pytest.mark.parametrize("route", [survival_probability_sectors, generator_moments_sectors])
-    def test_sector_routes_take_truncated_amplitudes(self, route):
+    def test_sector_routes_take_a_truncated_ladder(self, route):
         # a fixed cutoff far below the certified one leaves weight out, and passes
         squeeze = SqueezeParameter(1.2)
-        assert float(np.sum(np.abs(squeezed_vacuum_amplitudes(squeeze, 4)) ** 2)) < 0.9
+        assert float(np.sum(squeezed_vacuum_probabilities(squeeze, 4))) < 0.9
         route([1.0], [0.1], squeeze, 4)
 
 
@@ -558,9 +569,9 @@ FOCK_ROUTES = {
 @pytest.mark.parametrize(
     "name, call",
     [
-        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, 2.0), id="amplitudes-2.0"),
-        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, True), id="amplitudes-True"),
-        pytest.param("cutoff", lambda: squeezed_vacuum_amplitudes(SQ_UNIT, -2), id="amplitudes-neg"),
+        pytest.param("cutoff", lambda: squeezed_vacuum_probabilities(SQ_UNIT, 2.0), id="ladder-2.0"),
+        pytest.param("cutoff", lambda: squeezed_vacuum_probabilities(SQ_UNIT, True), id="ladder-True"),
+        pytest.param("cutoff", lambda: squeezed_vacuum_probabilities(SQ_UNIT, -2), id="ladder-neg"),
         *[
             pytest.param("cutoff", lambda route=route, cutoff=cutoff: route([1.0], [0.1], SQ_UNIT, cutoff),
                          id=f"{label}-cutoff-{cutoff_id}")

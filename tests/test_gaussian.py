@@ -30,7 +30,7 @@ def phase_shift(state, phases):
 def brute_force_survival(r, phi, terms=200):
     """Independent oracle: generating-function sum over the even photon ladder.
 
-    Uses exact binomials, not the package's amplitude recurrence.
+    Uses exact binomials, not the package's ladder recurrence.
     """
     total = 0j
     for n in range(terms):

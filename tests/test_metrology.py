@@ -23,7 +23,7 @@ from sqzmet import (
     scaling_sweep,
     simulate_shots,
     squeezed_probe,
-    squeezed_vacuum_amplitudes,
+    squeezed_vacuum_probabilities,
     sweep_point_probability,
 )
 import sqzmet.gaussian
@@ -103,10 +103,11 @@ class TestPhaseEnvelope:
         with pytest.raises(ValueError, match="^phases must be real numbers, got a ragged sequence$"):
             PHASE_CALLS[call]([[0.1, 0.2], [0.3]])
 
-    @pytest.mark.parametrize("phases, shape", [(np.zeros((2, 2)), "(2, 2)"), (0.1, "()")])
+    @pytest.mark.parametrize("phases, shape", [(np.zeros((2, 2)), "(2, 2)"), (0.1, "()"), ([], "(0,)")])
     def test_regime_phases_must_be_a_vector(self, phases, shape):
-        # a 2 x 2 array once read "expected 4 phases, got shape (2, 2)"
-        with pytest.raises(ValueError, match=f"^phases must be a vector, got shape {re.escape(shape)}$"):
+        # a 2 x 2 array once read "expected 4 phases, got shape (2, 2)", and
+        # no phases RegimeCheck(0.0, True), a verdict about nothing
+        with pytest.raises(ValueError, match=f"^phases must be a non-empty vector, got shape {re.escape(shape)}$"):
             check_regime(phases, 1.0)
 
 
@@ -991,7 +992,7 @@ class TestFitSlope:
             lambda s: exact_survival_probability([1.0], [0.1], s, engine="fock"), id="exact-fock"
         ),
         pytest.param(lambda s: recommend_cutoff(s, 1e-10), id="recommend-cutoff"),
-        pytest.param(lambda s: squeezed_vacuum_amplitudes(s, 4), id="fock-amplitudes"),
+        pytest.param(lambda s: squeezed_vacuum_probabilities(s, 4), id="fock-ladder"),
         pytest.param(lambda s: squeezed_probe(2, s), id="squeezed-probe"),
     ],
 )

@@ -110,13 +110,27 @@ def test_a_refusal_one_ulp_past_a_limit_names_its_constant(limit):
 def test_the_readme_states_the_code_constants():
     # every `module.NAME = value` in the README, at its printed precision; a
     # chain `module.NAME = expression = figure` is checked at its last figure
-    stated = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*) = ([^`]+)`", README.read_text())
+    text = README.read_text()
+    stated = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*) = ([^`]+)`", text)
+    # a tuple `module.NAME, NAME = figure, figure`, name by name
+    for module, names, figures in re.findall(
+        r"`(\w+)\.([A-Z][A-Z0-9_]*(?:, [A-Z][A-Z0-9_]*)+) = ([^`]+)`", text
+    ):
+        names, figures = names.split(", "), figures.split(", ")
+        assert len(names) == len(figures), (module, names, figures)
+        stated += [(module, name, figure) for name, figure in zip(names, figures)]
+    # a span ending in `module.NAME`, followed by its figure as (`figure`)
+    stated += re.findall(r"`(?:[^`]*[^\w`.])?(\w+)\.([A-Z][A-Z0-9_]*)`\s+\(`([^`]+)`\)", text)
     assert {f"{module}.{name}" for module, name, _ in stated} >= {
         "gaussian.SYMMETRY_TOL",
         "metrology.ORACLE_TAIL_BOUND",
         "metrology.SQUEEZE_R_MAX",
         "fock.MAX_CUTOFF",
         "fock.MAX_TABLE_ROWS",
+        "fock.MAX_TABLE_TAIL",
+        "network.NBAR_MIN",
+        "network.NBAR_MAX",
+        "network.PHASE_MAX",
     }
     for module, name, text in stated:
         printed = text.split(" = ")[-1]

@@ -27,13 +27,13 @@ NUMPY_INTS = [np.int8, np.int32, np.int64, np.uint64]
 # capped, so that a huge value the rules let through would fail the test
 # instead of stalling the host: scaling_sweep holds `repetitions` counts
 # per point (the MemoryError a huge one meets is covered by the cli.main
-# test that exits 2 on it), `cutoff` sizes the amplitude vector and the
+# test that exits 2 on it), `cutoff` sizes the probability ladder and the
 # residual's per-sector matrices, `modes` the 2M x 2M covariance, and
 # `moment_power` is the power of the photon count in the certified tail
 MAX_INT = {
     "scaling_sweep.repetitions": 64,
     "squeezed_probe.modes": 64,
-    "squeezed_vacuum_amplitudes.cutoff": 400,
+    "squeezed_vacuum_probabilities.cutoff": 400,
     "recommend_cutoff.moment_power": 64,
     "mach_zehnder_factorization_residual.cutoff": 16,
 }
@@ -110,8 +110,8 @@ ARGUMENTS = {
     "squeezed_probe.modes": (
         "modes", lambda v: float(squeezed_probe(v, SQUEEZE).covariance.sum())
     ),
-    "squeezed_vacuum_amplitudes.cutoff": (
-        "cutoff", lambda v: float(np.abs(fock.squeezed_vacuum_amplitudes(SQUEEZE, v)).sum())
+    "squeezed_vacuum_probabilities.cutoff": (
+        "cutoff", lambda v: float(fock.squeezed_vacuum_probabilities(SQUEEZE, v).sum())
     ),
     "recommend_cutoff.tail_bound": ("tail_bound", lambda v: fock.recommend_cutoff(SQUEEZE, v)),
     "recommend_cutoff.moment_power": (
