@@ -48,7 +48,7 @@ def _manifest_lines(command: str, entries) -> list[str]:
 
 
 def _read_config_file(path: str, required: tuple[str, ...]) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -109,7 +109,7 @@ def _write_table(args, entries, columns: str, rows: list[str], elapsed: float) -
 
 
 def cmd_synthesize(args) -> int:
-    with open(args.weights_file, "r", encoding="utf-8") as handle:
+    with open(args.weights_file, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     weights = network.validate_weights(_parse_floats(text, args.weights_file))
     header = _manifest_lines("synthesize", [("weights", _fmt_list(weights))])

@@ -283,6 +283,7 @@ def _multinomial_weighted_moments(
     return coeffs * factorials[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generator_moments_sectors(
     weights, phases, squeeze: SqueezeParameter, cutoff: int, max_order: int = 6
 ) -> SurvivalSeries:
@@ -292,16 +293,21 @@ def generator_moments_sectors(
         ValueError: unless ``max_order`` is an integer in ``[0, MAX_SERIES_ORDER]``
             (the series terms lose accuracy to cancellation beyond that); on
             weights, phases, squeeze or cutoff refused as in
-            :func:`survival_probability_sectors`.
+            :func:`survival_probability_sectors`; or if a moment or term is not a finite float.
     """
     max_order = network.validate_count("max_order", max_order, 0, MAX_SERIES_ORDER)
     w = network.validate_weights(weights)
     phases = network.validate_phases(phases, w.size)
     probs = squeezed_vacuum_probabilities(squeeze, cutoff)
     totals = 2.0 * np.arange(len(probs))
-    per_sector = _multinomial_weighted_moments(w, phases, totals, max_order)
-    moments = per_sector @ probs
-    return SurvivalSeries(moments, _series_terms(moments))
+    moments = _multinomial_weighted_moments(w, phases, totals, max_order) @ probs
+    terms = _series_terms(moments)
+    if not (np.all(np.isfinite(moments)) and np.all(np.isfinite(terms))):
+        raise ValueError(
+            f"generator moments to max_order = {max_order} are not finite floats "
+            f"at max|phi| = {np.abs(phases).max()}"
+        )
+    return SurvivalSeries(moments, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +344,11 @@ def _sector_operators(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _arm_phases(name: str, value) -> np.ndarray:
-    """One arm phase, or a 1-D sequence of them, as a vector reduced modulo ``2 pi``."""
-    # the package's vector rule under the argument's name: a ragged sequence, a
-    # bool or a string is refused before the shape is read
+    """One arm phase (a number, numpy scalar or 0-d array) or a vector of them, modulo ``2 pi``."""
+    if isinstance(value, (int, float)) or getattr(value, "ndim", None) == 0:
+        value = [value]
     phases = network._real_vector(name, value)
-    if phases.ndim > 1 or phases.shape == (0,):
-        raise ValueError(
-            f"{name} must be a real number or a non-empty 1-D sequence, got shape {phases.shape}"
-        )
-    phases = network.validate_phases(phases.reshape(-1), phases.size, name)
+    phases = network.validate_phases(phases, phases.size, name)
     # both sides are 2pi-periodic in each arm phase; reducing first keeps
     # phi * n from rounding apart on the two sides as |phi| grows
     return np.array([math.remainder(phase, 2 * math.pi) for phase in phases.tolist()])
@@ -372,7 +374,7 @@ def mach_zehnder_factorization_residual(phi1, phi2, cutoff: int) -> float:
 
     Args:
         phi1, phi2: arm phases, each in ``[-network.PHASE_MAX, network.PHASE_MAX]``:
-            one pair, or two equal-length 1-D sequences of pairs.
+            one number each, or two equal-length vectors (``phi1 must be a non-empty vector, ...``).
         cutoff: largest total photon number considered, an integer in
             ``[2, MAX_MZ_CUTOFF]``; the products cost about ``(cutoff + 1)^4 / 4``
             per pair.

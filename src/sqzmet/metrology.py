@@ -115,13 +115,11 @@ def check_regime(phases, nbar: float) -> RegimeCheck:
     """Small-phase expansion validity: ratio ``max|phi| * nbar`` against ``REGIME_THRESHOLD``.
 
     Raises:
-        ValueError: unless ``nbar`` lies in ``[0, NBAR_MAX]`` and ``phases``
-            is a non-empty vector that passes :func:`network.validate_phases`.
+        ValueError: unless ``nbar`` lies in ``[0, NBAR_MAX]`` and ``phases``, of any length,
+            passes :func:`network.validate_phases` (``phases must be a non-empty vector, ...``).
     """
     nbar = validate_real("nbar", nbar, 0, NBAR_MAX, "[0, NBAR_MAX]")
     phases = network._real_vector("phases", phases)
-    if phases.ndim != 1 or phases.size == 0:
-        raise ValueError(f"phases must be a non-empty vector, got shape {phases.shape}")
     phases = network.validate_phases(phases, phases.size)
     return _regime_check(float(np.max(np.abs(phases))) * nbar)
 

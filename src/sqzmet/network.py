@@ -64,11 +64,11 @@ def validate_real(
 
 
 def _real_vector(name: str, values) -> np.ndarray:
-    """``values`` as a float array, if its dtype is integer or float.
+    """``values`` as a float vector: the package's one rule for a vector argument.
 
-    Strings, bools, complex numbers and any other dtype are refused,
-    naming ``name``, as the scalar rule of :func:`validate_real` refuses them;
-    so is a ragged sequence, which numpy cannot make an array of.
+    Refused, naming ``name``: a ragged sequence; a dtype other than integer or float,
+    or a bool entry in a list, as :func:`validate_real` refuses such a scalar; then
+    anything not 1-D and non-empty, as ``<name> must be a non-empty vector, got shape S``.
     """
     try:
         array = np.asarray(values)
@@ -78,20 +78,20 @@ def _real_vector(name: str, values) -> np.ndarray:
         raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{name} must be real numbers, got a bool entry")
+    if array.ndim != 1 or array.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector, got shape {array.shape}")
     return np.asarray(array, dtype=float)
 
 
 def validate_weights(weights) -> np.ndarray:
-    """Return ``weights`` as a float array, checking non-negativity and normalisation.
+    """Return ``weights`` as a float vector, checking non-negativity and normalisation.
 
     Raises:
-        ValueError: on a dtype other than integer or float, negative
-            entries, non-finite values, or a sum away from 1 by more than
-            ``WEIGHT_SUM_TOL``.
+        ValueError: under :func:`_real_vector`'s rule (``weights must be a non-empty
+            vector, got shape S``, ...), on non-finite values, negative entries, or
+            a sum away from 1 by more than ``WEIGHT_SUM_TOL``.
     """
     w = _real_vector("weights", weights)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"weights must be a non-empty vector, got shape {w.shape}")
     # one accept test: a NaN fails the min, an inf the sum, and the sum is
     # taken only over non-negative entries, so inf - inf never occurs; a
     # vector that fails it is refused below, naming the first rule it breaks
@@ -105,18 +105,18 @@ def validate_weights(weights) -> np.ndarray:
 
 
 def validate_phases(phases, modes: int, name: str = "phases") -> np.ndarray:
-    """Return ``phases`` as a float array of one phase in ``[-PHASE_MAX, PHASE_MAX]`` per mode.
+    """Return ``phases`` as a float vector of one phase in ``[-PHASE_MAX, PHASE_MAX]`` per mode.
 
     Raises:
-        ValueError: naming ``name``, on a dtype other than integer or float, if
-            the shape is not ``(modes,)``, if an entry is not finite, or if one
-            lies past ``PHASE_MAX``, naming the bound.
+        ValueError: naming ``name``: under :func:`_real_vector`'s rule (``phases must
+            be a non-empty vector, got shape S``, ...); ``expected M phases, got shape
+            (k,)`` for another length; on a non-finite entry, or one past ``PHASE_MAX``.
     """
     phases = _real_vector(name, phases)
-    if phases.shape != (modes,):
+    if phases.size != modes:
         raise ValueError(f"expected {modes} {name}, got shape {phases.shape}")
     # one accept test, which a NaN or an inf also fails
-    largest = np.abs(phases).max(initial=0.0)
+    largest = np.abs(phases).max()
     if not largest <= PHASE_MAX:
         if not np.all(np.isfinite(phases)):
             raise ValueError(f"{name} must be finite, got {phases}")
@@ -192,9 +192,9 @@ class RotationMesh:
     Instances compare and hash by identity: an array field has no single truth value.
 
     Raises:
-        ValueError: unless the phase layer is a non-empty vector of ``M`` real
-            numbers under :func:`_real_vector`'s rule (a non-finite phase is kept)
-            and every element's mode lies in ``[0, M - 2]``.
+        ValueError: unless the phase layer passes :func:`_real_vector`'s rule (``phase
+            layer must be a non-empty vector, got shape S``, ...; a non-finite phase is
+            kept) and every element's mode lies in ``[0, M - 2]``.
     """
 
     elements: np.ndarray
@@ -209,8 +209,6 @@ class RotationMesh:
             elements = np.fromiter(elements, dtype=ELEMENT_DTYPE)
         # a copy, so freezing it leaves the caller's array writable
         phases = _real_vector("phase layer", self.output_phases).copy()
-        if phases.ndim != 1 or phases.size == 0:
-            raise ValueError(f"phase layer must be a non-empty vector, got shape {phases.shape}")
         modes = elements["mode"]
         outside = modes[(modes < 0) | (modes > phases.size - 2)]
         if outside.size:

@@ -731,6 +731,22 @@ class TestConfigFile:
         code = cli.main(argv)
         return code, capsys.readouterr().err
 
+    def test_a_utf8_byte_order_mark_is_read_past(self, tmp_path, config_file, capsys):
+        # a BOM was once read as part of the first line, so a config file got
+        # "unknown key '\ufeffshots'" and a weights file "bad value ... '\ufeff0.25'"
+        text = Path(config_file).read_text(encoding="utf-8")
+        outputs = []
+        for bom in ("", "\ufeff"):
+            run = tmp_path / f"bom{len(bom)}"
+            run.mkdir()
+            (run / "run.cfg").write_text(bom + text, encoding="utf-8")
+            (run / "w.txt").write_text(bom + "0.25, 0.75\n", encoding="utf-8")
+            assert cli.main(["simulate", "--config", str(run / "run.cfg"), "--out", str(run / "row.csv")]) == 0
+            assert cli.main(["synthesize", str(run / "w.txt"), "--out", str(run / "net")]) == 0
+            outputs.append([(run / name).read_bytes() for name in ("row.csv", "net.netlist")])
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_duplicate_key_names_key_and_line(self, tmp_path, config_file, capsys, command):
         # the fixture's sixth line sets seed = 42; a second value used to win silently

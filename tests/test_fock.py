@@ -20,7 +20,7 @@ from sqzmet import (
     survival_probability,
     survival_probability_sectors,
 )
-from sqzmet import fock
+from sqzmet import fock, network
 from sqzmet.fock import (
     MAX_CUTOFF,
     MAX_MZ_CUTOFF,
@@ -358,10 +358,9 @@ class TestPropagation:
         [
             ([0.5, 0.5], [0.1], r"expected 2 phases, got shape \(1,\)"),
             ([0.5, 0.5], [0.1, 0.2, 0.3], r"expected 2 phases, got shape \(3,\)"),
-            ([0.5, 0.5], [[0.1, 0.2]], r"expected 2 phases, got shape \(1, 2\)"),
             ([], [], r"weights must be a non-empty vector, got shape \(0,\)"),
         ],
-        ids=["short-phases", "long-phases", "2-d-phases", "no-modes"],
+        ids=["short-phases", "long-phases", "no-modes"],
     )
     def test_arrays_that_do_not_pair_are_refused(self, route, weights, phases, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -468,6 +467,17 @@ class TestGeneratorMoments:
         series = generator_moments_sectors([0.25, 0.75], [0.2, 0.0], SQ_UNIT, cutoff, max_order=2)
         assert series.moments[1] == pytest.approx(0.05, abs=1e-10)
         assert series.terms[2] == pytest.approx(0.035, abs=1e-10)
+
+    @pytest.mark.parametrize("phase", [1e40, network.PHASE_MAX])
+    def test_moments_past_the_float_range_are_refused_by_name(self, phase):
+        # inside the phase envelope at 1e40, moments[8] and every term were once
+        # NaN, with only numpy warnings; at 1e30 every value is finite
+        cutoff = recommend_cutoff(SQ_UNIT, 1e-12, 8)
+        series = generator_moments_sectors([0.5, 0.5], [1e30, -1e30], SQ_UNIT, cutoff, max_order=8)
+        assert np.all(np.isfinite(series.moments)) and np.all(np.isfinite(series.terms))
+        message = f"generator moments to max_order = 8 are not finite floats at max|phi| = {phase}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generator_moments_sectors([0.5, 0.5], [phase, -phase], SQ_UNIT, cutoff, max_order=8)
 
     def test_table_route_matches_sector_route(self, rng):
         weights = random_weights(rng, 3)
@@ -708,12 +718,11 @@ class TestMachZehnderFactorization:
             ([0.1, "1"], [0.2, 0.3], r"^phi1 must be real numbers, got dtype <U32$"),
             ([0.1, 0.2, 0.3], [0.2, 0.3], r"^phi1 and phi2 must have equal lengths, got 3 and 2$"),
             (0.1, [0.2, 0.3], r"^phi1 and phi2 must have equal lengths, got 1 and 2$"),
-            ([], [], r"^phi1 must be a real number or a non-empty 1-D sequence, got shape \(0,\)$"),
-            (0.1, np.zeros((2, 2)), r"^phi2 must be a real number or a non-empty 1-D sequence, "),
         ],
-        ids=["str", "length", "scalar-vs-pair", "empty", "2-d"],
+        ids=["str", "length", "scalar-vs-pair"],
     )
     def test_malformed_phase_vectors_are_refused(self, phi1, phi2, message):
+        # the 2-d, empty, ragged and bool-entry faults are in test_network.py's TestVectorRule
         with pytest.raises(ValueError, match=message):
             mach_zehnder_factorization_residual(phi1, phi2, 4)
 
@@ -728,8 +737,6 @@ class TestMachZehnderFactorization:
         # phase, and a refusal past the envelope names PHASE_MAX
         with pytest.raises(ValueError, match="^phi1 must be real numbers, got dtype bool$"):
             mach_zehnder_factorization_residual(True, 0.2, 4)
-        with pytest.raises(ValueError, match="^phi2 must be real numbers, got a bool entry$"):
-            mach_zehnder_factorization_residual([0.1, 0.2], [0.3, np.True_], 4)
         with pytest.raises(ValueError, match=r"^phi2 must lie in \[-PHASE_MAX, PHASE_MAX\] with PHASE_MAX"):
             mach_zehnder_factorization_residual(0.1, 1e101, 4)
 

@@ -6,22 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqzmet import (
+    ExperimentConfig,
     RotationMesh,
+    SqueezeParameter,
     block_unitarity_defect,
+    check_regime,
     embed_weights_unitary,
+    exact_survival_probability,
     first_column,
     mach_zehnder_factorization_residual,
     mach_zehnder_unitary,
     mesh_gap,
     mesh_to_netlist,
     parse_netlist,
+    phase_moments,
     reck_decompose,
     recompose,
     unitarity_defect,
     validate_weights,
     weight_chain,
 )
-from sqzmet import network
+from sqzmet import fock, network
 from sqzmet.network import ELEMENT_DTYPE
 from conftest import random_unitary, random_weights
 
@@ -88,27 +93,65 @@ class TestWeightValidation:
             call(bad)
 
     @pytest.mark.parametrize(
-        "name, call",
-        [
-            ("weights", lambda: validate_weights([[0.5], 0.5])),
-            ("phases", lambda: network.validate_phases([[0.1], 0.2], 2)),
-            ("phi1", lambda: mach_zehnder_factorization_residual([[0.1], 0.2], 0.0, 12)),
-            ("phase layer", lambda: RotationMesh((), [[0.1], 0.2])),
-        ],
-        ids=["weights", "phases", "mz-phi1", "mesh-phase-layer"],
-    )
-    def test_ragged_sequence_is_refused_by_name(self, name, call):
-        # numpy's own "inhomogeneous shape" message named no argument
-        with pytest.raises(ValueError, match=f"^{name} must be real numbers, got a ragged sequence$"):
-            call()
-
-    @pytest.mark.parametrize(
         "values", [[1, 0], np.array([1, 0], dtype=np.uint8), np.array([0.5, 0.5], dtype=np.float32)]
     )
     def test_integer_and_float_vectors_are_accepted(self, values):
         for checked in (validate_weights(values), network.validate_phases(values, 2)):
             assert checked.dtype == np.float64
             assert np.array_equal(checked, np.asarray(values, dtype=float))
+
+
+SQ = SqueezeParameter(0.5)
+# every public entry point that reads a vector, with the name its refusals use
+VECTOR_ENTRY_POINTS = {
+    "weights": ("weights", validate_weights),
+    "phases": ("phases", lambda v: network.validate_phases(v, 2)),
+    "config": ("phases", lambda v: ExperimentConfig([0.5, 0.5], v, SQ, shots=100, seed=7)),
+    "phase-moments": ("phases", lambda v: phase_moments([0.5, 0.5], v)),
+    "exact": ("phases", lambda v: exact_survival_probability([0.5, 0.5], v, SQ)),
+    "fock-table": ("phases", lambda v: fock.survival_probability([0.5, 0.5], v, SQ, 20)),
+    "fock-sectors": ("phases", lambda v: fock.survival_probability_sectors([0.5, 0.5], v, SQ, 20)),
+    "fock-moments": ("phases", lambda v: fock.generator_moments_sectors([0.5, 0.5], v, SQ, 20)),
+    "regime": ("phases", lambda v: check_regime(v, 1.0)),
+    "mesh-phase-layer": ("phase layer", lambda v: RotationMesh((), v)),
+    "mz-phi1": ("phi1", lambda v: mach_zehnder_factorization_residual(v, 0.1, 4)),
+    "mz-phi2": ("phi2", lambda v: mach_zehnder_factorization_residual(0.1, v, 4)),
+}
+
+
+class TestVectorRule:
+    # network._real_vector is the one rule: one wording per fault at every entry point
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[0.5, 0.5]], "must be a non-empty vector, got shape (1, 2)"),
+            ([], "must be a non-empty vector, got shape (0,)"),
+            ([[0.5], 0.5], "must be real numbers, got a ragged sequence"),
+            ([0.5, True], "must be real numbers, got a bool entry"),
+            (["0.5", "0.5"], "must be real numbers, got dtype <U3"),
+        ],
+        ids=["2-d", "empty", "ragged", "bool-entry", "string"],
+    )
+    @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+    def test_each_fault_has_one_wording_at_every_entry_point(self, entry, bad, message):
+        # a 2-d phase array once read "expected 2 phases, got shape (1, 2)" at
+        # some entry points and "phi1 must be a real number or a non-empty 1-D
+        # sequence" at the Mach-Zehnder check; numpy's ragged message named no argument
+        name, call = VECTOR_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", sorted(set(VECTOR_ENTRY_POINTS) - {"mz-phi1", "mz-phi2"}))
+    def test_one_number_is_not_a_vector(self, entry):
+        name, call = VECTOR_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be a non-empty vector, got shape \\(\\)$"):
+            call(0.5)
+
+    @pytest.mark.parametrize("number", [0.3, 3, np.float64(0.3), np.int64(3), np.array(0.3)])
+    def test_one_number_is_one_mach_zehnder_pair(self, number):
+        residual = mach_zehnder_factorization_residual
+        assert residual(number, 0.1, 6) == residual([float(number)], [0.1], 6)
+        assert residual(0.1, number, 6) == residual([0.1], [float(number)], 6)
 
 
 class TestEmbedWeights:
@@ -312,23 +355,11 @@ class TestRotationMesh:
         with pytest.raises(ValueError, match=rf"element mode {mode} outside \[0, M - 2\] for M = 3"):
             RotationMesh([(0, 0.5, 0.0), (mode, 0.5, 0.0)], np.zeros(3))
 
-    def test_empty_phase_layer_is_refused(self):
-        # it used to render "phases \n", which parse_netlist refuses
-        with pytest.raises(ValueError, match=r"phase layer must be a non-empty vector, got shape \(0,\)"):
-            RotationMesh((), [])
-
-    def test_phase_layer_that_is_not_a_vector_is_refused(self):
-        # recompose used to return a 1 x 1 identity for it
-        with pytest.raises(ValueError, match=r"phase layer .* got shape \(1, 2\)"):
-            RotationMesh((), [[0.0, 0.0]])
-
     def test_phase_layer_takes_only_real_numbers(self):
-        # numpy once cast strings and bools to float, and a complex raised a bare TypeError
-        for phases, message in (
-            (["0.5", "1e3"], r"dtype <U3$"), ([True, 0.0], r"a bool entry$"), ([1j, 0.0], r"dtype complex128$")
-        ):
-            with pytest.raises(ValueError, match="^phase layer must be real numbers, got " + message):
-                RotationMesh((), phases)
+        # a complex phase once raised a bare TypeError; the other faults of the
+        # vector rule are in TestVectorRule
+        with pytest.raises(ValueError, match="^phase layer must be real numbers, got dtype complex128$"):
+            RotationMesh((), [1j, 0.0])
         # non-finite phases are kept, in a copy of the caller's array
         phases = np.array([math.nan, 0.5, -math.inf])
         mesh = RotationMesh((), phases)
