@@ -246,15 +246,17 @@ def exact_survival_probability(
     cutoff that :func:`fock.recommend_cutoff` certifies for a tail below
     ``ORACLE_TAIL_BOUND``.
 
-    Each engine is a verifier, imported only when its branch runs.
+    Each engine is a verifier, imported only when its branch runs; the
+    weights and then the phases are checked before either does.
 
     Returns:
         ``(probability, cutoff)``; the cutoff is None for the gaussian
         engine.
     """
     w = network.validate_weights(weights)
+    phases = network.validate_phases(phases, w.size)
     if engine == "gaussian":
-        return _survival_probability(w, network.validate_phases(phases, w.size), squeeze), None
+        return _survival_probability(w, phases, squeeze), None
     if engine == "fock":
         from . import fock
 

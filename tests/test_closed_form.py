@@ -46,7 +46,7 @@ def _skewed(modes):
     return weights
 
 
-@pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("r", [0.5, 1.0, 3.0, 5.0])
 @pytest.mark.parametrize("modes", [10 ** 4, 10 ** 5])
 def test_fock_engine_matches_the_z_form_at_large_m(modes, r):
     # z = 1 - m = sum w (2 sin^2(phi/2) + i sin phi) and 1 - m^2 = z (2 - z),

@@ -20,7 +20,7 @@ from sqzmet import (
     survival_probability,
     survival_probability_sectors,
 )
-from sqzmet import fock, network
+from sqzmet import fock, metrology, network, validate
 from sqzmet.fock import (
     MAX_CUTOFF,
     MAX_MZ_CUTOFF,
@@ -127,6 +127,85 @@ def mz_residual_by_sector(phi1, phi2, cutoff, norm="fro"):
     return worst
 
 
+def certifies(ladder, squeeze, tail_bound, moment_power, cutoff):
+    """``recommend_cutoff``'s certificate at ``cutoff``, read off the squeezer's ``ladder``.
+
+    Entry ``m = cutoff / 2 + 1`` is the first one the cutoff leaves out, and
+    every later term ratio of the tail weighted by ``(2m)^p`` is below
+    ``tanh(r)^2 (1 + 1/m)^p``: the tail is below that entry's weighted term
+    over one minus the ratio.
+    """
+    m = cutoff // 2 + 1
+    ratio_bound = math.tanh(squeeze.r) ** 2 * (1.0 + 1.0 / m) ** moment_power
+    return ratio_bound < 1.0 and ladder[m] * (2 * m) ** moment_power / (1.0 - ratio_bound) < tail_bound
+
+
+def check_certified_cutoffs(radii, pairs):
+    """``recommend_cutoff`` at every radius and ``(tail_bound, moment_power)`` pair.
+
+    Each cutoff passes the certificate and the one two photons below it
+    fails; each refusal names ``MAX_CUTOFF``, and the certificate fails at
+    the last cutoff under it.  Returns the cutoffs pair by pair, None for a
+    refusal.
+    """
+    cutoffs = {}
+    for tail_bound, power in pairs:
+        row = cutoffs[tail_bound, power] = []
+        for r in radii:
+            squeeze = SqueezeParameter(r)
+            case = (r, tail_bound, power)
+            try:
+                cutoff = recommend_cutoff(squeeze, tail_bound, power)
+            except ValueError as error:
+                assert str(error).startswith(f"no cutoff below MAX_CUTOFF = {MAX_CUTOFF} photons"), error
+                ladder = squeezed_vacuum_probabilities(squeeze, MAX_CUTOFF)
+                assert not certifies(ladder, squeeze, tail_bound, power, MAX_CUTOFF - 2), case
+                row.append(None)
+                continue
+            ladder = squeezed_vacuum_probabilities(squeeze, cutoff + 2)
+            assert certifies(ladder, squeeze, tail_bound, power, cutoff), (case, cutoff)
+            assert cutoff == 0 or not certifies(ladder, squeeze, tail_bound, power, cutoff - 2), (case, cutoff)
+            row.append(cutoff)
+    return cutoffs
+
+
+# recommend_cutoff at r = k / 8 for k = 0..40, for each (tail_bound,
+# moment_power) pair the package certifies with; None where no cutoff below
+# MAX_CUTOFF certifies the tail
+PINNED_RADII = [k / 8 for k in range(41)]
+PINNED_CUTOFFS = {
+    (metrology.ORACLE_TAIL_BOUND, 0): [
+        0, 12, 18, 24, 32, 42, 56, 72, 92, 120, 154, 198, 254, 328, 420, 540, 694, 892,
+        1144, 1470, 1888, 2424, 3112, 3996, 5132, 6588, 8460, 10864, 13948, 17910,
+        22998, 29530, 37918, 48688, 62516, 80272, 103072, 132348, 169938, 218206,
+        280182,
+    ],
+    (validate.TABLE_ROUTE_TAIL, 0): [
+        0, 10, 14, 20, 26, 34, 46, 60, 76, 98, 126, 162, 210, 270, 346, 444, 570, 734,
+        942, 1210, 1552, 1994, 2560, 3288, 4222, 5422, 6962, 8938, 11478, 14738, 18924,
+        24298, 31200, 40060, 51440, 66050, 84810, 108898, 139828, 179542, 230538,
+    ],
+    (validate.ODD_TERM_TAIL, 8): [
+        0, 24, 40, 58, 80, 110, 148, 198, 264, 350, 464, 614, 810, 1070, 1410, 1858,
+        2446, 3218, 4230, 5556, 7294, 9572, 12556, 16460, 21570, 28252, 36990, 48412,
+        63334, 82826, 108280, 141510, 184874, 241452, 315252, None, None, None, None,
+        None, None,
+    ],
+    (validate.VARIANCE_IDENTITY_TAIL, 2): [
+        0, 16, 26, 36, 48, 64, 84, 112, 146, 190, 248, 322, 420, 546, 710, 924, 1200,
+        1560, 2026, 2632, 3418, 4438, 5762, 7480, 9708, 12600, 16350, 21212, 27520,
+        35700, 46304, 60054, 77878, 100982, 130926, 169736, 220026, 285192, 369626,
+        None, None,
+    ],
+    (validate.SERIES_CONVERGENCE_TAIL, 8): [
+        0, 28, 46, 66, 90, 122, 164, 220, 292, 386, 510, 674, 886, 1168, 1536, 2018,
+        2650, 3480, 4566, 5988, 7848, 10282, 13464, 17626, 23064, 30168, 39446, 51562,
+        67374, 88008, 114926, 150032, 195806, 255476, 333240, None, None, None, None,
+        None, None,
+    ],
+}
+
+
 class TestLadder:
     def test_vacuum_limit(self):
         probs = squeezed_vacuum_probabilities(SqueezeParameter(0.0), 8)
@@ -183,6 +262,9 @@ class TestLadder:
             np.testing.assert_array_equal(
                 route(weights, phases, aligned, cutoff), route(weights, phases, turned, cutoff)
             )
+
+    def test_certified_cutoffs_are_pinned(self):
+        assert check_certified_cutoffs(PINNED_RADII, PINNED_CUTOFFS) == PINNED_CUTOFFS
 
     def test_uncertifiable_cutoff_names_the_squeezing(self):
         with pytest.raises(ValueError, match=r"^no cutoff below MAX_CUTOFF = 400000 .* r = 5\.5 \(nbar = 1\.497e\+04\)"):

@@ -396,6 +396,20 @@ class TestEngines:
             )
 
     @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    @pytest.mark.parametrize(
+        "phases, message",
+        [
+            pytest.param([math.nan, 0.0], r"phases must be finite, got \[nan  0\.\]", id="nan"),
+            pytest.param([0.1], r"expected 2 phases, got shape \(1,\)", id="short"),
+        ],
+    )
+    def test_phases_are_checked_before_the_engine_runs(self, engine, phases, message):
+        # no cutoff certifies r = 5.5: the fock engine once refused these
+        # phases with that message, after paying for the certification
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exact_survival_probability([0.5, 0.5], phases, SqueezeParameter(5.5), engine=engine)
+
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
     def test_complex_phases_are_refused_by_name(self, engine):
         # a complex phase is not a real number: refused by name, not with numpy's float() TypeError
         with pytest.raises(ValueError, match="^phases must be real numbers, got dtype complex128$"):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sqzmet import fock, metrology, validate
+from sqzmet import fock, metrology, network, validate
 from sqzmet.metrology import NBAR_MAX, NBAR_MIN, PHASE_MAX, SQUEEZE_R_MAX
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqzmet"
@@ -137,3 +137,75 @@ def test_the_readme_states_the_code_constants():
         value = getattr(importlib.import_module(f"sqzmet.{module}"), name)
         digits = len(printed.split("e")[0].replace(".", "").lstrip("-0"))
         assert float(printed) == float(f"{value:.{digits}g}"), (module, name, printed)
+
+
+ENVELOPE_SQUEEZE = metrology.SqueezeParameter(0.5)
+# the vacuum's table has no tail at any cutoff, 0 included
+VACUUM = metrology.SqueezeParameter(0.0)
+# each interval row of README's envelope table, by the start of its argument
+# cell, and calls at a value of the argument the row bounds
+ENVELOPE_ROWS = {
+    "`nbar` of `heisenberg_sensitivity`": [
+        metrology.heisenberg_sensitivity, lambda v: metrology.estimate_phase(5, 10, v),
+    ],
+    "`nbar` of `check_regime`": [
+        lambda v: metrology.check_regime([0.0], v), lambda v: metrology.sweep_point_probability(v, 0.0),
+    ],
+    "`phi_bar` of `sweep_point_probability`": [lambda v: metrology.sweep_point_probability(1.0, v)],
+    "each entry of a phase vector": [
+        lambda v: metrology.exact_survival_probability([1.0], [v], ENVELOPE_SQUEEZE),
+        lambda v: fock.survival_probability_sectors([1.0], [v], ENVELOPE_SQUEEZE, 10),
+        lambda v: fock.mach_zehnder_factorization_residual(v, 0.0, 2),
+    ],
+    "`p` of `simulate_shots`": [
+        lambda v: metrology.simulate_shots(v, 10, 0), network.mach_zehnder_unitary,
+    ],
+    "`r` of `SqueezeParameter`": [metrology.SqueezeParameter],
+    "`tail_bound` of `recommend_cutoff`": [lambda v: fock.recommend_cutoff(ENVELOPE_SQUEEZE, v)],
+    "`cutoff` of `squeezed_vacuum_probabilities`": [
+        lambda v: fock.squeezed_vacuum_probabilities(VACUUM, v),
+        lambda v: fock.survival_probability([1.0], [0.1], VACUUM, v),
+        lambda v: fock.survival_probability_sectors([1.0], [0.1], VACUUM, v),
+        lambda v: fock.generator_moments_sectors([1.0], [0.1], VACUUM, v),
+    ],
+}
+# the first interval of a range cell: `[low, high]`, either end open
+INTERVAL = re.compile(r"`([\[(])([^,`]+), ([^`\])]+)([\])])`")
+
+
+def _envelope_table():
+    """README's envelope table, as {argument cell: range cell}."""
+    text = README.read_text().split("| argument | range |\n| --- | --- |\n", 1)[1]
+    return dict(line.strip("| ").split(" | ", 1) for line in text.split("\n\n", 1)[0].splitlines())
+
+
+def _endpoint(text):
+    """An interval end as a number: a figure, `inf` or a constant of the package, maybe negated."""
+    sign, name = (-1, text[1:]) if text.startswith("-") else (1, text)
+    for module in (metrology, network, fock):
+        if hasattr(module, name):
+            return sign * getattr(module, name)
+    return float(text)
+
+
+def test_every_interval_of_the_envelope_table_is_checked():
+    rows = [argument for argument, cell in _envelope_table().items() if INTERVAL.search(cell)]
+    keys = [[key for key in ENVELOPE_ROWS if row.startswith(key)] for row in rows]
+    assert sorted(keys) == sorted([key] for key in ENVELOPE_ROWS), rows
+
+
+@pytest.mark.parametrize("row", ENVELOPE_ROWS)
+def test_the_envelope_table_states_each_range(row):
+    # a closed end is accepted and one step past it refused; an open end is
+    # refused at its figure.  A cutoff is even, so its step is 2
+    cell = next(cell for argument, cell in _envelope_table().items() if argument.startswith(row))
+    low_bracket, low, high, high_bracket = INTERVAL.search(cell).groups()
+    even = cell.startswith("even")
+    for call in ENVELOPE_ROWS[row]:
+        for bracket, text, outward in ((low_bracket, low, -1), (high_bracket, high, 1)):
+            bound = int(_endpoint(text)) if even else _endpoint(text)
+            if bracket in "[]":
+                call(bound)
+                bound = bound + 2 * outward if even else math.nextafter(bound, outward * math.inf)
+            with pytest.raises(ValueError):
+                call(bound)
