@@ -230,7 +230,11 @@ def _series_terms(moments: np.ndarray) -> np.ndarray:
 
 
 def series_partial_sum(terms: np.ndarray, max_term: int) -> float:
-    """Alternating partial sum of the survival series through term ``max_term`` (an integer >= 0)."""
+    """Alternating partial sum of the survival series through term ``max_term`` (an integer >= 0).
+
+    ``terms`` passes :func:`network._real_vector`'s rule, under that name.
+    """
+    terms = network._real_vector("terms", terms)
     max_term = network.validate_count("max_term", max_term, 0)
     total = 0.0
     for ell in range(0, min(max_term, len(terms) - 1) + 1, 2):

@@ -158,37 +158,24 @@ def apply_network(state: GaussianState, unitary: np.ndarray) -> GaussianState:
     return _adopt(out, m)
 
 
-def _ladder_covariances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    # second moments in ladder-operator form: alpha[j,k] = <adag_j a_k>,
-    # beta[j,k] = <a_j a_k>, both derived from the symmetric covariance
-    cov = state.covariance
-    m = state.modes
-    vxx = cov[0::2, 0::2]
-    vpp = cov[1::2, 1::2]
-    vxp = cov[0::2, 1::2]
-    vpx = cov[1::2, 0::2]
-    alpha = 0.5 * (vxx + vpp - np.eye(m)) + 0.5j * (vxp - vpx)
-    beta = 0.5 * (vxx - vpp) + 0.5j * (vxp + vpx)
-    return alpha, beta
-
-
 def photon_moments(state: GaussianState) -> PhotonMoments:
-    """Mean and variance of the total photon number of a pure zero-mean state.
+    """Mean and variance of the total photon number of a zero-mean Gaussian state.
 
-    The variance follows from Wick contractions of the ladder-operator
-    covariances, so no Fock expansion is needed.  On vacuum both fields are
-    exactly zero.
+    Both are traces of the covariance ``V`` of ``M`` modes (Wick's theorem):
+    ``<N> = (tr V - M) / 2`` and ``Var N = (tr V^2 - M/2) / 2``, with
+    ``tr V^2`` summed elementwise as ``sum_jk V_jk^2``, so no Fock expansion
+    is needed.  On vacuum both fields are exactly zero.
 
     Raises:
         ValueError: naming the moment, if the mean or the variance is not a
             finite float.  A caller's covariance may hold entries whose squares
             overflow; a probe built from a ``SqueezeParameter`` stays finite.
     """
+    cov, m = state.covariance, state.modes
     # an overflow, or inf - inf after one, is refused below by name
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha, beta = _ladder_covariances(state)
-        mean_n = float(np.trace(alpha).real)
-        var_n = float(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(alpha) ** 2) + mean_n)
+        mean_n = float(np.trace(cov) - m) / 2.0
+        var_n = float(np.sum(cov * cov) - m / 2.0) / 2.0
     for moment, value in (("mean", mean_n), ("variance", var_n)):
         if not math.isfinite(value):
             raise ValueError(f"photon-number {moment} is not a finite float, got {value}")
@@ -226,12 +213,15 @@ def vacuum_overlap_probability(state: GaussianState, probe: GaussianState) -> fl
         via a Cholesky factorisation.
 
     Raises:
-        ValueError: if either state is not pure within ``OVERLAP_PURITY_TOL``, naming
+        ValueError: if the two states have different mode counts, naming both;
+            if either state is not pure within ``OVERLAP_PURITY_TOL``, naming
             the argument, its purity defect and the bound; if the sum of the
             two covariances is not positive definite, which a pure but
             indefinite covariance allows; or if the overlap exceeds 1 by more
             than ``OVERLAP_EXCESS_TOL``, naming the overlap and the bound.
     """
+    if state.modes != probe.modes:
+        raise ValueError(f"state has {state.modes} modes, probe has {probe.modes}")
     for name, candidate in (("state", state), ("probe", probe)):
         defect = purity_defect(candidate)
         if defect > OVERLAP_PURITY_TOL:

@@ -400,8 +400,9 @@ def scaling_sweep(
     ``log(delta_phi_sq)`` against ``log(nbar)``, NaN for a single point.
 
     Args:
-        nbars: mean photon numbers to scan, each in ``[NBAR_MIN, NBAR_MAX]``;
-            two or more must not all share one ``log(nbar)``.
+        nbars: mean photon numbers to scan, a vector (:func:`network._real_vector`),
+            each in ``[NBAR_MIN, NBAR_MAX]``; two or more must not all share
+            one ``log(nbar)``.
         shots: detections per repetition.
         repetitions: independent repetitions per point (>= 2).
         seed: master seed, >= 0; point ``i`` draws all its repetitions
@@ -418,9 +419,8 @@ def scaling_sweep(
             variance (every repetition saw the same count), which leaves
             nothing to fit.
     """
+    nbars = network._real_vector("nbars", nbars).tolist()
     nbars = [validate_real("nbar", nbar, NBAR_MIN, NBAR_MAX, "[NBAR_MIN, NBAR_MAX]") for nbar in nbars]
-    if not nbars:
-        raise ValueError("nbars must not be empty")
     references = [heisenberg_sensitivity(nbar) for nbar in nbars]
     # the refusal and the fit read the same logs
     log_nbars = [math.log(nbar) for nbar in nbars]

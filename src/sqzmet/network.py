@@ -129,8 +129,14 @@ def validate_phases(phases, modes: int, name: str = "phases") -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Frobenius norm of ``U^dag U - I``; NaN or inf, without a warning, past the float range."""
+    """Frobenius norm of ``U^dag U - I``; NaN or inf, without a warning, past the float range.
+
+    Raises:
+        ValueError: unless ``matrix`` is square, as ``expected a square matrix, got shape S``.
+    """
     matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
 
 
@@ -268,12 +274,11 @@ def reck_decompose(unitary: np.ndarray) -> RotationMesh:
     pivot is.
 
     Raises:
-        ValueError: if the input is not square, or unless its unitarity
-            defect is a number within ``UNITARITY_TOL`` (a NaN entry fails).
+        ValueError: if the input is not square (:func:`unitarity_defect`'s
+            rule), or unless its unitarity defect is a number within
+            ``UNITARITY_TOL`` (a NaN entry fails).
     """
     work = np.array(unitary, dtype=complex)
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {work.shape}")
     defect = unitarity_defect(work)
     if not defect <= UNITARITY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e}, bound {UNITARITY_TOL})")

@@ -19,6 +19,18 @@ def nan_splitter_at(sector_operators, total):
     return stand_in
 
 
+def closed_form_survival(weights, phases, nbar):
+    """Reference survival probability ``1 / |1 + nbar (1 - m^2)|``, ``m = sum_j w_j exp(-i phi_j)``.
+
+    Written in the z-form: ``z = 1 - m = sum_j w_j (2 sin^2(phi_j/2) + i sin phi_j)``
+    and ``1 - m^2 = z (2 - z)``, so a small-phase deficit is formed without
+    cancelling against 1.
+    """
+    weights, phases = np.asarray(weights, dtype=float), np.asarray(phases, dtype=float)
+    z = np.sum(weights * (2.0 * np.sin(phases / 2.0) ** 2 + 1j * np.sin(phases)))
+    return 1.0 / abs(1.0 + nbar * z * (2.0 - z))
+
+
 def random_weights(rng, dim):
     w = rng.dirichlet(np.ones(dim))
     return w / w.sum()

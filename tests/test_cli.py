@@ -11,7 +11,7 @@ import pytest
 import sqzmet.metrology
 import sqzmet.network
 from sqzmet import RotationMesh, cli, parse_netlist, recompose
-from conftest import nan_splitter_at
+from conftest import closed_form_survival, nan_splitter_at
 
 
 @pytest.fixture
@@ -223,7 +223,7 @@ class TestSimulate:
     def test_many_modes_match_the_closed_form_byte_for_byte(self, tmp_path, modes):
         # equal weights through the covariance route, at the benchmark's largest
         # mode count and four times it: two runs write the same bytes, and
-        # p_exact is the closed form 1/|1 + nbar (1 - m^2)|, m = sum_j w_j e^(-i phi_j)
+        # p_exact is the closed form
         weights = np.full(modes, 1.0 / modes)
         phases = [0.02 * ((7 * j) % 11 - 5) for j in range(modes)]
         cfg = tmp_path / "many.cfg"
@@ -238,9 +238,8 @@ class TestSimulate:
         assert runs[0].read_bytes() == runs[1].read_bytes()
         _, header, rows = read_csv(runs[0])
         p_exact = float(dict(zip(header, rows[0].split(",")))["p_exact"])
-        m = np.sum(weights * np.exp(-1j * np.array(phases)))
         nbar = math.sinh(0.8813735870195429) ** 2
-        assert abs(p_exact - 1.0 / abs(1.0 + nbar * (1.0 - m * m))) <= 1e-9
+        assert abs(p_exact - closed_form_survival(weights, phases, nbar)) <= 1e-9
 
     def test_env_override(self, tmp_path, config_file, monkeypatch):
         # the config file and --seed are the only settings; the environment

@@ -1,6 +1,7 @@
 """Both engines against the closed form P = 1 / |1 + nbar (1 - m^2)| across the envelope.
 
-The Fock engine is also held to the z-form of the same law at M = 10^4 and 10^5.
+The reference is ``conftest.closed_form_survival``; the Fock engine is also
+held to it at M = 10^4 and 10^5.
 """
 
 import math
@@ -12,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from sqzmet import SqueezeParameter, exact_survival_probability
+from conftest import closed_form_survival
 
 
 @st.composite
@@ -33,8 +35,7 @@ def configurations(draw):
 @hypothesis.given(case=configurations())
 def test_engine_matches_closed_form(engine, case):
     weights, phases, squeeze = case
-    m = np.sum(weights * np.exp(-1j * phases))
-    closed = 1.0 / abs(1.0 + squeeze.mean_photon_number * (1.0 - m * m))
+    closed = closed_form_survival(weights, phases, squeeze.mean_photon_number)
     p, _ = exact_survival_probability(weights, phases, squeeze, engine=engine)
     assert abs(p - closed) <= 1e-9
 
@@ -49,14 +50,11 @@ def _skewed(modes):
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0, 5.0])
 @pytest.mark.parametrize("modes", [10 ** 4, 10 ** 5])
 def test_fock_engine_matches_the_z_form_at_large_m(modes, r):
-    # z = 1 - m = sum w (2 sin^2(phi/2) + i sin phi) and 1 - m^2 = z (2 - z),
-    # so the small-phase deficit is formed without cancelling against 1
     rng = np.random.default_rng([modes, int(10 * r)])
     phases = rng.uniform(-0.05, 0.05, size=modes)
     squeeze = SqueezeParameter(r)
     for weights in (rng.dirichlet(np.ones(modes)), _skewed(modes)):
         weights = weights / weights.sum()
-        z = np.sum(weights * (2.0 * np.sin(phases / 2.0) ** 2 + 1j * np.sin(phases)))
-        closed = 1.0 / abs(1.0 + squeeze.mean_photon_number * z * (2.0 - z))
+        closed = closed_form_survival(weights, phases, squeeze.mean_photon_number)
         p, _ = exact_survival_probability(weights, phases, squeeze, engine="fock")
         assert abs(p - closed) <= 1e-9

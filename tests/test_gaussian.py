@@ -158,13 +158,16 @@ class TestNetworkAndPhases:
             assert np.allclose(after.covariance, 0.5 * np.eye(2 * dim), atol=1e-13)
 
     def test_network_preserves_photon_number(self, rng):
+        # a passive network keeps the whole photon-number distribution, so
+        # both moments, each a trace of the full covariance it builds
         for _ in range(100):
             dim = int(rng.integers(1, 6))
             r = float(rng.uniform(0.0, 2.0))
             state = squeezed_probe(dim, SqueezeParameter(r))
-            before = photon_moments(state).mean_n
-            after = photon_moments(apply_network(state, random_unitary(rng, dim))).mean_n
-            assert abs(before - after) <= 1e-12 * max(1.0, before)
+            before = photon_moments(state)
+            after = photon_moments(apply_network(state, random_unitary(rng, dim)))
+            assert abs(before.mean_n - after.mean_n) <= 1e-12 * max(1.0, before.mean_n)
+            assert abs(before.var_n - after.var_n) <= 1e-12 * max(1.0, before.var_n)
 
     def test_balanced_splitter_preserves_unit_photon(self):
         state = squeezed_probe(2, SqueezeParameter(R_UNIT))
@@ -358,6 +361,13 @@ class TestPhotonMoments:
             assert moments.mean_n == pytest.approx(nbar, abs=1e-9)
             assert moments.var_n == pytest.approx(2 * nbar * (nbar + 1), abs=1e-9)
 
+    @pytest.mark.parametrize("modes, n", [(1, 0.5), (3, 2.0), (8, 0.25)])
+    def test_thermal_moments(self, modes, n):
+        # a caller's mixed state: (n + 1/2) I holds M independent thermal modes
+        moments = photon_moments(GaussianState((n + 0.5) * np.eye(2 * modes)))
+        assert moments.mean_n == pytest.approx(modes * n, rel=1e-14)
+        assert moments.var_n == pytest.approx(modes * n * (n + 1), rel=1e-14)
+
     def test_overflowing_covariance_is_refused_by_moment(self):
         # its squares once overflowed with a RuntimeWarning into var_n = inf
         for diagonal, moment in (
@@ -431,6 +441,14 @@ class TestVacuumOverlap:
             return vacuum_overlap_probability(state, probe)
 
         assert abs(run(unitary) - run(unitary @ gauge)) <= 1e-12
+
+    def test_mode_counts_must_match(self):
+        # numpy once refused it: operands could not be broadcast together
+        # with shapes (4,4) (6,6); the counts are checked before purity
+        squeeze = SqueezeParameter(0.5)
+        for state in (squeezed_probe(3, squeeze), GaussianState(np.eye(6))):
+            with pytest.raises(ValueError, match=r"^state has 3 modes, probe has 2$"):
+                vacuum_overlap_probability(state, squeezed_probe(2, squeeze))
 
     def test_rejects_impure_state(self):
         from sqzmet import GaussianState

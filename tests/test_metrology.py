@@ -31,7 +31,7 @@ import sqzmet.metrology
 import sqzmet.network
 from sqzmet import validate
 from sqzmet.validate import quick_suite
-from conftest import random_weights
+from conftest import closed_form_survival, random_weights
 
 R_UNIT = math.asinh(1.0)
 
@@ -351,15 +351,13 @@ class TestEngines:
 
     @pytest.mark.parametrize("modes", [2, 8, 32, 128])
     def test_covariance_engine_matches_closed_form(self, modes):
-        # P = 1 / |1 + nbar (1 - m^2)|, m = sum_j w_j exp(-i phi_j), at the
-        # protocol sizes, squeezings and phases up to pi
+        # the closed form at the protocol sizes, squeezings and phases up to pi
         rng = np.random.default_rng(modes)
         for _ in range(15):
             weights = random_weights(rng, modes)
             phases = rng.uniform(-math.pi, math.pi, size=modes) * rng.uniform(0.0, 1.0)
             squeeze = SqueezeParameter(rng.uniform(0.1, 2.5), rng.uniform(0.0, 2 * math.pi))
-            m = np.sum(weights * np.exp(-1j * phases))
-            closed = 1.0 / abs(1.0 + squeeze.mean_photon_number * (1.0 - m * m))
+            closed = closed_form_survival(weights, phases, squeeze.mean_photon_number)
             p, _ = exact_survival_probability(weights, phases, squeeze)
             assert abs(p - closed) <= 1e-9
 
@@ -1025,7 +1023,7 @@ def test_verifier_entry_points_refuse_a_squeeze_by_name(call, squeeze):
             id="sweep-bias-huge",
         ),
         pytest.param(
-            "nbar", lambda: scaling_sweep([1.0, 10 ** 400], 1000, 10, 0), id="sweep-nbar-huge"
+            "nbars", lambda: scaling_sweep([1.0, 10 ** 400], 1000, 10, 0), id="sweep-nbar-huge"
         ),
     ],
 )

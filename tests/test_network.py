@@ -22,6 +22,7 @@ from sqzmet import (
     phase_moments,
     reck_decompose,
     recompose,
+    scaling_sweep,
     unitarity_defect,
     validate_weights,
     weight_chain,
@@ -116,6 +117,8 @@ VECTOR_ENTRY_POINTS = {
     "mesh-phase-layer": ("phase layer", lambda v: RotationMesh((), v)),
     "mz-phi1": ("phi1", lambda v: mach_zehnder_factorization_residual(v, 0.1, 4)),
     "mz-phi2": ("phi2", lambda v: mach_zehnder_factorization_residual(0.1, v, 4)),
+    "sweep-nbars": ("nbars", lambda v: scaling_sweep(v, 1000, 10, 1)),
+    "series-terms": ("terms", lambda v: fock.series_partial_sum(v, 2)),
 }
 
 
@@ -318,8 +321,16 @@ class TestReckDecomposition:
             reck_decompose(np.ones((3, 3)))
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
             reck_decompose(np.ones((2, 3)))
+
+    def test_unitarity_defect_refuses_what_is_not_square(self):
+        # the one square-matrix rule, which reck_decompose applies through it;
+        # a vector once passed as a matrix and read a defect of 8.124
+        for shape in ((3,), (2, 3)):
+            message = f"expected a square matrix, got shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                unitarity_defect(np.ones(shape))
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e200])
     def test_rejects_a_non_finite_defect(self, entry):
