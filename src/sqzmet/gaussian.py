@@ -31,6 +31,13 @@ OVERLAP_PURITY_TOL = 1e-6
 # below the vacuum's, whose overlap exceeds 1; an overlap may round above 1 by
 # at most this much before it is refused
 OVERLAP_EXCESS_TOL = 1e-12
+# the covariance engine's mode ceiling, from a 1 GiB budget for its survival probability.  Its
+# arrays grow as (2M)^2: in a fresh process, exact_survival_probability raised getrusage's peak
+# RSS by 16.4, 56.3 and 209.5 MiB at M = 256, 512 and 1024 (numpy 2.4.6), 52 bytes per entry of
+# the (2M, 2M) covariance at M = 1024.  The budget admits M <= 2263; at M = 2048 the same
+# extrapolation gives about 840 MiB.  1 GiB keeps a verifier call to a small share of a 7 GB
+# CI runner, and the Fock engine's sector route serves any larger M
+GAUSSIAN_MAX_MODES = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +113,15 @@ def squeezed_probe(modes: int, squeeze: SqueezeParameter) -> GaussianState:
 
     Raises:
         ValueError: unless ``modes`` is an integer >= 1 and ``squeeze`` a
-            :class:`SqueezeParameter`.
+            :class:`SqueezeParameter`; above ``GAUSSIAN_MAX_MODES``, naming
+            ``M`` and the ceiling, before any array is allocated.
     """
     modes = validate_count("modes", modes, 1)
+    if modes > GAUSSIAN_MAX_MODES:
+        raise ValueError(
+            f"modes M = {modes} above GAUSSIAN_MAX_MODES = {GAUSSIAN_MAX_MODES}, the covariance "
+            'engine\'s ceiling; exact_survival_probability(..., engine="fock") takes any M'
+        )
     block = _squeeze_block(validate_squeeze(squeeze))
     cov = np.zeros((2 * modes, 2 * modes))
     cov.ravel()[:: 2 * modes + 1] = 0.5

@@ -270,13 +270,14 @@ def _survival_probability(weights: np.ndarray, phases: np.ndarray, squeeze: Sque
     # today it is the covariance engine of exact_survival_probability
     from .gaussian import apply_network, squeezed_probe, vacuum_overlap_probability
 
+    # the probe first: above its mode ceiling it refuses before any (M, M) array exists
+    probe = squeezed_probe(weights.size, squeeze)
     unitary = network.embed_weights_unitary(weights)
     # the weight network is real, so U^dag = U^T and U^T diag(exp(-i phi)) U
     # is A - iB with A = U^T (cos(phi) U), B = U^T (sin(phi) U): one real
     # product against exp(-i phi) U read as (cos, -sin) pairs, read back as complex
     scaled = (np.exp(-1j * phases)[:, None] * unitary).view(float)
     passive = (unitary.T @ scaled).view(complex)
-    probe = squeezed_probe(weights.size, squeeze)
     return vacuum_overlap_probability(apply_network(probe, passive), probe)
 
 

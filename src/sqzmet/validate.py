@@ -3,8 +3,8 @@
 The quick suite cross-checks the two engines and the exact moment
 identities on seeded random configurations; the full suite adds the
 Mach-Zehnder factorisation residual and the convergence order of the
-survival series.  Every check returns its worst observed defect so a
-failure report names what broke and by how much.
+survival series.  Every check returns its worst figure and its bound as
+numbers, and its verdict and printed detail are both read off them.
 """
 
 from __future__ import annotations
@@ -48,10 +48,34 @@ VARIANCE_IDENTITY_TAIL = 1e-14
 SERIES_CONVERGENCE_TAIL = 1e-16
 
 
+# per sense of a bound: the sign that makes bound - worst the margin, the figure's format, its word
+_SENSES = {"max": (1.0, ".3e", "bound"), "min": (-1.0, ".2f", "floor")}
+
+
 class CheckResult(NamedTuple):
+    """A check's worst figure and its bound, a ceiling (sense ``"max"``) or a floor (``"min"``)."""
+
     name: str
-    passed: bool
-    detail: str
+    quantity: str
+    worst: float
+    bound_name: str
+    bound: float
+    sense: str = "max"
+
+    @property
+    def margin(self) -> float:
+        """``bound - worst`` for a ceiling, ``worst - bound`` for a floor; NaN for a NaN figure."""
+        return _SENSES[self.sense][0] * (self.bound - self.worst)
+
+    @property
+    def passed(self) -> bool:
+        # the one verdict rule: a NaN margin fails in both senses
+        return self.margin >= 0
+
+    @property
+    def detail(self) -> str:
+        _, spec, word = _SENSES[self.sense]
+        return f"{self.quantity} = {self.worst:{spec}}, {word} {self.bound_name} = {self.bound}"
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
@@ -76,11 +100,9 @@ def _random_cases(rng: np.random.Generator, count: int, max_modes: int = 5, max_
     return cases
 
 
-def _verdict(name: str, quantity: str, defects, bound_name: str, bound: float) -> CheckResult:
-    # a check passes only if its worst defect is a number within its bound; np.max keeps a NaN
-    worst = float(np.max(defects, initial=0.0))
-    detail = f"{quantity} = {worst:.3e}, bound {bound_name} = {bound}"
-    return CheckResult(name, worst <= bound, detail)
+def _worst(defects) -> float:
+    # the largest defect; np.max keeps a NaN, so a NaN defect fails its check
+    return float(np.max(defects, initial=0.0))
 
 
 def check_cross_engine(seed: int) -> CheckResult:
@@ -88,14 +110,10 @@ def check_cross_engine(seed: int) -> CheckResult:
     gaps = []
     for weights, phases, squeeze in _random_cases(_stream(seed, 0), 20):
         p_gauss, _ = metrology.exact_survival_probability(weights, phases, squeeze)
-        p_fock, _ = metrology.exact_survival_probability(
-            weights, phases, squeeze, engine="fock"
-        )
+        p_fock, _ = metrology.exact_survival_probability(weights, phases, squeeze, engine="fock")
         gaps.append(abs(p_gauss - p_fock))
-    return _verdict(
-        "cross-engine equality", "max |gaussian - fock|", gaps,
-        "CROSS_ENGINE_TOL", CROSS_ENGINE_TOL,
-    )
+    return CheckResult("cross-engine equality", "max |gaussian - fock|", _worst(gaps),
+                       "CROSS_ENGINE_TOL", CROSS_ENGINE_TOL)
 
 
 def check_table_route(seed: int) -> CheckResult:
@@ -106,7 +124,8 @@ def check_table_route(seed: int) -> CheckResult:
         p_table = fock.survival_probability(weights, phases, squeeze, cutoff)
         p_sector = fock.survival_probability_sectors(weights, phases, squeeze, cutoff)
         gaps.append(abs(p_table - p_sector))
-    return _verdict("table vs sector route", "max route gap", gaps, "TABLE_ROUTE_TOL", TABLE_ROUTE_TOL)
+    return CheckResult("table vs sector route", "max route gap", _worst(gaps),
+                       "TABLE_ROUTE_TOL", TABLE_ROUTE_TOL)
 
 
 def check_odd_terms(seed: int) -> CheckResult:
@@ -116,7 +135,8 @@ def check_odd_terms(seed: int) -> CheckResult:
         cutoff = fock.recommend_cutoff(squeeze, tail_bound=ODD_TERM_TAIL, moment_power=8)
         series = fock.generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=8)
         odd_terms.append(np.abs(series.terms[1::2]))
-    return _verdict("odd series terms vanish", "max odd term", odd_terms, "ODD_TERM_TOL", ODD_TERM_TOL)
+    return CheckResult("odd series terms vanish", "max odd term", _worst(odd_terms),
+                       "ODD_TERM_TOL", ODD_TERM_TOL)
 
 
 def check_variance_identity(seed: int) -> CheckResult:
@@ -131,20 +151,16 @@ def check_variance_identity(seed: int) -> CheckResult:
             metrology.phase_moments(weights, phases), photon_moments(probe)
         )
         defects.append(abs(oracle - analytic))
-    return _verdict(
-        "generator variance identity", "max defect", defects,
-        "VARIANCE_IDENTITY_TOL", VARIANCE_IDENTITY_TOL,
-    )
+    return CheckResult("generator variance identity", "max defect", _worst(defects),
+                       "VARIANCE_IDENTITY_TOL", VARIANCE_IDENTITY_TOL)
 
 
 def check_mz_factorization(seed: int) -> CheckResult:
     """Composed balanced interferometer vs its mixing/global-phase factorisation."""
     phases = _stream(seed, 4).uniform(-math.pi, math.pi, size=(20, 2))
     residual = fock.mach_zehnder_factorization_residual(phases[:, 0], phases[:, 1], cutoff=12)
-    return _verdict(
-        "mach-zehnder factorization", "max residual", [residual],
-        "MZ_FACTORIZATION_TOL", MZ_FACTORIZATION_TOL,
-    )
+    return CheckResult("mach-zehnder factorization", "max residual", _worst([residual]),
+                       "MZ_FACTORIZATION_TOL", MZ_FACTORIZATION_TOL)
 
 
 def check_series_convergence(seed: int) -> CheckResult:
@@ -168,27 +184,15 @@ def check_series_convergence(seed: int) -> CheckResult:
         exact = fock.survival_probability_sectors(weights, phases, squeeze, cutoff)
         series = fock.generator_moments_sectors(weights, phases, squeeze, cutoff, max_order=6)
         residuals.append(abs(fock.series_partial_sum(series.terms, 6) - exact))
-    exponent = metrology._fit_slope(
-        [math.log(scale) for scale in scales], [math.log(residual) for residual in residuals]
-    )
-    return CheckResult(
-        "series convergence order",
-        exponent >= SERIES_ORDER_MIN,
-        f"fitted exponent = {exponent:.2f}, floor SERIES_ORDER_MIN = {SERIES_ORDER_MIN}",
-    )
+    exponent = metrology._fit_slope([math.log(s) for s in scales], [math.log(d) for d in residuals])
+    return CheckResult("series convergence order", "fitted exponent", float(exponent),
+                       "SERIES_ORDER_MIN", SERIES_ORDER_MIN, "min")
 
 
 def quick_suite(seed: int = 0) -> list[CheckResult]:
-    return [
-        check_cross_engine(seed),
-        check_table_route(seed),
-        check_odd_terms(seed),
-        check_variance_identity(seed),
-    ]
+    return [check_cross_engine(seed), check_table_route(seed), check_odd_terms(seed),
+            check_variance_identity(seed)]
 
 
 def full_suite(seed: int = 0) -> list[CheckResult]:
-    return quick_suite(seed) + [
-        check_mz_factorization(seed),
-        check_series_convergence(seed),
-    ]
+    return quick_suite(seed) + [check_mz_factorization(seed), check_series_convergence(seed)]

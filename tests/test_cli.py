@@ -200,6 +200,27 @@ class TestSimulate:
         assert ratio == pytest.approx(0.1)
         assert any("seed = 42" in line for line in manifest)
 
+    def test_modes_above_the_covariance_ceiling_exit_two_by_name(self, tmp_path, capsys, monkeypatch):
+        from sqzmet.gaussian import GAUSSIAN_MAX_MODES
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight network was built above the mode ceiling")
+
+        monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", refuse)
+        modes = GAUSSIAN_MAX_MODES + 1
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            f"weights = 1{', 0' * (modes - 1)}\ntrue_phases = 0{', 0' * (modes - 1)}\n"
+            "squeeze = 0.5\nshots = 100\nseed = 1\n"
+        )
+        out = tmp_path / "wide.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: modes M = {modes} above GAUSSIAN_MAX_MODES = {GAUSSIAN_MAX_MODES}, "
+        )
+        assert captured.out == "" and not out.exists()
+
     def test_zero_phase(self, tmp_path, config_file):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(
@@ -484,47 +505,73 @@ def _nan_odd_terms(real):
     return stand_in
 
 
-# per bounded check: its name, quantity and bound, and a stand-in that turns
-# its defect, and no other check's, into NaN
+# per check: its name, its detail at a NaN figure, and a stand-in that turns
+# its figure, and no other check's, into NaN
 NAN_DEFECTS = [
-    ("cross-engine equality", "max |gaussian - fock|", "CROSS_ENGINE_TOL",
+    ("cross-engine equality", "max |gaussian - fock| = nan, bound CROSS_ENGINE_TOL = 1e-06",
      "metrology", "_survival_probability", lambda real: lambda *args: math.nan),
-    ("table vs sector route", "max route gap", "TABLE_ROUTE_TOL",
+    ("table vs sector route", "max route gap = nan, bound TABLE_ROUTE_TOL = 1e-06",
      "fock", "survival_probability", lambda real: lambda *args: math.nan),
-    ("odd series terms vanish", "max odd term", "ODD_TERM_TOL",
+    ("odd series terms vanish", "max odd term = nan, bound ODD_TERM_TOL = 1e-10",
      "fock", "generator_moments_sectors", _nan_odd_terms),
-    ("generator variance identity", "max defect", "VARIANCE_IDENTITY_TOL",
+    ("generator variance identity", "max defect = nan, bound VARIANCE_IDENTITY_TOL = 1e-09",
      "metrology", "generator_variance", lambda real: lambda *args: math.nan),
-    ("mach-zehnder factorization", "max residual", "MZ_FACTORIZATION_TOL",
+    ("mach-zehnder factorization", "max residual = nan, bound MZ_FACTORIZATION_TOL = 1e-09",
      "fock", "_sector_operators", lambda real: nan_splitter_at(real, 3)),
+    ("series convergence order", "fitted exponent = nan, floor SERIES_ORDER_MIN = 7.0",
+     "metrology", "_fit_slope", lambda real: lambda *args: math.nan),
+]
+FULL_ONLY = ("mach-zehnder factorization", "series convergence order")
+# each bound of the suites, by name, and its sense
+BOUNDS = [
+    ("CROSS_ENGINE_TOL", "max"), ("TABLE_ROUTE_TOL", "max"), ("ODD_TERM_TOL", "max"),
+    ("VARIANCE_IDENTITY_TOL", "max"), ("MZ_FACTORIZATION_TOL", "max"), ("SERIES_ORDER_MIN", "min"),
 ]
 
 
 class TestValidate:
     @pytest.mark.parametrize(
-        "check, quantity, bound_name, module, attribute, stand_in",
+        "check, detail, module, attribute, stand_in",
         NAN_DEFECTS,
         ids=[entry[0].split()[0] for entry in NAN_DEFECTS],
     )
     def test_a_nan_defect_fails_its_check(
-        self, capsys, monkeypatch, check, quantity, bound_name, module, attribute, stand_in
+        self, capsys, monkeypatch, check, detail, module, attribute, stand_in
     ):
         # a running max(worst, defect) dropped every NaN: PASS at 0.000e+00, exit 0
-        from sqzmet import fock, metrology, validate
+        from sqzmet import fock, metrology
 
         module = {"fock": fock, "metrology": metrology}[module]
         monkeypatch.setattr(module, attribute, stand_in(getattr(module, attribute)))
-        bound = getattr(validate, bound_name)
         for level in ("quick", "full"):
             code = cli.main(["validate", level])
             captured = capsys.readouterr()
             failed = [line for line in captured.out.splitlines() if not line.startswith("PASS ")]
-            if level == "quick" and check == "mach-zehnder factorization":
+            if level == "quick" and check in FULL_ONLY:
                 assert (code, failed) == (0, [])
                 continue
             assert code == 1, captured.out
-            assert failed == [f"FAIL {check} ({quantity} = nan, bound {bound_name} = {bound})"]
+            assert failed == [f"FAIL {check} ({detail})"]
             assert captured.err == f"validation failed: {check}\n"
+
+    @pytest.mark.parametrize("bound_name, sense", BOUNDS)
+    def test_a_figure_at_its_bound_passes_and_one_step_past_fails(self, bound_name, sense):
+        # one verdict rule for both senses: the bound itself passes, the next
+        # float on the failing side fails, and a NaN fails
+        from sqzmet import validate
+
+        # the verdict and the detail are read off the stored figures, not stored
+        assert validate.CheckResult._fields == (
+            "name", "quantity", "worst", "bound_name", "bound", "sense"
+        )
+        bound = getattr(validate, bound_name)
+        failing_side = math.inf if sense == "max" else -math.inf
+        figures = {bound: True, math.nextafter(bound, failing_side): False, math.nan: False}
+        for worst, passed in figures.items():
+            check = validate.CheckResult("check", "figure", worst, bound_name, bound, sense)
+            assert (check.passed, check.margin >= 0) == (passed, passed), (worst, check.margin)
+            word = "bound" if sense == "max" else "floor"
+            assert check.detail.endswith(f", {word} {bound_name} = {bound}")
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_quick_suite_passes(self, capsys, level):

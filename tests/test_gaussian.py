@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
+import sqzmet.network
 from sqzmet import (
+    ExperimentConfig,
     GaussianState,
     SqueezeParameter,
     apply_network,
@@ -12,10 +14,11 @@ from sqzmet import (
     mach_zehnder_unitary,
     photon_moments,
     purity_defect,
+    run_protocol,
     squeezed_probe,
     vacuum_overlap_probability,
 )
-from sqzmet.gaussian import SYMMETRY_TOL, _squeeze_block
+from sqzmet.gaussian import GAUSSIAN_MAX_MODES, SYMMETRY_TOL, _squeeze_block
 from sqzmet.metrology import SQUEEZE_R_MAX
 from conftest import random_unitary
 
@@ -70,6 +73,26 @@ class TestStatePreparation:
     def test_probe_modes_must_be_an_integer(self, modes):
         with pytest.raises(ValueError, match=re.escape(f"modes must be an integer, got {modes!r}")):
             squeezed_probe(modes, SqueezeParameter(0.5))
+
+    def test_modes_above_the_ceiling_are_refused_before_any_array(self, monkeypatch):
+        # the probe comes first on the route to P, so neither its (2M, 2M)
+        # covariance nor the (M, M) weight network is built: both raise if asked
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated above the mode ceiling")
+
+        modes = GAUSSIAN_MAX_MODES + 1
+        weights, phases = np.full(modes, 1 / modes), np.zeros(modes)
+        config = ExperimentConfig(weights, phases, SqueezeParameter(0.5), 100, 0)
+        monkeypatch.setattr(sqzmet.network, "embed_weights_unitary", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        message = f"modes M = {modes} above GAUSSIAN_MAX_MODES = {GAUSSIAN_MAX_MODES}, "
+        for call in (
+            lambda: squeezed_probe(modes, SqueezeParameter(0.5)),
+            lambda: exact_survival_probability(weights, phases, SqueezeParameter(0.5)),
+            lambda: run_protocol(config),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                call()
 
     def test_squeeze_covariance_diagonal(self):
         state = squeezed_probe(1, SqueezeParameter(R_UNIT))

@@ -6,7 +6,9 @@ acceptance seed.  Each ``simulate-*.csv`` is what ``sqzmet simulate`` writes
 for one of the configs in ``SIMULATE_CONFIGS``.  Each
 ``synthesize-M<M>.weights`` is a stored Dirichlet draw of M weights, and
 ``synthesize-M<M>.netlist`` and ``.out`` are the netlist and stdout
-``sqzmet synthesize`` writes for it.  ``validate`` stdout has no golden file:
+``sqzmet synthesize`` writes for it.  Each output is also rerun from its
+``# key = value`` manifest header alone, which ``cli`` promises is enough to
+regenerate it.  ``validate`` stdout has no golden file:
 its detail numbers are the rounding noise of the same BLAS and libm kernels
 the tolerances below allow for, so a stored copy would pin one host's last
 bits, not the program's output.  The weight files are inputs: the
@@ -27,7 +29,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from sqzmet import cli, mesh_to_netlist, parse_netlist
+from sqzmet import __version__, cli, mesh_to_netlist, parse_netlist
 from test_acceptance import MASTER_SEED
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -74,16 +76,21 @@ def _split_slope(path: str) -> tuple[bytes, bytes]:
     return body, last
 
 
-@pytest.mark.parametrize("baseline,repetitions", SWEEPS)
-def test_sweep_csv_matches_golden(tmp_path, baseline, repetitions):
-    body, slope = _split_slope(_write_sweep(str(tmp_path), baseline, repetitions))
-    golden_body, golden_slope = _split_slope(
-        os.path.join(GOLDEN_DIR, _file_name(baseline, repetitions))
-    )
+def _assert_sweep_matches(got_path: str, want_path: str):
+    body, slope = _split_slope(got_path)
+    golden_body, golden_slope = _split_slope(want_path)
     assert body == golden_body
     # the value may move within the tolerance; the line keeps its format
     assert slope == repr(float(slope)).encode() + b"\n"
     assert float(slope) == pytest.approx(float(golden_slope), rel=SLOPE_REL_TOL)
+
+
+@pytest.mark.parametrize("baseline,repetitions", SWEEPS)
+def test_sweep_csv_matches_golden(tmp_path, baseline, repetitions):
+    _assert_sweep_matches(
+        _write_sweep(str(tmp_path), baseline, repetitions),
+        os.path.join(GOLDEN_DIR, _file_name(baseline, repetitions)),
+    )
 
 
 SIMULATE_CONFIGS = {
@@ -123,10 +130,8 @@ def _write_simulate(out_dir: str, name: str) -> str:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATE_CONFIGS))
-def test_simulate_csv_matches_golden(tmp_path, name):
-    got = _read(_write_simulate(str(tmp_path), name)).split(b"\n")
-    want = _read(_simulate_path(name)).split(b"\n")
+def _assert_simulate_matches(got: bytes, want: bytes):
+    got, want = got.split(b"\n"), want.split(b"\n")
     # the manifest, the column line, one row and the final newline
     assert len(got) == len(want)
     assert got[:-2] == want[:-2] and got[-1] == want[-1] == b""
@@ -138,6 +143,11 @@ def test_simulate_csv_matches_golden(tmp_path, name):
     for got_value, want_value in zip(got_row[:2] + got_row[3:], want_row[:2] + want_row[3:]):
         assert got_value == repr(float(got_value)).encode()
         assert float(got_value) == pytest.approx(float(want_value), rel=SIMULATE_REL_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CONFIGS))
+def test_simulate_csv_matches_golden(tmp_path, name):
+    _assert_simulate_matches(_read(_write_simulate(str(tmp_path), name)), _read(_simulate_path(name)))
 
 
 SYNTHESIZE_MODES = (2, 8, 16, 64)
@@ -156,10 +166,11 @@ def _synthesize_path(modes: int, suffix: str, directory: str = GOLDEN_DIR) -> st
     return os.path.join(directory, f"synthesize-M{modes}.{suffix}")
 
 
-def _synthesize(out_dir: str, modes: int) -> bytes:
+def _synthesize(out_dir: str, modes: int, weights_path: str | None = None) -> bytes:
     # run inside out_dir with a relative prefix, so stdout's "wrote" line
     # names no directory; return that stdout
-    argv = ["synthesize", _synthesize_path(modes, "weights"), "--out", f"synthesize-M{modes}"]
+    weights_path = weights_path or _synthesize_path(modes, "weights")
+    argv = ["synthesize", weights_path, "--out", f"synthesize-M{modes}"]
     stdout, cwd = io.StringIO(), os.getcwd()
     os.chdir(out_dir)
     try:
@@ -223,6 +234,52 @@ def test_golden_netlist_parses_back_to_its_bytes(modes):
     mesh = parse_netlist(body)
     assert len(mesh.elements) == modes - 1 and mesh.output_phases.size == modes
     assert mesh_to_netlist(mesh) == body
+
+
+GOLDENS = sorted(
+    name for name in os.listdir(GOLDEN_DIR) if name.endswith((".csv", ".netlist"))
+)
+
+
+def _manifest(path: str) -> dict[str, str]:
+    """The ``# key = value`` header of an output file, as {key: value}."""
+    entries = {}
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if not line.startswith("# "):
+                break
+            key, _, value = line[2:].rstrip("\n").partition(" = ")
+            entries[key] = value
+    return entries
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_a_golden_regenerates_from_its_manifest_alone(tmp_path, name):
+    # cli's promise: the header is enough to regenerate its file.  The argv and
+    # the config or weights file are built from the header lines alone; a
+    # config key goes to the config file and any other key to its option
+    golden = os.path.join(GOLDEN_DIR, name)
+    entries = _manifest(golden)
+    assert entries.pop("sqzmet") == __version__
+    command = entries.pop("command")
+    if command == "synthesize":
+        text, weights = entries.pop("weights"), tmp_path / "weights.txt"
+        weights.write_text(text + "\n")
+        modes = len(text.split(","))
+        assert entries == {}
+        stdout = _synthesize(str(tmp_path), modes, str(weights))
+        _assert_stdout_matches(stdout, _read(_synthesize_path(modes, "out")))
+        _assert_netlist_matches(_read(_synthesize_path(modes, "netlist", str(tmp_path))), _read(golden))
+        return
+    config = "".join(f"{key} = {entries.pop(key)}\n" for key in cli.CONFIG_KEYS if key in entries)
+    options = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+    out = str(tmp_path / name)
+    _run_with_config([command, *options, "--out", out], config)
+    if command == "sweep":
+        _assert_sweep_matches(out, golden)
+    else:
+        assert (command, options) == ("simulate", [])
+        _assert_simulate_matches(_read(out), _read(golden))
 
 
 def _write_missing_weights():

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from sqzmet import fock, metrology, network, validate
+import numpy as np
+
+from sqzmet import fock, gaussian, metrology, network, validate
 from sqzmet.metrology import NBAR_MAX, NBAR_MIN, PHASE_MAX, SQUEEZE_R_MAX
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqzmet"
@@ -128,6 +130,7 @@ def test_the_readme_states_the_code_constants():
         "fock.MAX_CUTOFF",
         "fock.MAX_TABLE_ROWS",
         "fock.MAX_TABLE_TAIL",
+        "gaussian.GAUSSIAN_MAX_MODES",
         "network.NBAR_MIN",
         "network.NBAR_MAX",
         "network.PHASE_MAX",
@@ -142,6 +145,28 @@ def test_the_readme_states_the_code_constants():
 ENVELOPE_SQUEEZE = metrology.SqueezeParameter(0.5)
 # the vacuum's table has no tail at any cutoff, 0 included
 VACUUM = metrology.SqueezeParameter(0.0)
+
+
+class _Allocating(Exception):
+    """The covariance engine got past its checks to the probe's ``(2M, 2M)`` covariance."""
+
+
+def _covariance_engine_at(call):
+    # call(v) at v modes, stopped where the probe allocates its covariance:
+    # the mode ceiling is checked without building the array it bounds
+    def at(modes):
+        def stop(shape, *args, **kwargs):
+            raise _Allocating(shape)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "zeros", stop)
+            with pytest.raises(_Allocating) as allocating:
+                call(modes)
+        assert allocating.value.args == ((2 * modes, 2 * modes),)
+
+    return at
+
+
 # each interval row of README's envelope table, by the start of its argument
 # cell, and calls at a value of the argument the row bounds
 ENVELOPE_ROWS = {
@@ -168,6 +193,12 @@ ENVELOPE_ROWS = {
         lambda v: fock.survival_probability_sectors([1.0], [0.1], VACUUM, v),
         lambda v: fock.generator_moments_sectors([1.0], [0.1], VACUUM, v),
     ],
+    "`modes` of `squeezed_probe`": [
+        _covariance_engine_at(lambda v: gaussian.squeezed_probe(v, ENVELOPE_SQUEEZE)),
+        _covariance_engine_at(
+            lambda v: metrology.exact_survival_probability(np.ones(v) / v, [0.0] * v, ENVELOPE_SQUEEZE)
+        ),
+    ],
 }
 # the first interval of a range cell: `[low, high]`, either end open
 INTERVAL = re.compile(r"`([\[(])([^,`]+), ([^`\])]+)([\])])`")
@@ -182,7 +213,7 @@ def _envelope_table():
 def _endpoint(text):
     """An interval end as a number: a figure, `inf` or a constant of the package, maybe negated."""
     sign, name = (-1, text[1:]) if text.startswith("-") else (1, text)
-    for module in (metrology, network, fock):
+    for module in (metrology, network, fock, gaussian):
         if hasattr(module, name):
             return sign * getattr(module, name)
     return float(text)
@@ -197,15 +228,15 @@ def test_every_interval_of_the_envelope_table_is_checked():
 @pytest.mark.parametrize("row", ENVELOPE_ROWS)
 def test_the_envelope_table_states_each_range(row):
     # a closed end is accepted and one step past it refused; an open end is
-    # refused at its figure.  A cutoff is even, so its step is 2
+    # refused at its figure.  An integer's step is 1, and a cutoff is even, so its step is 2
     cell = next(cell for argument, cell in _envelope_table().items() if argument.startswith(row))
     low_bracket, low, high, high_bracket = INTERVAL.search(cell).groups()
-    even = cell.startswith("even")
+    step = 2 if cell.startswith("even") else 1 if cell.startswith("integer") else None
     for call in ENVELOPE_ROWS[row]:
         for bracket, text, outward in ((low_bracket, low, -1), (high_bracket, high, 1)):
-            bound = int(_endpoint(text)) if even else _endpoint(text)
+            bound = int(_endpoint(text)) if step else _endpoint(text)
             if bracket in "[]":
                 call(bound)
-                bound = bound + 2 * outward if even else math.nextafter(bound, outward * math.inf)
+                bound = bound + step * outward if step else math.nextafter(bound, outward * math.inf)
             with pytest.raises(ValueError):
                 call(bound)
