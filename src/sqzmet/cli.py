@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, metrology, network
-from .metrology import SqueezeParameter
+from .metrology import CheckResult, SqueezeParameter
 
 CONFIG_KEYS = ("weights", "true_phases", "squeeze", "shots", "seed")
 
@@ -119,25 +119,24 @@ def cmd_synthesize(args) -> int:
     # the written file describes
     written = network.parse_netlist(netlist)
     column_gap = np.abs(network.first_column(written) - np.sqrt(weights))
-    residuals = (
-        ("first-column residual", float(np.max(column_gap))),
-        ("unitarity residual", network.block_unitarity_defect(written)),
-        ("mesh round-trip residual", network.mesh_gap(written, chain)),
+    figures = (
+        ("first-column residual", "max |U[:, 0] - sqrt(w)|", float(np.max(column_gap))),
+        ("unitarity residual", "max ||B^dag B - I||_F", network.block_unitarity_defect(written)),
+        ("mesh round-trip residual", "max angle or phase gap", network.mesh_gap(written, chain)),
     )
-    failed = [(name, value) for name, value in residuals if not value <= RESIDUAL_TOL]
-    for name, value in failed:
-        print(
-            f"error: {name} = {_fmt(value)} exceeds {RESIDUAL_TOL}; no file written",
-            file=sys.stderr,
-        )
+    residuals = [CheckResult(*figure, "RESIDUAL_TOL", RESIDUAL_TOL) for figure in figures]
+    failed = [check for check in residuals if not check.passed]
+    for check in failed:
+        print(f"error: {check.name} = {_fmt(check.worst)} exceeds {check.bound_name} = "
+              f"{check.bound}; no file written", file=sys.stderr)
     if failed:
         return EXIT_VALIDATION
 
     prefix = args.out or "network"
     _write_text(f"{prefix}.netlist", netlist)
     print(f"modes = {weights.size}")
-    for name, value in residuals:
-        print(f"{name} = {_fmt(value)}")
+    for check in residuals:
+        print(f"{check.name} = {_fmt(check.worst)}")
     print(f"wrote {prefix}.netlist")
     return EXIT_OK
 

@@ -5,7 +5,7 @@ probability that the probe survives the interferometer unchanged.  This
 module holds the small-phase expansion of that probability, the binomial
 shot simulator, the exact equal-phase estimator, and the Monte-Carlo sweep
 that measures how the estimation variance scales with the probe's mean
-photon number.
+photon number.  ``CheckResult``, the record of every self-check, lives here.
 """
 
 from __future__ import annotations
@@ -86,6 +86,36 @@ class RegimeCheck(NamedTuple):
 
     ratio: float
     ok: bool
+
+
+# per sense of a bound: the sign that makes bound - worst the margin, the figure's format, its word
+_SENSES = {"max": (1.0, ".3e", "bound"), "min": (-1.0, ".2f", "floor")}
+
+
+class CheckResult(NamedTuple):
+    """A self-check's worst figure and its bound, a ceiling (sense ``"max"``) or a floor (``"min"``)."""
+
+    name: str
+    quantity: str
+    worst: float
+    bound_name: str
+    bound: float
+    sense: str = "max"
+
+    @property
+    def margin(self) -> float:
+        """``bound - worst`` for a ceiling, ``worst - bound`` for a floor; NaN for a NaN figure."""
+        return _SENSES[self.sense][0] * (self.bound - self.worst)
+
+    @property
+    def passed(self) -> bool:
+        # the one verdict rule: a NaN margin fails in both senses
+        return self.margin >= 0
+
+    @property
+    def detail(self) -> str:
+        _, spec, word = _SENSES[self.sense]
+        return f"{self.quantity} = {self.worst:{spec}}, {word} {self.bound_name} = {self.bound}"
 
 
 def phase_moments(weights, phases) -> PhaseMoments:

@@ -10,13 +10,12 @@ numbers, and its verdict and printed detail are both read off them.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import fock, metrology
 from .gaussian import photon_moments, squeezed_probe
-from .metrology import SqueezeParameter
+from .metrology import CheckResult, SqueezeParameter
 
 
 # each check's pass bound, with its reason
@@ -48,42 +47,13 @@ VARIANCE_IDENTITY_TAIL = 1e-14
 SERIES_CONVERGENCE_TAIL = 1e-16
 
 
-# per sense of a bound: the sign that makes bound - worst the margin, the figure's format, its word
-_SENSES = {"max": (1.0, ".3e", "bound"), "min": (-1.0, ".2f", "floor")}
-
-
-class CheckResult(NamedTuple):
-    """A check's worst figure and its bound, a ceiling (sense ``"max"``) or a floor (``"min"``)."""
-
-    name: str
-    quantity: str
-    worst: float
-    bound_name: str
-    bound: float
-    sense: str = "max"
-
-    @property
-    def margin(self) -> float:
-        """``bound - worst`` for a ceiling, ``worst - bound`` for a floor; NaN for a NaN figure."""
-        return _SENSES[self.sense][0] * (self.bound - self.worst)
-
-    @property
-    def passed(self) -> bool:
-        # the one verdict rule: a NaN margin fails in both senses
-        return self.margin >= 0
-
-    @property
-    def detail(self) -> str:
-        _, spec, word = _SENSES[self.sense]
-        return f"{self.quantity} = {self.worst:{spec}}, {word} {self.bound_name} = {self.bound}"
-
-
 def _stream(seed: int, offset: int) -> np.random.Generator:
     """A check's own random stream, keyed ``[seed, offset]``; ``seed`` must be an integer >= 0.
 
-    Check ``k`` at seed ``s`` shares no stream with check 0 at seed ``s + k``.
-    Offset 0 is the stream of ``seed`` itself: numpy's seeding drops trailing
-    zero words of a key.
+    numpy packs an integer seed into 32-bit words and pads a key with zero
+    words, so keys stay distinct only below 2^32: there no two (seed, check)
+    pairs share a stream, while ``[5, 3]`` is also the key of ``5 + 3 * 2**32``.
+    Below 2^96, offset 0 is the stream of ``seed`` itself.
     """
     return np.random.default_rng([metrology.validate_count("seed", seed, 0), offset])
 

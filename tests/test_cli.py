@@ -522,10 +522,12 @@ NAN_DEFECTS = [
      "metrology", "_fit_slope", lambda real: lambda *args: math.nan),
 ]
 FULL_ONLY = ("mach-zehnder factorization", "series convergence order")
-# each bound of the suites, by name, and its sense
+# each bound of the self-checks, by name, and its sense: the suites' bounds
+# and RESIDUAL_TOL, the one synthesize applies to its residuals
 BOUNDS = [
     ("CROSS_ENGINE_TOL", "max"), ("TABLE_ROUTE_TOL", "max"), ("ODD_TERM_TOL", "max"),
     ("VARIANCE_IDENTITY_TOL", "max"), ("MZ_FACTORIZATION_TOL", "max"), ("SERIES_ORDER_MIN", "min"),
+    ("RESIDUAL_TOL", "max"),
 ]
 
 
@@ -555,16 +557,20 @@ class TestValidate:
             assert captured.err == f"validation failed: {check}\n"
 
     @pytest.mark.parametrize("bound_name, sense", BOUNDS)
-    def test_a_figure_at_its_bound_passes_and_one_step_past_fails(self, bound_name, sense):
+    def test_a_figure_at_its_bound_passes_and_one_step_past_fails(
+        self, tmp_path, capsys, monkeypatch, bound_name, sense
+    ):
         # one verdict rule for both senses: the bound itself passes, the next
         # float on the failing side fails, and a NaN fails
         from sqzmet import validate
 
+        # one record for every self-check, defined once
+        assert validate.CheckResult is sqzmet.metrology.CheckResult is cli.CheckResult
         # the verdict and the detail are read off the stored figures, not stored
         assert validate.CheckResult._fields == (
             "name", "quantity", "worst", "bound_name", "bound", "sense"
         )
-        bound = getattr(validate, bound_name)
+        bound = getattr(cli if bound_name == "RESIDUAL_TOL" else validate, bound_name)
         failing_side = math.inf if sense == "max" else -math.inf
         figures = {bound: True, math.nextafter(bound, failing_side): False, math.nan: False}
         for worst, passed in figures.items():
@@ -572,6 +578,26 @@ class TestValidate:
             assert (check.passed, check.margin >= 0) == (passed, passed), (worst, check.margin)
             word = "bound" if sense == "max" else "floor"
             assert check.detail.endswith(f", {word} {bound_name} = {bound}")
+        if bound_name != "RESIDUAL_TOL":
+            return
+        # synthesize itself, with its mesh round-trip residual reading each figure
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.25 0.75\n")
+        for index, (worst, passed) in enumerate(figures.items()):
+            monkeypatch.setattr(sqzmet.network, "mesh_gap", lambda mesh, chain: worst)
+            prefix = tmp_path / f"net{index}"
+            code = cli.main(["synthesize", str(weights), "--out", str(prefix)])
+            captured = capsys.readouterr()
+            written = (tmp_path / f"net{index}.netlist").exists()
+            assert (code, written) == ((0, True) if passed else (1, False)), captured.err
+            if passed:
+                assert f"mesh round-trip residual = {worst!r}\n" in captured.out
+            else:
+                assert captured.out == ""
+                assert captured.err == (
+                    f"error: mesh round-trip residual = {worst!r} exceeds "
+                    f"RESIDUAL_TOL = {bound}; no file written\n"
+                )
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_quick_suite_passes(self, capsys, level):
@@ -592,10 +618,17 @@ class TestValidate:
         # keyed seed + offset, check k at seed s drew check 0's stream at seed s + k
         from sqzmet import validate
 
-        firsts = {validate._stream(seed, k).random() for seed in range(40) for k in range(6)}
-        assert len(firsts) == 240
+        seeds = [*range(40), 2 ** 32 - 2, 2 ** 32 - 1]
+        firsts = {validate._stream(seed, k).random() for seed in seeds for k in range(6)}
+        assert len(firsts) == 6 * len(seeds)
         # offset 0 is the seed's own stream, as before the keys changed
-        assert validate._stream(7, 0).random() == np.random.default_rng(7).random()
+        for seed in (7, 2 ** 96 - 1):
+            assert validate._stream(seed, 0).random() == np.random.default_rng(seed).random()
+        # where the guarantees end: numpy packs an int seed into 32-bit words,
+        # so [5, 3] is the key of 5 + 3 * 2**32; it zero-pads a key to four
+        # words, so [seed, 0] is the key of seed only while seed fits in three
+        assert validate._stream(5, 3).random() == validate._stream(5 + 3 * 2 ** 32, 0).random()
+        assert validate._stream(2 ** 96, 0).random() != np.random.default_rng(2 ** 96).random()
 
     def test_each_detail_names_its_bound(self, capsys):
         from sqzmet import validate

@@ -1,7 +1,7 @@
 """Both engines against the closed form P = 1 / |1 + nbar (1 - m^2)| across the envelope.
 
-The reference is ``conftest.closed_form_survival``; the Fock engine is also
-held to it at M = 10^4 and 10^5.
+The reference is ``conftest.closed_form_survival``, itself held to a 60-digit
+``mpmath`` evaluation; the Fock engine is also held to it at M = 10^4 and 10^5.
 """
 
 import math
@@ -58,3 +58,29 @@ def test_fock_engine_matches_the_z_form_at_large_m(modes, r):
         closed = closed_form_survival(weights, phases, squeeze.mean_photon_number)
         p, _ = exact_survival_probability(weights, phases, squeeze, engine="fock")
         assert abs(p - closed) <= 1e-9
+
+
+
+# the reference is the z-form in double precision; over 20000 cases drawn as
+# below its worst relative error was 6.4e-15, at nbar near 1e8
+REFERENCE_REL_TOL = 1e-12
+
+
+def test_the_reference_matches_a_60_digit_z_form():
+    # M in 1-16, nbar 10^U(-8, 8), phases +-10^U(-8, 0), from one seeded stream
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(60)
+    for _ in range(500):
+        modes = int(rng.integers(1, 17))
+        weights = rng.dirichlet(np.ones(modes))
+        weights = weights / weights.sum()
+        phases = rng.choice([-1.0, 1.0], size=modes) * 10.0 ** rng.uniform(-8.0, 0.0, size=modes)
+        nbar = 10.0 ** rng.uniform(-8.0, 8.0)
+        with mpmath.workdps(60):
+            z = mpmath.fsum(
+                mpmath.mpf(w) * (2 * mpmath.sin(mpmath.mpf(phi) / 2) ** 2 + 1j * mpmath.sin(phi))
+                for w, phi in zip(weights.tolist(), phases.tolist())
+            )
+            exact = 1 / abs(1 + mpmath.mpf(nbar) * z * (2 - z))
+            gap = abs(closed_form_survival(weights, phases, nbar) - exact) / exact
+        assert gap <= REFERENCE_REL_TOL, (weights, phases, nbar, gap)

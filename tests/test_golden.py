@@ -6,7 +6,8 @@ acceptance seed.  Each ``simulate-*.csv`` is what ``sqzmet simulate`` writes
 for one of the configs in ``SIMULATE_CONFIGS``.  Each
 ``synthesize-M<M>.weights`` is a stored Dirichlet draw of M weights, and
 ``synthesize-M<M>.netlist`` and ``.out`` are the netlist and stdout
-``sqzmet synthesize`` writes for it.  Each output is also rerun from its
+``sqzmet synthesize`` writes for it.  Each ``demo-<name>.out`` is the stdout
+of ``demos/<name>.py``.  Each CLI output is also rerun from its
 ``# key = value`` manifest header alone, which ``cli`` promises is enough to
 regenerate it.  ``validate`` stdout has no golden file:
 its detail numbers are the rounding noise of the same BLAS and libm kernels
@@ -24,6 +25,8 @@ import contextlib
 import io
 import math
 import os
+import re
+import runpy
 import tempfile
 
 import numpy as np
@@ -282,6 +285,64 @@ def test_a_golden_regenerates_from_its_manifest_alone(tmp_path, name):
         _assert_simulate_matches(_read(out), _read(golden))
 
 
+DEMO_DIR = os.path.join(os.path.dirname(GOLDEN_DIR), os.pardir, "demos")
+DEMOS = sorted(name[:-3] for name in os.listdir(DEMO_DIR) if name.endswith(".py"))
+# a printed number, with the space or minus sign that ": .3e" puts before it
+NUMBER = re.compile(rb"[- ]?\d+(?:\.\d*)?(?:e[-+]\d+)?")
+# demo stdout lines that print rounding noise, by demo and line start, and the
+# absolute tolerance of each number on them; every other line is compared byte
+# for byte, and a netlist line as the netlist goldens are, its angle within
+# ANGLE_ULPS
+DEMO_NOISE = {
+    # the two engines' values and their 1.7e-12 gap: sums of order-one terms
+    # whose last bits come from the host's BLAS and libm.  1e-13 is a tenth of
+    # the 1e-12 tail the oracle's cutoff certifies
+    "01_two_engines_one_answer": dict.fromkeys(
+        [b"covariance engine", b"fock oracle", b"difference"], 1e-13
+    ),
+    # the three residuals are rounding noise, held as synthesize's are
+    "02_weight_encoding_mesh": dict.fromkeys(
+        [b"first-column residual", b"unitarity residual", b"round-trip residual"], RESIDUAL_BOUND
+    ),
+    # odd terms vanish identically; what is printed (3.5e-18 at most) is the
+    # rounding of sums of terms of order 0.01
+    "03_survival_series": dict.fromkeys([b"  l=1:", b"  l=3:", b"  l=5:", b"  l=7:"], 1e-15),
+}
+
+
+def _demo_path(demo: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"demo-{demo}.out")
+
+
+def _run_demo(demo: str) -> bytes:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        runpy.run_path(os.path.join(DEMO_DIR, f"{demo}.py"), run_name="__main__")
+    return stdout.getvalue().encode()
+
+
+def _assert_demo_matches(demo: str, got: bytes, want: bytes):
+    noise = DEMO_NOISE.get(demo, {})
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    assert len(got_lines) == len(want_lines)
+    for got_line, want_line in zip(got_lines, want_lines):
+        if want_line.startswith(b"pair "):
+            _assert_netlist_matches(got_line, want_line)
+            continue
+        tol = next((tol for start, tol in noise.items() if want_line.startswith(start)), None)
+        if tol is None:
+            assert got_line == want_line
+            continue
+        assert NUMBER.sub(b"#", got_line) == NUMBER.sub(b"#", want_line)
+        for got_value, want_value in zip(NUMBER.findall(got_line), NUMBER.findall(want_line)):
+            assert abs(float(got_value) - float(want_value)) <= tol, (got_line, want_line)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_stdout_matches_golden(demo):
+    _assert_demo_matches(demo, _run_demo(demo), _read(_demo_path(demo)))
+
+
 def _write_missing_weights():
     # one generator for every size, seeded once; an existing file is kept
     rng = np.random.default_rng(MASTER_SEED)
@@ -307,3 +368,7 @@ if __name__ == "__main__":
             handle.write(stdout)
         print(_synthesize_path(modes, "netlist"))
         print(_synthesize_path(modes, "out"))
+    for demo in DEMOS:
+        with open(_demo_path(demo), "wb") as handle:
+            handle.write(_run_demo(demo))
+        print(_demo_path(demo))
